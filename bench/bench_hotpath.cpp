@@ -4,19 +4,23 @@
 /// transform, the weak inner product, and the modal gradient.  The sweep
 /// runs orders 4-12 and reports the crossover order — the smallest order
 /// from which sum factorisation stays ahead of the dense batch — in the
-/// RunReport (top-level "crossover_order").  Writes machine-readable
-/// results to BENCH_hotpath.json (CI uploads it as an artifact and gates
-/// both engines against committed baselines; --smoke shrinks the sweep
-/// for the per-commit job).
+/// RunReport (top-level "crossover_order").  A second sweep times the
+/// banded direct solver (factor, one solve, the two-RHS solve) at
+/// per-Fourier-mode band shapes.  Writes machine-readable results to
+/// BENCH_hotpath.json (CI uploads it as an artifact and gates the engines
+/// and the direct solver against committed baselines; --smoke shrinks the
+/// sweep for the per-commit job).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "compute/backend.hpp"
+#include "la/banded.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/discretization.hpp"
 #include "parallel/thread_pool.hpp"
@@ -160,6 +164,54 @@ double crossover_order(const std::vector<CaseResult>& results) {
     return crossover;
 }
 
+struct BandedResult {
+    std::size_t n = 0, kd = 0;
+    double factor_ms = 0.0, solve_ms = 0.0, solve2_ms = 0.0;
+};
+
+/// The banded Cholesky factor, one solve and the two-RHS solve of an SPD
+/// band of order n and bandwidth kd (the cost does not depend on the
+/// values).  Each solve restarts from the same right-hand side so repeated
+/// calls never run into denormals.
+BandedResult run_banded(std::size_t n, std::size_t kd, double min_seconds) {
+    la::SymBandedMatrix a(n, kd);
+    for (std::size_t j = 0; j < n; ++j) {
+        a.band(0, j) = 4.0 * static_cast<double>(kd + 1);
+        for (std::size_t d = 1; d <= kd && j + d < n; ++d)
+            a.band(d, j) = -1.0 / static_cast<double>(d + 1);
+    }
+    BandedResult r{n, kd};
+    la::BandedCholesky chol;
+    r.factor_ms = 1e3 * benchutil::time_per_call([&] { (void)chol.factor(a); }, min_seconds);
+    const std::vector<double> rhs(n, 1.0);
+    std::vector<double> b(n), b2(n);
+    r.solve_ms = 1e3 * benchutil::time_per_call(
+        [&] {
+            b = rhs;
+            chol.solve(b);
+        },
+        min_seconds);
+    const std::span<double> both[2] = {b, b2};
+    r.solve2_ms = 1e3 * benchutil::time_per_call(
+        [&] {
+            b = rhs;
+            b2 = rhs;
+            chol.solve(both);
+        },
+        min_seconds);
+    return r;
+}
+
+perf::Case to_case(const BandedResult& r) {
+    perf::Case c;
+    c.values["n"] = static_cast<double>(r.n);
+    c.values["kd"] = static_cast<double>(r.kd);
+    c.values["banded_ms.factor"] = r.factor_ms;
+    c.values["banded_ms.solve"] = r.solve_ms;
+    c.values["banded_ms.solve2"] = r.solve2_ms;
+    return c;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -208,11 +260,31 @@ int main(int argc, char** argv) {
     else
         std::printf("\nsum-factorisation crossover: none within this sweep\n");
 
+    // Banded direct solver: NekTar-F's per-mode shape of Table 2 and a
+    // narrower band; the full sweep adds the serial solver's wide band.
+    const std::vector<std::pair<std::size_t, std::size_t>> bands =
+        smoke ? std::vector<std::pair<std::size_t, std::size_t>>{{1568, 267}, {2000, 200}}
+              : std::vector<std::pair<std::size_t, std::size_t>>{
+                    {1568, 267}, {2000, 200}, {7416, 815}};
+    std::printf("\nBanded Cholesky (factor, one solve, two-RHS solve)\n");
+    benchutil::Table band_table({"n", "kd", "factor ms", "solve ms", "solve2 ms"});
+    band_table.print_header();
+    std::vector<BandedResult> banded;
+    for (const auto& [n, kd] : bands) {
+        const BandedResult r = run_banded(n, kd, min_seconds);
+        banded.push_back(r);
+        band_table.print_row({std::to_string(r.n), std::to_string(r.kd),
+                              benchutil::fmt(r.factor_ms, "%.3f"),
+                              benchutil::fmt(r.solve_ms, "%.3f"),
+                              benchutil::fmt(r.solve2_ms, "%.3f")});
+    }
+
     perf::RunReport rep = perf::report("bench_hotpath");
     rep.backend = "dense+sumfact"; // both engines measured side by side
     rep.crossover_order = crossover;
     rep.meta["threads"] = std::to_string(parallel::num_threads());
     for (const CaseResult& r : results) rep.cases.push_back(to_case(r));
+    for (const BandedResult& r : banded) rep.cases.push_back(to_case(r));
     cli.finish(std::move(rep), "BENCH_hotpath.json");
     return 0;
 }

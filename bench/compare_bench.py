@@ -3,23 +3,26 @@
 
 Compares a freshly measured BENCH_hotpath.json against one or more committed
 baselines and fails when any gated kernel of any case got more than
---threshold slower.  Two baselines are committed:
+--threshold slower.  Three baselines are committed:
 
   bench/BENCH_hotpath_baseline.json  — the dense batched engine (gate its
                                        "batched_ms" metric group)
   bench/BENCH_sumfact_baseline.json  — the sum-factorised engine (gate its
                                        "sumfact_ms" metric group)
+  bench/BENCH_banded_baseline.json   — the banded direct solver (gate its
+                                       "banded_ms" metric group)
 
-Both files are RunReports (see bench/run_report_schema.json): the sweep lives
-in the top-level "cases" array as flat objects whose kernel timings use
-dotted keys ("batched_ms.to_quad", "sumfact_ms.grad", ...).  --baseline and
---metric-group repeat in lockstep: the i-th baseline is gated on the i-th
-group (a single --metric-group applies to every baseline; the default is
-"batched_ms").
+All are RunReports (see bench/run_report_schema.json): the sweep lives in the
+top-level "cases" array as flat objects whose kernel timings use dotted keys
+("batched_ms.to_quad", "sumfact_ms.grad", "banded_ms.factor", ...).  A case
+is identified by its coordinates: (order, elements, planes) for the engine
+sweep, (n, kd) for the banded one.  --baseline and --metric-group repeat in
+lockstep: the i-th baseline is gated on the i-th group (a single
+--metric-group applies to every baseline; the default is "batched_ms").
 
 CI machines are not the baseline machine, so raw milliseconds are not
 comparable across runs.  The gate therefore self-normalises: for every
-(order, elements, planes) case and kernel it forms
+case and kernel of the gated group it forms
 
     current_ms / baseline_ms
 
@@ -48,6 +51,8 @@ main build, then
   python3 bench/compare_bench.py --update \
       --baseline bench/BENCH_hotpath_baseline.json --current BENCH_hotpath.json
 and commit the updated baseline together with the change that moved it.
+With --metric-group, --update keeps only the cases that carry that group
+(how bench/BENCH_banded_baseline.json is cut from a full sweep).
 """
 
 from __future__ import annotations
@@ -59,9 +64,17 @@ import shutil
 import statistics
 import sys
 
-KERNELS = ("to_quad", "weak_inner", "grad")
-# Every timing group a sweep may carry; elementwise_min folds all of them.
-ALL_GROUPS = ("per_element_ms", "batched_ms", "sumfact_ms")
+ENGINE_KERNELS = ("to_quad", "weak_inner", "grad")
+# Every timing group a sweep may carry, with its kernels; elementwise_min
+# folds all of them.
+GROUP_KERNELS = {
+    "per_element_ms": ENGINE_KERNELS,
+    "batched_ms": ENGINE_KERNELS,
+    "sumfact_ms": ENGINE_KERNELS,
+    "banded_ms": ("factor", "solve", "solve2"),
+}
+# The coordinates that identify a case (each sweep carries a subset).
+CASE_COORDS = ("order", "elements", "planes", "n", "kd")
 
 # RunReport schema versions this gate understands.  v2 added the request
 # echo and cache blocks; the gated "cases" layout is unchanged, so both
@@ -81,7 +94,11 @@ def load_report(path: str) -> dict:
 
 
 def case_key(case: dict) -> tuple:
-    return (int(case["order"]), int(case["elements"]), int(case["planes"]))
+    return tuple((c, int(case[c])) for c in CASE_COORDS if c in case)
+
+
+def describe(key: tuple) -> str:
+    return ", ".join(f"{c}={v}" for c, v in key)
 
 
 def elementwise_min(runs: list[dict]) -> dict:
@@ -95,8 +112,8 @@ def elementwise_min(runs: list[dict]) -> dict:
                              f"({sorted(set(cases) ^ run_keys)})")
         for c in run["cases"]:
             dst = cases[case_key(c)]
-            for group in ALL_GROUPS:
-                for k in KERNELS:
+            for group, kernels in GROUP_KERNELS.items():
+                for k in kernels:
                     key = f"{group}.{k}"
                     if key in dst and key in c:
                         dst[key] = min(dst[key], c[key])
@@ -110,21 +127,22 @@ def compare(baseline: dict, current: dict, threshold: float,
     failures = []
     missing = sorted(set(base_cases) - set(cur_cases))
     for key in missing:
-        failures.append(f"case {key} present in baseline but missing from current run")
+        failures.append(f"case ({describe(key)}) present in baseline but missing from "
+                        "current run")
 
     shared = sorted(set(base_cases) & set(cur_cases))
     entries = []  # (key, kernel, current/baseline ratio)
     for key in shared:
-        for k in KERNELS:
+        for k in GROUP_KERNELS[group]:
             metric = f"{group}.{k}"
             if metric not in base_cases[key]:
-                raise SystemExit(f"baseline case {key} has no \"{metric}\" — wrong "
-                                 f"--metric-group for this baseline?")
+                raise SystemExit(f"baseline case ({describe(key)}) has no \"{metric}\" — "
+                                 "wrong --metric-group for this baseline?")
             base_ms = base_cases[key][metric]
             if base_ms <= 0.0:
                 raise SystemExit(f"corrupt baseline: {metric} = {base_ms}")
             if metric not in cur_cases[key]:
-                failures.append(f"case {key}: current run has no \"{metric}\"")
+                failures.append(f"case ({describe(key)}): current run has no \"{metric}\"")
                 continue
             entries.append((key, k, cur_cases[key][metric] / base_ms))
     if not entries:
@@ -138,7 +156,7 @@ def compare(baseline: dict, current: dict, threshold: float,
         slowdown = r / scale - 1.0
         if slowdown > threshold:
             failures.append(
-                f"case (order={key[0]}, elems={key[1]}, planes={key[2]}) kernel "
+                f"case ({describe(key)}) kernel "
                 f"{group}.{k}: {slowdown:+.0%} vs the run median (limit "
                 f"{threshold:+.0%}; raw ratio {r:.3f}, median {scale:.3f})")
     return failures
@@ -167,7 +185,7 @@ def self_test(baseline_paths: list[str], groups: list[str], threshold: float) ->
             return 1
         # A 1.3x slowdown injected into one gated kernel must be caught.
         perturbed = copy.deepcopy(baseline)
-        perturbed["cases"][0][f"{group}.weak_inner"] *= 1.30
+        perturbed["cases"][0][f"{group}.{GROUP_KERNELS[group][1]}"] *= 1.30
         if not compare(baseline, perturbed, threshold, group):
             print(f"self-test FAILED: injected 30% slowdown in {label} not flagged")
             return 1
@@ -181,7 +199,7 @@ def self_test(baseline_paths: list[str], groups: list[str], threshold: float) ->
         # against a sweep that silently stops measuring one engine).
         stripped = copy.deepcopy(baseline)
         for c in stripped["cases"]:
-            for k in KERNELS:
+            for k in GROUP_KERNELS[group]:
                 c.pop(f"{group}.{k}", None)
         if not compare(baseline, stripped, threshold, group):
             print(f"self-test FAILED: missing metric group in {label} not flagged")
@@ -199,7 +217,7 @@ def main() -> int:
     ap.add_argument("--baseline", action="append", required=True,
                     help="committed baseline JSON (repeat to gate several)")
     ap.add_argument("--metric-group", action="append", default=[],
-                    choices=["per_element_ms", "batched_ms", "sumfact_ms"],
+                    choices=list(GROUP_KERNELS),
                     help="dotted-key prefix gated for the matching --baseline "
                          "(default batched_ms)")
     ap.add_argument("--current", action="append",
@@ -220,9 +238,15 @@ def main() -> int:
     current = elementwise_min(runs)
 
     if args.update:
-        if len(args.baseline) != 1:
-            ap.error("--update takes exactly one --baseline")
-        if len(runs) == 1:
+        if len(args.baseline) != 1 or len(args.metric_group) > 1:
+            ap.error("--update takes exactly one --baseline and at most one --metric-group")
+        if args.metric_group:
+            group = args.metric_group[0]
+            current["cases"] = [c for c in current["cases"]
+                                if any(f"{group}.{k}" in c for k in GROUP_KERNELS[group])]
+            if not current["cases"]:
+                ap.error(f"no case in --current carries the {group} group")
+        if len(runs) == 1 and not args.metric_group:
             shutil.copyfile(args.current[0], args.baseline[0])
         else:
             with open(args.baseline[0], "w") as f:

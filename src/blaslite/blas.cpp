@@ -4,35 +4,9 @@
 #include <cassert>
 #include <cmath>
 
+#include "blaslite/multiversion.hpp"
 #include "parallel/scratch.hpp"
 #include "parallel/thread_pool.hpp"
-
-/// Hot kernels are compiled once per x86-64 microarchitecture level and
-/// dispatched at load time (GCC/Clang function multi-versioning).  The
-/// baseline x86-64 ABI the default build targets has no FMA and only 16
-/// SSE2 registers, which starves the register-blocked micro-kernel; the
-/// v3 (AVX2+FMA) and v4 (AVX-512) clones give it the register file it was
-/// designed for without changing global compile flags or dropping support
-/// for older machines.  Dispatch is per-machine, not per-run, so results
-/// stay bitwise reproducible on a given host.  Sanitizer builds disable
-/// the clones: their IFUNC resolvers run during relocation, before the
-/// sanitizer runtime is initialized, and crash at startup.
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define REPRO_MULTIVERSION
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define REPRO_MULTIVERSION
-#endif
-#endif
-#if !defined(REPRO_MULTIVERSION) && defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define REPRO_MULTIVERSION \
-    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
-#endif
-#endif
-#ifndef REPRO_MULTIVERSION
-#define REPRO_MULTIVERSION
-#endif
 
 namespace blaslite {
 

@@ -1,0 +1,33 @@
+#pragma once
+
+/// \file multiversion.hpp
+/// REPRO_MULTIVERSION: compile a hot kernel once per x86-64 microarchitecture
+/// level and dispatch at load time (GCC/Clang function multi-versioning).
+///
+/// The baseline x86-64 ABI the default build targets has no FMA and only 16
+/// SSE2 registers, which starves register-blocked micro-kernels; the v3
+/// (AVX2+FMA) and v4 (AVX-512) clones give them the register file they were
+/// designed for without changing global compile flags or dropping support
+/// for older machines.  Dispatch is per-machine, not per-run, so results
+/// stay bitwise reproducible on a given host.  A kernel that must also be
+/// bitwise identical *across* clones has to be compiled with
+/// -ffp-contract=off, or the v3/v4 clones fuse a*b+c into an FMA.
+/// Sanitizer builds disable the clones: their IFUNC resolvers run during
+/// relocation, before the sanitizer runtime is initialized, and crash at
+/// startup.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+#define REPRO_MULTIVERSION
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+#define REPRO_MULTIVERSION
+#endif
+#endif
+#if !defined(REPRO_MULTIVERSION) && defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define REPRO_MULTIVERSION \
+    __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#endif
+#endif
+#ifndef REPRO_MULTIVERSION
+#define REPRO_MULTIVERSION
+#endif

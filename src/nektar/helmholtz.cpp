@@ -78,7 +78,7 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
         h.band(0, du) = 1.0;
     }
 
-    if (!chol_.factor(h))
+    if (!chol_.factor(std::move(h)))
         throw std::runtime_error("HelmholtzDirect: matrix not positive definite "
                                  "(all-Neumann Poisson needs pin_first_dof)");
 }
@@ -94,18 +94,35 @@ std::vector<double> HelmholtzDirect::dirichlet_vector(
     return bvals;
 }
 
-std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
-                                                  std::span<const double> dirichlet) const {
-    // Lift the known boundary values, then impose them.
+void HelmholtzDirect::impose_dirichlet(std::vector<double>& rhs,
+                                       std::span<const double> dirichlet) const {
     for (const auto& [r, d, v] : lift_)
         rhs[static_cast<std::size_t>(r)] -= v * dirichlet[static_cast<std::size_t>(d)];
     for (int d : dirichlet_dofs_)
         rhs[static_cast<std::size_t>(d)] = dirichlet[static_cast<std::size_t>(d)];
-    chol_.solve(rhs);
+}
 
+std::vector<double> HelmholtzDirect::to_modal(std::span<const double> x) const {
     std::vector<double> modal(disc_->modal_size());
-    disc_->scatter(rhs, modal);
+    disc_->scatter(x, modal);
     return modal;
+}
+
+std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
+                                                  std::span<const double> dirichlet) const {
+    impose_dirichlet(rhs, dirichlet);
+    chol_.solve(rhs);
+    return to_modal(rhs);
+}
+
+std::array<std::vector<double>, 2> HelmholtzDirect::solve_global(
+    std::array<std::vector<double>, 2> rhs,
+    std::array<std::span<const double>, 2> dirichlet) const {
+    impose_dirichlet(rhs[0], dirichlet[0]);
+    impose_dirichlet(rhs[1], dirichlet[1]);
+    const std::span<double> both[2] = {rhs[0], rhs[1]};
+    chol_.solve(both);
+    return {to_modal(rhs[0]), to_modal(rhs[1])};
 }
 
 std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,

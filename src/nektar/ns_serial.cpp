@@ -178,18 +178,20 @@ void SerialNS2d::stage_viscous_rhs(const StepContext& ctx,
     disc_->gather_add(lv, vrhs_);
 }
 
-// Stage 7: banded direct Helmholtz solves with the operator of the step's
-// *effective* order, so the implicit lambda matches the explicit weights.
+// Stage 7: banded direct Helmholtz solves of u and v, in one pass over the
+// factor, with the operator of the step's *effective* order, so the
+// implicit lambda matches the explicit weights.
 void SerialNS2d::stage_viscous_solve(const StepContext& ctx) {
     const HelmholtzDirect& solver = velocity_solvers_.get(ctx.scheme.order).front();
     record_velocity_lambda(solver.lambda());
     const double tn1 = ctx.t_new;
-    u_modal_ = solver.solve_global(
-        std::move(urhs_),
-        solver.dirichlet_vector([&](double x, double y) { return opts_.u_bc(x, y, tn1); }));
-    v_modal_ = solver.solve_global(
-        std::move(vrhs_),
-        solver.dirichlet_vector([&](double x, double y) { return opts_.v_bc(x, y, tn1); }));
+    const auto udir =
+        solver.dirichlet_vector([&](double x, double y) { return opts_.u_bc(x, y, tn1); });
+    const auto vdir =
+        solver.dirichlet_vector([&](double x, double y) { return opts_.v_bc(x, y, tn1); });
+    auto uv = solver.solve_global({std::move(urhs_), std::move(vrhs_)}, {udir, vdir});
+    u_modal_ = std::move(uv[0]);
+    v_modal_ = std::move(uv[1]);
 }
 
 void SerialNS2d::end_step(const StepContext&) {

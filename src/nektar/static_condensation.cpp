@@ -159,7 +159,7 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
         }
         schur.band(0, du) = 1.0;
     }
-    if (!chol_.factor(schur))
+    if (!chol_.factor(std::move(schur)))
         throw std::runtime_error("CondensedHelmholtz: Schur complement not SPD");
 }
 

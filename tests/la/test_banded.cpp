@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <ostream>
 #include <random>
+#include <stdexcept>
+
+#include "blaslite/counters.hpp"
 
 namespace {
 
@@ -71,6 +78,19 @@ TEST(Banded, AtAndAddRespectSymmetry) {
     EXPECT_DOUBLE_EQ(d.symmetry_defect(), 0.0);
 }
 
+TEST(Banded, AddOutsideTheBandThrows) {
+    la::SymBandedMatrix a(6, 2);
+    EXPECT_THROW(a.add(0, 3, 1.0), std::out_of_range);
+    EXPECT_THROW(a.add(5, 1, 1.0), std::out_of_range);
+    EXPECT_THROW(a.add(6, 5, 1.0), std::out_of_range); // row outside the matrix
+    EXPECT_THROW(a.add(7, 7, 1.0), std::out_of_range);
+    EXPECT_NO_THROW(a.add(5, 3, 1.0));
+    // A rejected add leaves every entry untouched.
+    for (std::size_t i = 0; i < 6; ++i)
+        for (std::size_t j = 0; j < 6; ++j)
+            EXPECT_EQ(a.at(i, j), (i == 5 && j == 3) || (i == 3 && j == 5) ? 1.0 : 0.0);
+}
+
 TEST(Banded, MatvecMatchesDense) {
     const auto a = random_banded(25, 3, 9);
     const auto dense = a.to_dense();
@@ -79,6 +99,261 @@ TEST(Banded, MatvecMatchesDense) {
     a.matvec(x, y1);
     dense.matvec(x, y2);
     for (std::size_t i = 0; i < 25; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity against the plain column sweep.  ReferenceCholesky is the
+// unblocked, diagonal-major factor and solve the blocked code replaced,
+// kept verbatim (bar the storage and a returned failure column) so every
+// entry of L, every solution bit and every operation count is compared
+// against it.
+// ---------------------------------------------------------------------------
+
+struct ReferenceCholesky {
+    std::size_t n_ = 0;
+    std::size_t kd_ = 0;
+    std::vector<double> band_;
+    double lband(std::size_t d, std::size_t j) const noexcept { return band_[d * n_ + j]; }
+    double& lband(std::size_t d, std::size_t j) noexcept { return band_[d * n_ + j]; }
+
+    /// Returns the failing column, or n on success.
+    std::size_t factor(const la::SymBandedMatrix& a) {
+        n_ = a.size();
+        kd_ = a.bandwidth();
+        band_.assign((kd_ + 1) * n_, 0.0);
+        for (std::size_t d = 0; d <= kd_; ++d)
+            for (std::size_t j = 0; j + d < n_; ++j) lband(d, j) = a.band(d, j);
+
+        double scale = 0.0;
+        for (std::size_t j = 0; j < n_; ++j) scale = std::max(scale, lband(0, j));
+        const double pivot_floor = 1e-12 * scale;
+
+        std::size_t flops = 0;
+        for (std::size_t j = 0; j < n_; ++j) {
+            double d = lband(0, j);
+            if (d <= pivot_floor || !std::isfinite(d)) { n_ = 0; return j; }
+            const double ljj = std::sqrt(d);
+            lband(0, j) = ljj;
+            const double inv = 1.0 / ljj;
+            const std::size_t imax = std::min(kd_, n_ - 1 - j);
+            for (std::size_t di = 1; di <= imax; ++di) lband(di, j) *= inv;
+            flops += imax + 2;
+            for (std::size_t dk = 1; dk <= imax; ++dk) {
+                const double ljk = lband(dk, j);
+                for (std::size_t di = dk; di <= imax; ++di) {
+                    lband(di - dk, j + dk) -= lband(di, j) * ljk;
+                }
+                flops += 2 * (imax - dk + 1);
+            }
+        }
+        blaslite::detail::charge(flops, band_.size() * sizeof(double),
+                                 band_.size() * sizeof(double));
+        return n_;
+    }
+
+    void solve(std::span<double> b) const {
+        for (std::size_t j = 0; j < n_; ++j) {
+            const double yj = b[j] / lband(0, j);
+            b[j] = yj;
+            const std::size_t imax = std::min(kd_, n_ - 1 - j);
+            for (std::size_t d = 1; d <= imax; ++d) b[j + d] -= lband(d, j) * yj;
+        }
+        for (std::size_t jj = n_; jj-- > 0;) {
+            double s = b[jj];
+            const std::size_t imax = std::min(kd_, n_ - 1 - jj);
+            for (std::size_t d = 1; d <= imax; ++d) s -= lband(d, jj) * b[jj + d];
+            b[jj] = s / lband(0, jj);
+        }
+        blaslite::detail::charge(2 * (2 * n_ * (kd_ + 1)),
+                                 (kd_ + 1) * n_ * sizeof(double) * 2, 2 * n_ * sizeof(double));
+    }
+};
+
+::testing::AssertionResult same_bits(std::span<const double> a, std::span<const double> b) {
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0)
+            return ::testing::AssertionFailure()
+                   << "first difference at " << i << ": " << a[i] << " vs " << b[i];
+    return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_counts(const blaslite::OpCounts& a, const blaslite::OpCounts& b) {
+    if (a.flops == b.flops && a.bytes_read == b.bytes_read &&
+        a.bytes_written == b.bytes_written && a.calls == b.calls)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "flops " << a.flops << " vs " << b.flops << ", read " << a.bytes_read << " vs "
+           << b.bytes_read << ", written " << a.bytes_written << " vs " << b.bytes_written
+           << ", calls " << a.calls << " vs " << b.calls;
+}
+
+/// Every in-matrix entry of L, blocked vs reference.
+std::vector<double> factor_entries(const la::BandedCholesky& c) {
+    std::vector<double> out;
+    for (std::size_t j = 0; j < c.size(); ++j)
+        for (std::size_t d = 0; d <= c.bandwidth() && j + d < c.size(); ++d)
+            out.push_back(c.band(d, j));
+    return out;
+}
+std::vector<double> factor_entries(const ReferenceCholesky& c) {
+    std::vector<double> out;
+    for (std::size_t j = 0; j < c.n_; ++j)
+        for (std::size_t d = 0; d <= c.kd_ && j + d < c.n_; ++d) out.push_back(c.lband(d, j));
+    return out;
+}
+
+std::vector<double> random_vector(std::size_t n, unsigned seed) {
+    std::mt19937 gen(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    std::vector<double> v(n);
+    for (auto& x : v) x = dist(gen);
+    return v;
+}
+
+/// Factors `a` both ways and checks L, three solves and every count bitwise.
+void expect_bit_identical(const la::SymBandedMatrix& a) {
+    ReferenceCholesky ref;
+    la::BandedCholesky chol;
+    blaslite::OpCounts ref_counts, counts;
+    {
+        blaslite::CountScope scope;
+        ASSERT_EQ(ref.factor(a), a.size());
+        ref_counts = scope.delta();
+    }
+    {
+        blaslite::CountScope scope;
+        ASSERT_TRUE(chol.factor(a));
+        counts = scope.delta();
+    }
+    EXPECT_TRUE(same_counts(counts, ref_counts)) << "factor";
+    EXPECT_TRUE(same_bits(factor_entries(chol), factor_entries(ref))) << "L";
+    for (unsigned seed : {1u, 2u, 3u}) {
+        std::vector<double> b = random_vector(a.size(), seed), b_ref = b;
+        {
+            blaslite::CountScope scope;
+            ref.solve(b_ref);
+            ref_counts = scope.delta();
+        }
+        {
+            blaslite::CountScope scope;
+            chol.solve(b);
+            counts = scope.delta();
+        }
+        EXPECT_TRUE(same_counts(counts, ref_counts)) << "solve";
+        EXPECT_TRUE(same_bits(b, b_ref)) << "solve, rhs seed " << seed;
+    }
+}
+
+struct Shape {
+    std::size_t n, kd;
+};
+void PrintTo(const Shape& s, std::ostream* os) { *os << "(n " << s.n << ", kd " << s.kd << ")"; }
+
+class BandedBitIdentity : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(BandedBitIdentity, FactorAndSolveMatchTheColumnSweep) {
+    const auto [n, kd] = GetParam();
+    expect_bit_identical(random_banded(n, kd, 11));
+}
+
+// n = 1; kd = 0; kd = n - 1; kd >= n; n below one panel; kd not a multiple
+// of the tile width; several panels with full tiles; a wide band.
+INSTANTIATE_TEST_SUITE_P(Shapes, BandedBitIdentity,
+                         ::testing::Values(Shape{1, 0}, Shape{1, 4}, Shape{17, 0},
+                                           Shape{40, 39}, Shape{30, 45}, Shape{20, 7},
+                                           Shape{31, 30}, Shape{100, 13}, Shape{150, 37},
+                                           Shape{333, 45}, Shape{260, 64}, Shape{600, 150}),
+                         [](const ::testing::TestParamInfo<Shape>& info) {
+                             return "n" + std::to_string(info.param.n) + "_kd" +
+                                    std::to_string(info.param.kd);
+                         });
+
+TEST(BandedBitIdentity, StructuralZerosAndNegativeZeros) {
+    // A band with exact zeros, -0.0 and a zero block, as assembled operators
+    // have: every product and difference involving a signed zero must round
+    // the same way.
+    la::SymBandedMatrix a = random_banded(300, 40, 5);
+    for (std::size_t j = 0; j < 300; ++j)
+        for (std::size_t d = 1; d <= 40 && j + d < 300; ++d) {
+            if ((j + 3 * d) % 7 == 0) a.band(d, j) = 0.0;
+            if ((j + d) % 11 == 0) a.band(d, j) = -0.0;
+            if (d > 20 && j >= 100 && j < 180) a.band(d, j) = 0.0;
+        }
+    expect_bit_identical(a);
+    // A diagonal matrix with -0.0 off the diagonal everywhere.
+    la::SymBandedMatrix diag(64, 9);
+    for (std::size_t j = 0; j < 64; ++j) {
+        diag.band(0, j) = 1.0 + static_cast<double>(j);
+        for (std::size_t d = 1; d <= 9 && j + d < 64; ++d) diag.band(d, j) = -0.0;
+    }
+    expect_bit_identical(diag);
+}
+
+/// The leading m x m block of a.
+la::SymBandedMatrix leading(const la::SymBandedMatrix& a, std::size_t m) {
+    la::SymBandedMatrix b(m, a.bandwidth());
+    for (std::size_t j = 0; j < m; ++j)
+        for (std::size_t d = 0; d <= a.bandwidth() && j + d < m; ++d) b.band(d, j) = a.band(d, j);
+    return b;
+}
+
+TEST(BandedBitIdentity, RejectsANonSpdMatrixAtTheSameColumn) {
+    // Column 137's pivot goes negative only after the trailing updates of
+    // earlier panels, inside a tile's reach; a NaN on the diagonal fails too.
+    la::SymBandedMatrix bad = random_banded(260, 50, 3);
+    bad.band(0, 137) = 0.01;
+    la::SymBandedMatrix nan = random_banded(260, 50, 3);
+    nan.band(0, 90) = std::numeric_limits<double>::quiet_NaN();
+    for (const auto& [a, column] : {std::pair{&bad, std::size_t{137}}, std::pair{&nan, std::size_t{90}}}) {
+        ReferenceCholesky ref;
+        blaslite::CountScope scope;
+        ASSERT_EQ(ref.factor(*a), column);
+        la::BandedCholesky chol;
+        EXPECT_FALSE(chol.factor(*a));
+        EXPECT_FALSE(chol.factored());
+        EXPECT_EQ(scope.delta().calls, 0u) << "a rejected factor charges nothing";
+        // The factor fails exactly when it reaches that column: the leading
+        // block without it factors, and with it does not.
+        EXPECT_TRUE(chol.factor(leading(*a, column)));
+        EXPECT_FALSE(chol.factor(leading(*a, column + 1)));
+        EXPECT_FALSE(chol.factored());
+    }
+}
+
+TEST(BandedBitIdentity, MultiRhsSolveEqualsSingleSolves) {
+    const la::SymBandedMatrix a = random_banded(333, 45, 8);
+    la::BandedCholesky chol;
+    ASSERT_TRUE(chol.factor(a));
+    for (std::size_t k : {1u, 2u, 3u, 5u}) {
+        std::vector<std::vector<double>> multi, single;
+        for (std::size_t q = 0; q < k; ++q) multi.push_back(random_vector(333, 100 + q));
+        single = multi;
+        blaslite::OpCounts single_counts, multi_counts;
+        {
+            blaslite::CountScope scope;
+            for (auto& b : single) chol.solve(b);
+            single_counts = scope.delta();
+        }
+        std::vector<std::span<double>> views(multi.begin(), multi.end());
+        {
+            blaslite::CountScope scope;
+            chol.solve(std::span<const std::span<double>>(views));
+            multi_counts = scope.delta();
+        }
+        EXPECT_TRUE(same_counts(multi_counts, single_counts)) << k << " right-hand sides";
+        for (std::size_t q = 0; q < k; ++q)
+            EXPECT_TRUE(same_bits(multi[q], single[q])) << "rhs " << q << " of " << k;
+    }
+}
+
+TEST(BandedBitIdentity, FactorOfAMovedMatrixMatchesACopy) {
+    la::SymBandedMatrix a = random_banded(150, 37, 4);
+    la::BandedCholesky copied, moved;
+    ASSERT_TRUE(copied.factor(a));
+    ASSERT_TRUE(moved.factor(std::move(a)));
+    EXPECT_TRUE(same_bits(factor_entries(moved), factor_entries(copied)));
 }
 
 } // namespace

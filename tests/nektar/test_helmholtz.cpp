@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
+#include "blaslite/counters.hpp"
 #include "mesh/generators.hpp"
 
 namespace {
@@ -134,6 +136,42 @@ TEST(Helmholtz, BandedSolverSeesReducedBandwidth) {
     const auto disc = disc_for(unit_square_quads(6), 4);
     HelmholtzDirect solver(disc, 1.0, {.dirichlet = {mesh::BoundaryTag::Wall}});
     EXPECT_LT(solver.bandwidth(), disc->dofmap().num_global() / 3);
+}
+
+TEST(Helmholtz, TwoRhsSolveGlobalMatchesTwoSingleSolves) {
+    // The u/v pair of a step: different forcing and Dirichlet data, one pass
+    // over the factor, bitwise and in operation counts equal to two calls.
+    const auto disc = disc_for(unit_square_quads(4), 5);
+    HelmholtzDirect solver(disc, 3.0, {.dirichlet = {mesh::BoundaryTag::Wall}});
+    const std::size_t n = disc->dofmap().num_global();
+    std::vector<double> f0(n), f1(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        f0[i] = std::sin(0.3 * static_cast<double>(i));
+        f1[i] = std::cos(0.7 * static_cast<double>(i));
+    }
+    const auto d0 = solver.dirichlet_vector([](double x, double y) { return x + 2.0 * y; });
+    const auto d1 = solver.dirichlet_vector([](double x, double y) { return x * y - 1.0; });
+    blaslite::OpCounts single_counts, pair_counts;
+    std::vector<double> u0, u1;
+    {
+        blaslite::CountScope scope;
+        u0 = solver.solve_global(f0, d0);
+        u1 = solver.solve_global(f1, d1);
+        single_counts = scope.delta();
+    }
+    std::array<std::vector<double>, 2> uv;
+    {
+        blaslite::CountScope scope;
+        uv = solver.solve_global({f0, f1}, {d0, d1});
+        pair_counts = scope.delta();
+    }
+    ASSERT_EQ(uv[0].size(), u0.size());
+    EXPECT_EQ(std::memcmp(uv[0].data(), u0.data(), u0.size() * sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(uv[1].data(), u1.data(), u1.size() * sizeof(double)), 0);
+    EXPECT_EQ(pair_counts.flops, single_counts.flops);
+    EXPECT_EQ(pair_counts.bytes_read, single_counts.bytes_read);
+    EXPECT_EQ(pair_counts.bytes_written, single_counts.bytes_written);
+    EXPECT_EQ(pair_counts.calls, single_counts.calls);
 }
 
 TEST(Helmholtz, HybridTriQuadMesh) {
