@@ -6,13 +6,16 @@
 /// from which sum factorisation stays ahead of the dense batch — in the
 /// RunReport (top-level "crossover_order").  A second sweep times the
 /// banded direct solver (factor, one solve, the two-RHS solve) at
-/// per-Fourier-mode band shapes.  Writes machine-readable results to
-/// BENCH_hotpath.json (CI uploads it as an artifact and gates the engines
-/// and the direct solver against committed baselines; --smoke shrinks the
-/// sweep for the per-commit job).
+/// per-Fourier-mode band shapes, and a third the matrix-free Helmholtz
+/// apply of the PCG solvers on a perturbed mesh.  Writes machine-readable
+/// results to BENCH_hotpath.json (CI uploads it as an artifact and gates the
+/// engines, the direct solver and the apply against committed baselines;
+/// --smoke shrinks the sweep for the per-commit job).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -23,6 +26,7 @@
 #include "la/banded.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/discretization.hpp"
+#include "nektar/helmholtz.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -212,6 +216,53 @@ perf::Case to_case(const BandedResult& r) {
     return c;
 }
 
+struct ApplyResult {
+    std::size_t order = 0, elements = 0;
+    double lap_ms = 0.0, helm_ms = 0.0; ///< lambda = 0 and lambda = 75000
+};
+
+/// One masked helmholtz_apply of the ALE operator (L, then lambda M) on an
+/// nside x nside quad mesh whose interior vertices are perturbed, so no two
+/// elements are congruent and every matrix run holds one element: the
+/// per-iteration apply of NekTar-ALE's PCG after a mesh move.
+ApplyResult run_apply(std::size_t order, std::size_t nside, double min_seconds) {
+    auto m = std::make_shared<mesh::Mesh>(
+        mesh::rectangle_quads(nside, nside, 0.0, 1.0, 0.0, 1.0));
+    const double h = 1.0 / static_cast<double>(nside);
+    for (std::size_t i = 0; i < m->num_vertices(); ++i) {
+        mesh::Vertex v = m->vertex(i);
+        if (v.x <= 0.0 || v.x >= 1.0 || v.y <= 0.0 || v.y >= 1.0) continue;
+        const double s = static_cast<double>(i);
+        v.x += 0.1 * h * std::sin(7.0 * s);
+        v.y += 0.1 * h * std::cos(5.0 * s);
+        m->set_vertex(i, v);
+    }
+    const nektar::Discretization disc(m, order, /*renumber=*/false);
+    const std::size_t n = disc.dofmap().num_global();
+    std::vector<double> x(n), y(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = std::sin(0.37 * static_cast<double>(i));
+    std::vector<char> mask(n, 0);
+    for (int d : disc.dofmap().boundary_dofs([](mesh::BoundaryTag) { return true; }))
+        mask[static_cast<std::size_t>(d)] = 1;
+    const std::function<const la::DenseMatrix&(const nektar::ElemMatrices&)> lap =
+        [](const nektar::ElemMatrices& mats) -> const la::DenseMatrix& { return mats.lap; };
+    ApplyResult r{order, disc.num_elements()};
+    r.lap_ms = 1e3 * benchutil::time_per_call(
+        [&] { nektar::helmholtz_apply(disc, lap, 0.0, x, y, mask); }, min_seconds);
+    r.helm_ms = 1e3 * benchutil::time_per_call(
+        [&] { nektar::helmholtz_apply(disc, lap, 75000.0, x, y, mask); }, min_seconds);
+    return r;
+}
+
+perf::Case to_case(const ApplyResult& r) {
+    perf::Case c;
+    c.values["order"] = static_cast<double>(r.order);
+    c.values["elements"] = static_cast<double>(r.elements);
+    c.values["pcg_apply_ms.lap"] = r.lap_ms;
+    c.values["pcg_apply_ms.helm"] = r.helm_ms;
+    return c;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -279,12 +330,27 @@ int main(int argc, char** argv) {
                               benchutil::fmt(r.solve2_ms, "%.3f")});
     }
 
+    // Matrix-free PCG apply: the same orders and mesh in both sweeps (the
+    // smoke run is what CI gates).
+    std::printf("\nMatrix-free Helmholtz apply, perturbed mesh (lambda = 0, 75000)\n");
+    benchutil::Table apply_table({"order", "elems", "lap ms", "helm ms"});
+    apply_table.print_header();
+    std::vector<ApplyResult> applies;
+    for (std::size_t order : {4, 6, 8}) {
+        const ApplyResult r = run_apply(order, 8, min_seconds);
+        applies.push_back(r);
+        apply_table.print_row({std::to_string(r.order), std::to_string(r.elements),
+                               benchutil::fmt(r.lap_ms, "%.4f"),
+                               benchutil::fmt(r.helm_ms, "%.4f")});
+    }
+
     perf::RunReport rep = perf::report("bench_hotpath");
     rep.backend = "dense+sumfact"; // both engines measured side by side
     rep.crossover_order = crossover;
     rep.meta["threads"] = std::to_string(parallel::num_threads());
     for (const CaseResult& r : results) rep.cases.push_back(to_case(r));
     for (const BandedResult& r : banded) rep.cases.push_back(to_case(r));
+    for (const ApplyResult& r : applies) rep.cases.push_back(to_case(r));
     cli.finish(std::move(rep), "BENCH_hotpath.json");
     return 0;
 }

@@ -11,7 +11,136 @@
 namespace blaslite {
 
 namespace {
+
 constexpr std::size_t kDouble = sizeof(double);
+constexpr std::size_t kNR = 8; ///< register tile columns: one PanelVec
+
+#if defined(__GNUC__) || defined(__clang__)
+/// One packed-panel row: a kNR-wide vector.  Element-aligned (packed panels
+/// come from generic scratch buffers) and may_alias (it is loaded straight
+/// from double arrays).  The compiler lowers it to whatever the active clone
+/// has — one zmm, two ymm, or four xmm.
+typedef double PanelVec
+    __attribute__((vector_size(kNR * sizeof(double)), aligned(alignof(double)), may_alias));
+
+/// Rows narrower than this keep their whole C row in registers through the
+/// k loop: up to three PanelVecs plus up to kNR - 1 scalar tail columns.
+constexpr std::size_t kRegisterRow = 4 * kNR;
+
+/// Operands of one unblocked product, C (m x n) <- beta C + alpha A B.
+struct SmallGemm {
+    double alpha;
+    const double* a;
+    std::size_t lda;
+    const double* b;
+    std::size_t ldb;
+    double beta;
+    double* c;
+    std::size_t ldc;
+    std::size_t m, k;
+};
+
+/// The unblocked ikj product for rows of n = NV*kNR + NT columns, with each
+/// C row held in NV named vectors and NT named scalars for the whole k loop.
+/// (Named, not an array: GCC spills an indexed array of vectors at -O2.)
+/// Every element takes the plain loop's operation sequence — beta applied in
+/// memory, then c += (alpha*a_ip)*b_pj for p ascending — so the result is
+/// bitwise the plain loop's under the same contraction rules.
+template <std::size_t NV, std::size_t NT>
+[[gnu::always_inline]] inline void register_rows(const SmallGemm& g) noexcept {
+    constexpr std::size_t t = NV * kNR; // first tail column
+    for (std::size_t i = 0; i < g.m; ++i) {
+        double* crow = g.c + i * g.ldc;
+        const double* arow = g.a + i * g.lda;
+        PanelVec v0 = {}, v1 = {}, v2 = {};
+        double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0, t4 = 0.0, t5 = 0.0, t6 = 0.0;
+        if (g.beta != 0.0) {
+            if (g.beta != 1.0)
+                for (std::size_t j = 0; j < t + NT; ++j) crow[j] *= g.beta;
+            if constexpr (NV > 0) v0 = *reinterpret_cast<const PanelVec*>(crow);
+            if constexpr (NV > 1) v1 = *reinterpret_cast<const PanelVec*>(crow + kNR);
+            if constexpr (NV > 2) v2 = *reinterpret_cast<const PanelVec*>(crow + 2 * kNR);
+            if constexpr (NT > 0) t0 = crow[t];
+            if constexpr (NT > 1) t1 = crow[t + 1];
+            if constexpr (NT > 2) t2 = crow[t + 2];
+            if constexpr (NT > 3) t3 = crow[t + 3];
+            if constexpr (NT > 4) t4 = crow[t + 4];
+            if constexpr (NT > 5) t5 = crow[t + 5];
+            if constexpr (NT > 6) t6 = crow[t + 6];
+        }
+        for (std::size_t p = 0; p < g.k; ++p) {
+            const double aip = g.alpha * arow[p];
+            const double* brow = g.b + p * g.ldb;
+            if constexpr (NV > 0) v0 += aip * *reinterpret_cast<const PanelVec*>(brow);
+            if constexpr (NV > 1) v1 += aip * *reinterpret_cast<const PanelVec*>(brow + kNR);
+            if constexpr (NV > 2) v2 += aip * *reinterpret_cast<const PanelVec*>(brow + 2 * kNR);
+            if constexpr (NT > 0) t0 += aip * brow[t];
+            if constexpr (NT > 1) t1 += aip * brow[t + 1];
+            if constexpr (NT > 2) t2 += aip * brow[t + 2];
+            if constexpr (NT > 3) t3 += aip * brow[t + 3];
+            if constexpr (NT > 4) t4 += aip * brow[t + 4];
+            if constexpr (NT > 5) t5 += aip * brow[t + 5];
+            if constexpr (NT > 6) t6 += aip * brow[t + 6];
+        }
+        if constexpr (NV > 0) *reinterpret_cast<PanelVec*>(crow) = v0;
+        if constexpr (NV > 1) *reinterpret_cast<PanelVec*>(crow + kNR) = v1;
+        if constexpr (NV > 2) *reinterpret_cast<PanelVec*>(crow + 2 * kNR) = v2;
+        if constexpr (NT > 0) crow[t] = t0;
+        if constexpr (NT > 1) crow[t + 1] = t1;
+        if constexpr (NT > 2) crow[t + 2] = t2;
+        if constexpr (NT > 3) crow[t + 3] = t3;
+        if constexpr (NT > 4) crow[t + 4] = t4;
+        if constexpr (NT > 5) crow[t + 5] = t5;
+        if constexpr (NT > 6) crow[t + 6] = t6;
+    }
+}
+
+/// register_rows for the runtime tail width nt (NT counts up to it).
+template <std::size_t NV, std::size_t NT = 0>
+[[gnu::always_inline]] inline void dispatch_tail(std::size_t nt, const SmallGemm& g) noexcept {
+    if constexpr (NT + 1 < kNR) {
+        if (nt != NT) return dispatch_tail<NV, NT + 1>(nt, g);
+    }
+    register_rows<NV, NT>(g);
+}
+#endif
+
+/// Unblocked triple loop in ikj order: keeps a[i][p] in a register and, for
+/// rows narrower than kRegisterRow, the whole C row too.  Optimal for the
+/// tiny matrices (n <= 25) that dominate spectral/hp elemental operations
+/// (paper, Figure 6).
+REPRO_MULTIVERSION
+void dgemm_small(double alpha, const double* a, std::size_t lda, const double* b,
+                 std::size_t ldb, double beta, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t n, std::size_t k) noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    if (n < kRegisterRow) {
+        const SmallGemm g{alpha, a, lda, b, ldb, beta, c, ldc, m, k};
+        switch (n / kNR) {
+            case 0: dispatch_tail<0>(n % kNR, g); break;
+            case 1: dispatch_tail<1>(n % kNR, g); break;
+            case 2: dispatch_tail<2>(n % kNR, g); break;
+            default: dispatch_tail<3>(n % kNR, g); break;
+        }
+        return;
+    }
+#endif
+    for (std::size_t i = 0; i < m; ++i) {
+        double* crow = c + i * ldc;
+        if (beta == 0.0) {
+            std::fill(crow, crow + n, 0.0);
+        } else if (beta != 1.0) {
+            for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+        }
+        const double* arow = a + i * lda;
+        for (std::size_t p = 0; p < k; ++p) {
+            const double aip = alpha * arow[p];
+            const double* brow = b + p * ldb;
+            for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
+        }
+    }
+}
+
 } // namespace
 
 void dcopy(std::span<const double> x, std::span<double> y) noexcept {
@@ -89,43 +218,12 @@ void dgemv(double alpha, const double* a, std::size_t lda, std::size_t m, std::s
 REPRO_MULTIVERSION
 void dgemv_t(double alpha, const double* a, std::size_t lda, std::size_t m, std::size_t n,
              const double* x, double beta, double* y) noexcept {
-    if (beta == 0.0) {
-        std::fill(y, y + n, 0.0);
-    } else if (beta != 1.0) {
-        for (std::size_t j = 0; j < n; ++j) y[j] *= beta;
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-        const double* row = a + i * lda;
-        const double xi = alpha * x[i];
-        for (std::size_t j = 0; j < n; ++j) y[j] += xi * row[j];
-    }
+    // y' (1 x n) = beta y' + alpha x' (1 x m) A: the small product's row loop.
+    dgemm_small(alpha, x, m, a, lda, beta, y, n, 1, n, m);
     detail::charge(2 * m * n + m, (m * n + m + n) * kDouble, n * kDouble);
 }
 
 namespace {
-
-/// Unblocked triple loop in ikj order: streams B and C rows, keeps a[i][p] in
-/// a register.  Optimal for the tiny matrices (n <= 20) that dominate
-/// spectral/hp elemental operations (paper, Figure 6).
-REPRO_MULTIVERSION
-void dgemm_small(double alpha, const double* a, std::size_t lda, const double* b,
-                 std::size_t ldb, double beta, double* c, std::size_t ldc, std::size_t m,
-                 std::size_t n, std::size_t k) noexcept {
-    for (std::size_t i = 0; i < m; ++i) {
-        double* crow = c + i * ldc;
-        if (beta == 0.0) {
-            std::fill(crow, crow + n, 0.0);
-        } else if (beta != 1.0) {
-            for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-        }
-        const double* arow = a + i * lda;
-        for (std::size_t p = 0; p < k; ++p) {
-            const double aip = alpha * arow[p];
-            const double* brow = b + p * ldb;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-        }
-    }
-}
 
 // --------------------------------------------------------------------------
 // Register-blocked micro-kernel engine.
@@ -139,7 +237,6 @@ void dgemm_small(double alpha, const double* a, std::size_t lda, const double* b
 // --------------------------------------------------------------------------
 
 constexpr std::size_t kMR = 8;        ///< register tile rows
-constexpr std::size_t kNR = 8;        ///< register tile columns
 constexpr std::size_t kRowBlock = 128; ///< C rows per thread-pool work item
 /// Below this flop count the unblocked ikj loop wins (no packing overhead);
 /// this keeps the paper's small-n regime (Figure 6) on its dedicated path.
@@ -165,15 +262,6 @@ void pack_b_panels(const double* b, std::size_t ldb, std::size_t k, std::size_t 
         }
     }
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-/// One packed-panel row: a kNR-wide vector.  Element-aligned (packed panels
-/// come from generic scratch buffers) and may_alias (it is loaded straight
-/// from double arrays).  The compiler lowers it to whatever the active clone
-/// has — one zmm, two ymm, or four xmm.
-typedef double PanelVec
-    __attribute__((vector_size(kNR * sizeof(double)), aligned(alignof(double)), may_alias));
-#endif
 
 /// C tile (MR x nr) += alpha * A rows (MR x k, ld = lda) * packed panel.
 /// Force-inlined so each multi-versioned caller compiles the tile with its

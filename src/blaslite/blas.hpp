@@ -46,9 +46,10 @@ void dgemv_t(double alpha, const double* a, std::size_t lda, std::size_t m, std:
              const double* x, double beta, double* y) noexcept;
 
 /// C <- alpha*A*B + beta*C with A m-by-k, B k-by-n, C m-by-n, all row-major
-/// (BLAS dgemm, NN case).  Runs a register-blocked (4x8 accumulator tile)
+/// (BLAS dgemm, NN case).  Runs a register-blocked (8x8 accumulator tile)
 /// micro-kernel over packed panels of B; the small-n regime the paper
-/// highlights (n <= 20, Figure 6) takes a dedicated unblocked path.  Large
+/// highlights (n <= 20, Figure 6) takes a dedicated unblocked path that
+/// keeps each C row narrower than 32 columns in registers.  Large
 /// row counts split across the parallel thread pool by blocks of C rows,
 /// which is bitwise deterministic: each C element accumulates its k-products
 /// in the same order regardless of tiling or thread count.

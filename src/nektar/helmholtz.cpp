@@ -135,6 +135,93 @@ std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,
 }
 
 // ---------------------------------------------------------------------------
+// Matrix-free apply
+// ---------------------------------------------------------------------------
+
+void helmholtz_apply(const Discretization& disc,
+                     const std::function<const la::DenseMatrix&(const ElemMatrices&)>& stiff_of,
+                     double lambda, std::span<const double> x, std::span<double> y,
+                     std::span<const char> mask,
+                     const std::function<void(std::span<double>)>& assemble) {
+    assert(x.size() == y.size() && (mask.empty() || mask.size() == x.size()));
+    std::fill(y.begin(), y.end(), 0.0);
+    const DofMap& dm = disc.dofmap();
+    const std::vector<ElemGroup>& groups = disc.groups();
+    // One batch's panels: a contiguous run's blocks, or a single element's.
+    std::size_t panel = 0;
+    for (const ElemGroup& g : groups)
+        for (const ElemGroup::MatrixRun& run : g.runs)
+            panel = std::max(panel, g.exp->num_modes() * (g.contiguous ? run.count : 1));
+    parallel::Scratch xs(panel), ys(panel);
+    const bool masked = !mask.empty();
+    const auto gather = [&](std::size_t e, double* xe) {
+        const std::vector<LocalDof>& map = dm.element_map(e);
+        for (std::size_t i = 0; i < map.size(); ++i) {
+            const auto gi = static_cast<std::size_t>(map[i].global);
+            xe[i] = map[i].sign * (masked && mask[gi] ? 0.0 : x[gi]);
+        }
+    };
+    const auto scatter_add = [&](std::size_t e, const double* ye) {
+        const std::vector<LocalDof>& map = dm.element_map(e);
+        for (std::size_t i = 0; i < map.size(); ++i)
+            y[static_cast<std::size_t>(map[i].global)] += map[i].sign * ye[i];
+    };
+
+    // Batches go in ascending element order, so every global dof sums its
+    // element contributions in gather_add's order even where groups
+    // interleave (mixed meshes).  A contiguous group's run covers adjacent
+    // elements that no other group owns, so it is one batch; a
+    // non-contiguous group advances one element at a time.
+    struct Cursor {
+        std::size_t run = 0, j = 0;
+    };
+    std::vector<Cursor> at(groups.size());
+    for (;;) {
+        std::size_t gi = groups.size(), e0 = 0;
+        for (std::size_t h = 0; h < groups.size(); ++h) {
+            const ElemGroup& g = groups[h];
+            if (at[h].run == g.runs.size()) continue;
+            const std::size_t e = g.elems[g.runs[at[h].run].first + at[h].j];
+            if (gi == groups.size() || e < e0) {
+                gi = h;
+                e0 = e;
+            }
+        }
+        if (gi == groups.size()) break;
+        const ElemGroup& g = groups[gi];
+        Cursor& c = at[gi];
+        const ElemGroup::MatrixRun& run = g.runs[c.run];
+        const std::size_t nm = g.exp->num_modes();
+        const double* stiff = stiff_of(*run.mats).data();
+        const double* mass = run.mats->mass.data();
+        if (g.contiguous) {
+            for (std::size_t j = 0; j < run.count; ++j) gather(e0 + j, xs.data() + j * nm);
+            blaslite::dgemm_cm(1.0, stiff, nm, xs.data(), nm, 0.0, ys.data(), nm, nm,
+                               run.count, nm);
+            if (lambda != 0.0)
+                blaslite::dgemm_cm(lambda, mass, nm, xs.data(), nm, 1.0, ys.data(), nm, nm,
+                                   run.count, nm);
+            for (std::size_t j = 0; j < run.count; ++j) scatter_add(e0 + j, ys.data() + j * nm);
+            ++c.run;
+        } else {
+            gather(e0, xs.data());
+            blaslite::dgemv(1.0, stiff, nm, nm, nm, xs.data(), 0.0, ys.data());
+            if (lambda != 0.0)
+                blaslite::dgemv(lambda, mass, nm, nm, nm, xs.data(), 1.0, ys.data());
+            scatter_add(e0, ys.data());
+            if (++c.j == run.count) {
+                c.j = 0;
+                ++c.run;
+            }
+        }
+    }
+    if (assemble) assemble(y);
+    if (masked)
+        for (std::size_t i = 0; i < y.size(); ++i)
+            if (mask[i]) y[i] = x[i];
+}
+
+// ---------------------------------------------------------------------------
 // PCG path
 // ---------------------------------------------------------------------------
 
@@ -171,32 +258,12 @@ HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double la
     }
 }
 
-void HelmholtzPCG::apply(std::span<const double> x, std::span<double> y) const {
-    std::fill(y.begin(), y.end(), 0.0);
-    parallel::Scratch xl(disc_->modal_size()), yl(disc_->modal_size());
-    disc_->scatter(x, xl.span());
-    for (const ElemGroup& g : disc_->groups()) {
-        const std::size_t nm = g.exp->num_modes();
-        for (const ElemGroup::MatrixRun& run : g.runs) {
-            const la::DenseMatrix& h = fused_.at(run.mats);
-            if (g.contiguous) {
-                // Congruent run of adjacent blocks: Y = H X in one product
-                // (H symmetric, so the row-major buffer is the column-major
-                // operand).
-                const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-                blaslite::dgemm_cm(1.0, h.data(), nm, xl.data() + off, nm, 0.0,
-                                   yl.data() + off, nm, nm, run.count, nm);
-            } else {
-                for (std::size_t j = 0; j < run.count; ++j) {
-                    const std::size_t off =
-                        disc_->modal_offset(g.elems[run.first + j]);
-                    blaslite::dgemv(1.0, h.data(), nm, nm, nm, xl.data() + off, 0.0,
-                                    yl.data() + off);
-                }
-            }
-        }
-    }
-    disc_->gather_add(yl.span(), y);
+void HelmholtzPCG::apply(std::span<const double> x, std::span<double> y,
+                         std::span<const char> mask) const {
+    helmholtz_apply(
+        *disc_,
+        [this](const ElemMatrices& m) -> const la::DenseMatrix& { return fused_.at(&m); },
+        0.0, x, y, mask);
 }
 
 std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
@@ -219,12 +286,7 @@ std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
     for (std::size_t i = 0; i < n; ++i) rhs[i] = is_dirichlet_[i] ? 0.0 : rhs[i] - hx[i];
 
     const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        std::vector<double> tmp(in.begin(), in.end());
-        for (std::size_t i = 0; i < n; ++i)
-            if (is_dirichlet_[i]) tmp[i] = 0.0;
-        apply(tmp, out);
-        for (std::size_t i = 0; i < n; ++i)
-            if (is_dirichlet_[i]) out[i] = in[i];
+        apply(in, out, is_dirichlet_);
     };
     std::vector<double> dx(n, 0.0);
     const la::CgResult res = la::pcg(masked_apply, inv_diag_, rhs, dx, opts_);

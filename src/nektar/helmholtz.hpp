@@ -87,6 +87,26 @@ private:
     std::vector<std::tuple<int, int, double>> lift_;
 };
 
+/// Matrix-free global apply y = (S + lambda M) x, with the elemental S of
+/// each matrix class given by `stiff_of` and M its ElemMatrices::mass (both
+/// symmetric, so their row-major buffers double as the column-major left
+/// operands of the per-run products).  One pass over the element runs: each
+/// run's signed x blocks are gathered straight from the global vector (dofs
+/// with mask[i] set read as 0), multiplied by S and then, when lambda != 0,
+/// by lambda M, and scatter-added into y in Discretization::gather_add's
+/// order (ascending element, then mode).  A contiguous group's run is one
+/// dgemm_cm per term; a non-contiguous group takes one dgemv per term and
+/// element.  `assemble` (the distributed gather-scatter sum) then runs on
+/// y, and finally every masked row is set to x, the identity rows of a
+/// Dirichlet-constrained CG.  Bitwise equal, in results and in charged
+/// operations, to the scatter / per-run product / gather_add sequence over
+/// a zero-masked copy of x.
+void helmholtz_apply(const Discretization& disc,
+                     const std::function<const la::DenseMatrix&(const ElemMatrices&)>& stiff_of,
+                     double lambda, std::span<const double> x, std::span<double> y,
+                     std::span<const char> mask = {},
+                     const std::function<void(std::span<double>)>& assemble = {});
+
 class HelmholtzPCG {
 public:
     HelmholtzPCG(std::shared_ptr<const Discretization> disc, double lambda, HelmholtzBC bc,
@@ -100,9 +120,11 @@ public:
     /// Number of CG iterations of the most recent solve.
     [[nodiscard]] std::size_t last_iterations() const noexcept { return last_iters_; }
 
-    /// Global matrix-vector product y = H x (assembled through the dof map);
-    /// exposed for the distributed ALE solver and tests.
-    void apply(std::span<const double> x, std::span<double> y) const;
+    /// Global matrix-vector product y = H x (assembled through the dof map):
+    /// helmholtz_apply over the fused per-class operators.  With a mask,
+    /// masked dofs of x read as 0 and masked rows of y are set to x.
+    void apply(std::span<const double> x, std::span<double> y,
+               std::span<const char> mask = {}) const;
 
 private:
     std::shared_ptr<const Discretization> disc_;
@@ -111,9 +133,8 @@ private:
     std::vector<char> is_dirichlet_;
     std::vector<double> inv_diag_;
     la::CgOptions opts_;
-    /// Fused elemental operator H = L + lambda*M per matrix class; symmetric,
-    /// so its row-major buffer doubles as the column-major left operand of
-    /// the batched per-run dgemm in apply().
+    /// Fused elemental operator H = L + lambda*M per matrix class: the
+    /// stiffness term of helmholtz_apply, which then runs with lambda = 0.
     std::map<const ElemMatrices*, la::DenseMatrix> fused_;
     mutable std::size_t last_iters_ = 0;
 };

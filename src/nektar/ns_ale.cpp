@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "blaslite/blas.hpp"
-#include "parallel/scratch.hpp"
 
 namespace nektar {
 
@@ -245,42 +244,6 @@ double AleNS2d::global_dot(std::span<const double> a, std::span<const double> b)
     return comm_ ? comm_->allreduce_sum(s) : s;
 }
 
-void AleNS2d::apply_operator(double lambda, std::span<const double> x,
-                             std::span<double> y) const {
-    std::fill(y.begin(), y.end(), 0.0);
-    parallel::Scratch xl(disc_->modal_size()), yl(disc_->modal_size());
-    disc_->scatter(x, xl.span());
-    // Congruent-element runs share their Laplacian/mass matrices (symmetric,
-    // so row-major buffers serve as the column-major left operand), turning
-    // the per-element dgemv pair into per-run matrix products.  lambda varies
-    // between solves here (ALE rebuilds each step), so L and M stay separate.
-    for (const ElemGroup& g : disc_->groups()) {
-        const std::size_t nm = g.exp->num_modes();
-        for (const ElemGroup::MatrixRun& run : g.runs) {
-            if (g.contiguous) {
-                const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-                blaslite::dgemm_cm(1.0, run.mats->lap.data(), nm, xl.data() + off, nm, 0.0,
-                                   yl.data() + off, nm, nm, run.count, nm);
-                if (lambda != 0.0)
-                    blaslite::dgemm_cm(lambda, run.mats->mass.data(), nm, xl.data() + off,
-                                       nm, 1.0, yl.data() + off, nm, nm, run.count, nm);
-            } else {
-                for (std::size_t j = 0; j < run.count; ++j) {
-                    const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
-                    blaslite::dgemv(1.0, run.mats->lap.data(), nm, nm, nm, xl.data() + off,
-                                    0.0, yl.data() + off);
-                    if (lambda != 0.0)
-                        blaslite::dgemv(lambda, run.mats->mass.data(), nm, nm, nm,
-                                        xl.data() + off, 1.0, yl.data() + off);
-                }
-            }
-        }
-    }
-    disc_->gather_add(yl.span(), y);
-    // Interface dofs accumulate the neighbour ranks' element contributions.
-    gs_assemble(std::span<double>(y.data(), y.size()));
-}
-
 std::vector<double> AleNS2d::weak_rhs(std::span<const double> quad) const {
     std::vector<double> local(disc_->modal_size(), 0.0);
     disc_->weak_inner(quad, local);
@@ -315,18 +278,21 @@ std::size_t AleNS2d::pcg_solve(double lambda, const std::vector<char>& dirichlet
     std::vector<double> inv_diag(n);
     for (std::size_t i = 0; i < n; ++i) inv_diag[i] = dirichlet[i] ? 1.0 : 1.0 / diag[i];
 
+    // Elemental L and lambda M stay separate terms: lambda varies between
+    // solves here (ALE rebuilds each step).  Interface dofs accumulate the
+    // neighbour ranks' element contributions before the masked rows are set.
+    const std::function<const la::DenseMatrix&(const ElemMatrices&)> lap =
+        [](const ElemMatrices& m) -> const la::DenseMatrix& { return m.lap; };
+    const std::function<void(std::span<double>)> assemble = [this](std::span<double> y) {
+        gs_assemble(y);
+    };
     std::vector<double> hx(n);
-    apply_operator(lambda, x, hx);
+    helmholtz_apply(*disc_, lap, lambda, x, hx, {}, assemble);
     std::vector<double> r(n);
     for (std::size_t i = 0; i < n; ++i) r[i] = dirichlet[i] ? 0.0 : rhs[i] - hx[i];
 
     const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        std::vector<double> tmp(in.begin(), in.end());
-        for (std::size_t i = 0; i < n; ++i)
-            if (dirichlet[i]) tmp[i] = 0.0;
-        apply_operator(lambda, tmp, out);
-        for (std::size_t i = 0; i < n; ++i)
-            if (dirichlet[i]) out[i] = in[i];
+        helmholtz_apply(*disc_, lap, lambda, in, out, dirichlet, assemble);
     };
     const auto dot = [&](std::span<const double> a, std::span<const double> b) {
         return global_dot(a, b);

@@ -98,7 +98,6 @@ private:
     /// (L + lambda M) x = rhs with Dirichlet data already in x.
     std::size_t pcg_solve(double lambda, const std::vector<char>& dirichlet,
                           std::span<const double> rhs, std::span<double> x) const;
-    void apply_operator(double lambda, std::span<const double> x, std::span<double> y) const;
     [[nodiscard]] double global_dot(std::span<const double> a, std::span<const double> b) const;
     std::vector<double> weak_rhs(std::span<const double> quad) const;
     void gs_assemble(std::span<double> global) const;

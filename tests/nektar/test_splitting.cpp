@@ -66,9 +66,9 @@ TEST(SplittingCoeffs, ConsistencyConditionsHold) {
 }
 
 TEST(SplittingCoeffs, ThrowsOutsideSupportedOrders) {
-    EXPECT_THROW(stiffly_stable(0), std::invalid_argument);
-    EXPECT_THROW(stiffly_stable(4), std::invalid_argument);
-    EXPECT_THROW(stiffly_stable(-1), std::invalid_argument);
+    EXPECT_THROW((void)stiffly_stable(0), std::invalid_argument);
+    EXPECT_THROW((void)stiffly_stable(4), std::invalid_argument);
+    EXPECT_THROW((void)stiffly_stable(-1), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
