@@ -203,8 +203,8 @@ struct Cli {
         if (!request.net.empty()) rep.meta["net_filter"] = request.net;
         if (request.ranks > 0) rep.meta["ranks"] = std::to_string(request.ranks);
         if (request.seed != 0) rep.meta["seed"] = std::to_string(request.seed);
-        rep.meta["smoke"] = request.smoke ? "1" : "0";
-        rep.meta["trace"] = trace ? "1" : "0";
+        rep.meta["smoke"] = std::string(1, request.smoke ? '1' : '0');
+        rep.meta["trace"] = std::string(1, trace ? '1' : '0');
     }
 
     /// Writes the RunReport (to --out or `default_path`), plus the Chrome

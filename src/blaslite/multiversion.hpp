@@ -26,8 +26,14 @@
 #if __has_attribute(target_clones)
 #define REPRO_MULTIVERSION \
     __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define REPRO_MULTIVERSION_CLONES 1
 #endif
 #endif
 #ifndef REPRO_MULTIVERSION
 #define REPRO_MULTIVERSION
+#endif
+/// 1 when REPRO_MULTIVERSION makes clones (the ISA a kernel runs with is
+/// then the host's level, not the compile flags'), else 0.
+#ifndef REPRO_MULTIVERSION_CLONES
+#define REPRO_MULTIVERSION_CLONES 0
 #endif

@@ -194,8 +194,7 @@ std::vector<std::string> Checkpoint::section_names() const {
 }
 
 std::vector<std::uint8_t> Checkpoint::serialize() const {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
+    std::vector<std::uint8_t> out(kMagic.begin(), kMagic.end());
     le_append(out, kSchemaVersion, 4);
     le_append(out, sections_.size(), 4);
     for (const SectionWriter& s : sections_) {

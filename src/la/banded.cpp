@@ -68,8 +68,7 @@ DenseMatrix SymBandedMatrix::to_dense() const {
 namespace {
 
 constexpr std::size_t kNB = 32; ///< panel width (columns per panel)
-constexpr std::size_t kMR = 8;  ///< register tile rows: one 8-wide column vector
-constexpr std::size_t kNR = 8;  ///< register tile columns
+constexpr std::size_t kMR = 8;  ///< rows of one ColVec
 
 #if defined(__GNUC__) || defined(__clang__)
 /// kMR consecutive rows of one column: one zmm, two ymm or four xmm,
@@ -106,36 +105,170 @@ typedef double ColVec
     }
 }
 
-/// The kMR x kNR tile at rows [r0, r0 + kMR), columns [c0, c0 + kNR) minus
-/// L(rows, k) L(cols, k) for k in [k0, k0 + nk).  The tile is loaded first
-/// and the k terms applied in ascending order, so each entry sees the same
-/// rounding sequence as in column_update.  Every term must be in band.
+#if defined(__GNUC__) || defined(__clang__)
+/// W consecutive rows of one column, for W in {2, 4, 8}: the native vector
+/// of each clone (xmm, ymm, zmm).  A wider vector than the clone has is
+/// split into halves that GCC shuffles through memory when kept across a
+/// loop, so each tile shape uses its clone's width.  `lanes` holds the
+/// lane indices (as doubles: SSE2 has no 64-bit integer compare).
+template <std::size_t W>
+struct RowVec;
+template <>
+struct RowVec<2> {
+    typedef double type __attribute__((vector_size(16), aligned(alignof(double)), may_alias));
+    static constexpr type lanes = {0, 1};
+};
+template <>
+struct RowVec<4> {
+    typedef double type __attribute__((vector_size(32), aligned(alignof(double)), may_alias));
+    static constexpr type lanes = {0, 1, 2, 3};
+};
+template <>
+struct RowVec<8> {
+    typedef ColVec type;
+    static constexpr type lanes = {0, 1, 2, 3, 4, 5, 6, 7};
+};
+#endif
+
+/// Register tile shape: MV vectors of W rows (W * MV rows) by NR columns.
+template <std::size_t W, std::size_t MV, std::size_t NR>
+struct TileShape {
+    static_assert(MV >= 1 && MV <= 2 && NR >= 1 && NR <= 8);
+    static constexpr std::size_t width = W, mv = MV, rows = W * MV, cols = NR;
+};
+
+/// The shapes, one per ISA level: MV * NR accumulators, MV vectors of an L
+/// column and a broadcast fit the register file.  x86-64-v4 has 32 zmm:
+/// 16 x 8 takes 16 accumulators.  x86-64-v3 and baseline x86-64 have 16 ymm
+/// or xmm: 12 accumulators, 8 x 6 or 4 x 6 rows by columns.
+using TallTile = TileShape<8, 2, 8>;
+using Avx2Tile = TileShape<4, 2, 6>;
+using BaseTile = TileShape<2, 2, 6>;
+
+/// Which entries of a tile at rows [r0, r0 + rows), columns [c0, c0 + cols)
+/// take the panel's terms.
+enum class Part {
+    interior, ///< all, for every k: every term is in band
+    diagonal, ///< r0 = c0: entries on or below the diagonal, for every k;
+              ///< the slots above it (another column's entries, which no
+              ///< term of this panel reaches) are stored back unchanged
+    edge,     ///< row r takes term k only if r <= k + kd, i.e. L(r, k) is in band
+};
+
+#if defined(__GNUC__) || defined(__clang__)
+/// One tile column: MV vectors of W rows.
+template <std::size_t W, std::size_t MV>
+struct TileCol {
+    using V = typename RowVec<W>::type;
+    V v0, v1;
+};
+
+template <std::size_t W, std::size_t MV>
+[[gnu::always_inline]] inline TileCol<W, MV> load_col(const double* p) noexcept {
+    using V = typename RowVec<W>::type;
+    TileCol<W, MV> t{};
+    t.v0 = *reinterpret_cast<const V*>(p);
+    if constexpr (MV > 1) t.v1 = *reinterpret_cast<const V*>(p + W);
+    return t;
+}
+
+/// Stores the column; a diagonal tile's column stores only its rows at
+/// offset `first` or more, and the slots above keep their bits in memory.
+template <Part part, std::size_t W, std::size_t MV>
+[[gnu::always_inline]] inline void store_col(double* p, const TileCol<W, MV>& t,
+                                             double first) noexcept {
+    using V = typename RowVec<W>::type;
+    const auto put = [&](V* q, const V& v, double off) {
+        if constexpr (part == Part::diagonal)
+            *q = RowVec<W>::lanes + off >= first ? v : *q;
+        else
+            *q = v;
+    };
+    put(reinterpret_cast<V*>(p), t.v0, 0);
+    if constexpr (MV > 1) put(reinterpret_cast<V*>(p + W), t.v1, W);
+}
+
+/// t -= l * s entrywise, one rounded product and then one subtraction; an
+/// edge tile keeps the result only in its rows at offset `last` or less.
+template <Part part, std::size_t W, std::size_t MV>
+[[gnu::always_inline]] inline void sub_col(TileCol<W, MV>& t, const TileCol<W, MV>& l, double s,
+                                           double last) noexcept {
+    using V = typename RowVec<W>::type;
+    const auto sub = [&](V& acc, const V& x, double off) {
+        if constexpr (part == Part::edge)
+            acc = RowVec<W>::lanes + off <= last ? acc - x * s : acc;
+        else
+            acc -= x * s;
+    };
+    sub(t.v0, l.v0, 0);
+    if constexpr (MV > 1) sub(t.v1, l.v1, W);
+}
+#endif
+
+/// The Shape::rows x Shape::cols tile at rows [r0, r0 + rows), columns
+/// [c0, c0 + cols) minus L(rows, k) L(cols, k) for k in [k0, k0 + nk), in
+/// the entries and terms `part` selects.  The tile is loaded once into
+/// named accumulators (an array of vectors indexed in a loop is spilled at
+/// -O2), the k terms are applied in ascending order, and the tile is
+/// stored once, so each entry sees the same rounding sequence as in
+/// column_update.  A term that is not applied is computed and discarded.
+template <typename Shape, Part part = Part::interior>
 [[gnu::always_inline]] inline void tile_update(double* a, std::size_t kd, std::size_t r0,
                                                std::size_t c0, std::size_t k0,
                                                std::size_t nk) noexcept {
+    constexpr std::size_t W = Shape::width, MV = Shape::mv, NR = Shape::cols;
 #if defined(__GNUC__) || defined(__clang__)
-    ColVec acc[kNR];
-    for (std::size_t jj = 0; jj < kNR; ++jj)
-        acc[jj] = *reinterpret_cast<const ColVec*>(a + r0 + (c0 + jj) * kd);
+    using Col = TileCol<W, MV>;
+    double* t = a + r0 + c0 * kd; // column c0 + j of the tile starts at t + j * kd
+    Col t0 = load_col<W, MV>(t), t1{}, t2{}, t3{}, t4{}, t5{}, t6{}, t7{};
+    if constexpr (NR > 1) t1 = load_col<W, MV>(t + kd);
+    if constexpr (NR > 2) t2 = load_col<W, MV>(t + 2 * kd);
+    if constexpr (NR > 3) t3 = load_col<W, MV>(t + 3 * kd);
+    if constexpr (NR > 4) t4 = load_col<W, MV>(t + 4 * kd);
+    if constexpr (NR > 5) t5 = load_col<W, MV>(t + 5 * kd);
+    if constexpr (NR > 6) t6 = load_col<W, MV>(t + 6 * kd);
+    if constexpr (NR > 7) t7 = load_col<W, MV>(t + 7 * kd);
     const double* lk = a + k0 * kd;
-    for (std::size_t p = 0; p < nk; ++p, lk += kd) {
-        const ColVec lr = *reinterpret_cast<const ColVec*>(lk + r0);
-        for (std::size_t jj = 0; jj < kNR; ++jj) acc[jj] -= lr * lk[c0 + jj];
+    // Offset of the last row that term k reaches: k + kd - r0.
+    double last = static_cast<double>(k0 + kd) - static_cast<double>(r0);
+    for (std::size_t p = 0; p < nk; ++p, lk += kd, ++last) {
+        const Col l = load_col<W, MV>(lk + r0);
+        const double* s = lk + c0;
+        sub_col<part>(t0, l, s[0], last);
+        if constexpr (NR > 1) sub_col<part>(t1, l, s[1], last);
+        if constexpr (NR > 2) sub_col<part>(t2, l, s[2], last);
+        if constexpr (NR > 3) sub_col<part>(t3, l, s[3], last);
+        if constexpr (NR > 4) sub_col<part>(t4, l, s[4], last);
+        if constexpr (NR > 5) sub_col<part>(t5, l, s[5], last);
+        if constexpr (NR > 6) sub_col<part>(t6, l, s[6], last);
+        if constexpr (NR > 7) sub_col<part>(t7, l, s[7], last);
     }
-    for (std::size_t jj = 0; jj < kNR; ++jj)
-        *reinterpret_cast<ColVec*>(a + r0 + (c0 + jj) * kd) = acc[jj];
+    store_col<part>(t, t0, 0);
+    if constexpr (NR > 1) store_col<part>(t + kd, t1, 1);
+    if constexpr (NR > 2) store_col<part>(t + 2 * kd, t2, 2);
+    if constexpr (NR > 3) store_col<part>(t + 3 * kd, t3, 3);
+    if constexpr (NR > 4) store_col<part>(t + 4 * kd, t4, 4);
+    if constexpr (NR > 5) store_col<part>(t + 5 * kd, t5, 5);
+    if constexpr (NR > 6) store_col<part>(t + 6 * kd, t6, 6);
+    if constexpr (NR > 7) store_col<part>(t + 7 * kd, t7, 7);
 #else
-    for (std::size_t jj = 0; jj < kNR; ++jj)
-        column_update(a, kd, c0 + jj, r0, r0 + kMR - 1, k0, k0 + nk);
+    for (std::size_t j = 0; j < NR; ++j) {
+        const std::size_t c = c0 + j;
+        const std::size_t rlo = part == Part::diagonal ? std::max(r0, c) : r0;
+        column_update(a, kd, c, rlo, r0 + Shape::rows - 1, k0, k0 + nk);
+    }
 #endif
 }
 
-/// Factors the band in place; returns the column of the first non-positive
-/// (or non-finite) pivot, or n on success.  `flops` gets the plain column
-/// sweep's count for the columns factored.
-REPRO_MULTIVERSION
-std::size_t factor_band(double* a, std::size_t n, std::size_t kd, double pivot_floor,
-                        std::size_t& flops) noexcept {
+/// Factors the band in place with the given tile shape; returns the column
+/// of the first non-positive (or non-finite) pivot, or n on success.
+/// `flops` gets the plain column sweep's count for the columns factored.
+template <typename Shape>
+[[gnu::always_inline]] inline std::size_t factor_tiled(double* a, std::size_t n, std::size_t kd,
+                                                       double pivot_floor,
+                                                       std::size_t& flops) noexcept {
+    constexpr std::size_t NR = Shape::cols;
+    using Short = TileShape<Shape::width, 1, NR>; // one vector of rows
     for (std::size_t j0 = 0; j0 < n; j0 += kNB) {
         const std::size_t j1 = std::min(n, j0 + kNB);
         // Panel: left-looking within [j0, j1); earlier panels are applied.
@@ -153,21 +286,71 @@ std::size_t factor_band(double* a, std::size_t n, std::size_t kd, double pivot_f
         }
         // Trailing update of the columns the panel reaches: [j1, j1 + kd).
         if (j1 == n) break;
+        const std::size_t nk = j1 - j0;
         const std::size_t cend = std::min(n, j1 + kd);
         const std::size_t rmax = std::min(n - 1, j1 - 1 + kd); // last row any k reaches
         const std::size_t rfull = std::min(rmax, j0 + kd);     // last row all k reach
-        for (std::size_t c0 = j1; c0 < cend; c0 += kNR) {
-            const std::size_t nc = std::min(kNR, cend - c0);
+        for (std::size_t c0 = j1; c0 < cend; c0 += NR) {
+            const std::size_t nc = std::min(NR, cend - c0);
             std::size_t r = c0 + nc; // first row below the block's diagonal triangle
-            if (nc == kNR)
-                for (; r + kMR - 1 <= rfull; r += kMR) tile_update(a, kd, r, c0, j0, j1 - j0);
-            for (std::size_t c = c0; c < c0 + nc; ++c) {
-                column_update(a, kd, c, c, c0 + nc - 1, j0, j1);
-                column_update(a, kd, c, r, rmax, j0, j1);
+            if (nc == NR && Shape::rows >= NR && c0 + Shape::rows - 1 <= rfull) {
+                tile_update<Shape, Part::diagonal>(a, kd, c0, c0, j0, nk);
+                r = c0 + Shape::rows;
+            } else {
+                for (std::size_t c = c0; c < c0 + nc; ++c)
+                    column_update(a, kd, c, c, c0 + nc - 1, j0, j1);
             }
+            if (nc == NR) {
+                for (; r + Shape::rows - 1 <= rfull; r += Shape::rows)
+                    tile_update<Shape>(a, kd, r, c0, j0, nk);
+                if constexpr (Shape::mv > 1)
+                    for (; r + Short::rows - 1 <= rfull; r += Short::rows)
+                        tile_update<Short>(a, kd, r, c0, j0, nk);
+                // Rows past rfull, where the early k fall out of band.
+                for (; r + Shape::rows - 1 <= rmax; r += Shape::rows)
+                    tile_update<Shape, Part::edge>(a, kd, r, c0, j0, nk);
+                for (; r + Short::rows - 1 <= rmax; r += Short::rows)
+                    tile_update<Short, Part::edge>(a, kd, r, c0, j0, nk);
+            }
+            for (std::size_t c = c0; c < c0 + nc; ++c) column_update(a, kd, c, r, rmax, j0, j1);
         }
     }
     return n;
+}
+
+/// The tile shape for the ISA the factor runs with: the host's level when
+/// REPRO_MULTIVERSION makes clones (checked like its resolver, by CPU
+/// feature), else the compile target's.  Only speed depends on the choice;
+/// every shape applies the same operations to every entry.
+enum class Tile { tall, avx2, base };
+
+Tile host_tile() noexcept {
+#if REPRO_MULTIVERSION_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512cd"))
+        return Tile::tall;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return Tile::avx2;
+    return Tile::base;
+#elif defined(__AVX512F__)
+    return Tile::tall;
+#elif defined(__AVX2__)
+    return Tile::avx2;
+#else
+    return Tile::base;
+#endif
+}
+
+/// factor_tiled with the shape `tile` names, in one function per clone.
+REPRO_MULTIVERSION
+std::size_t factor_band(double* a, std::size_t n, std::size_t kd, double pivot_floor,
+                        std::size_t& flops, Tile tile) noexcept {
+    switch (tile) {
+        case Tile::tall: return factor_tiled<TallTile>(a, n, kd, pivot_floor, flops);
+        case Tile::avx2: return factor_tiled<Avx2Tile>(a, n, kd, pivot_floor, flops);
+        default: return factor_tiled<BaseTile>(a, n, kd, pivot_floor, flops);
+    }
 }
 
 /// Forward and back substitution for K right-hand sides at once, each b[q]
@@ -227,7 +410,7 @@ bool BandedCholesky::factor(SymBandedMatrix a) {
     const double pivot_floor = 1e-12 * scale;
 
     std::size_t flops = 0;
-    if (factor_band(band_.data(), n_, kd_, pivot_floor, flops) != n_) {
+    if (factor_band(band_.data(), n_, kd_, pivot_floor, flops, host_tile()) != n_) {
         n_ = 0;
         return false;
     }

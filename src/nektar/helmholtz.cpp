@@ -115,14 +115,17 @@ std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
     return to_modal(rhs);
 }
 
-std::array<std::vector<double>, 2> HelmholtzDirect::solve_global(
-    std::array<std::vector<double>, 2> rhs,
-    std::array<std::span<const double>, 2> dirichlet) const {
-    impose_dirichlet(rhs[0], dirichlet[0]);
-    impose_dirichlet(rhs[1], dirichlet[1]);
-    const std::span<double> both[2] = {rhs[0], rhs[1]};
-    chol_.solve(both);
-    return {to_modal(rhs[0]), to_modal(rhs[1])};
+std::vector<std::vector<double>> HelmholtzDirect::solve_global(
+    std::vector<std::vector<double>> rhs,
+    const std::vector<std::span<const double>>& dirichlet) const {
+    assert(rhs.size() == dirichlet.size());
+    for (std::size_t q = 0; q < rhs.size(); ++q) impose_dirichlet(rhs[q], dirichlet[q]);
+    const std::vector<std::span<double>> views(rhs.begin(), rhs.end());
+    chol_.solve(views);
+    std::vector<std::vector<double>> modal;
+    modal.reserve(rhs.size());
+    for (const std::vector<double>& x : rhs) modal.push_back(to_modal(x));
+    return modal;
 }
 
 std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,

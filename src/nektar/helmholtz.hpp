@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,12 +51,12 @@ public:
     [[nodiscard]] std::vector<double> solve_global(std::vector<double> rhs,
                                                    std::span<const double> dirichlet) const;
 
-    /// Two right-hand sides, each with its own Dirichlet data, in one pass
-    /// over the factor (the u and v solves of a step).  Bitwise and in
-    /// operation counts the same as two single-RHS calls.
-    [[nodiscard]] std::array<std::vector<double>, 2> solve_global(
-        std::array<std::vector<double>, 2> rhs,
-        std::array<std::span<const double>, 2> dirichlet) const;
+    /// Several right-hand sides, rhs[q] with Dirichlet data dirichlet[q], in
+    /// one pass over the factor (a step's u and v, a Fourier mode's planes).
+    /// Bitwise and in operation counts the same as one single-RHS call each.
+    [[nodiscard]] std::vector<std::vector<double>> solve_global(
+        std::vector<std::vector<double>> rhs,
+        const std::vector<std::span<const double>>& dirichlet) const;
 
     [[nodiscard]] const Discretization& disc() const noexcept { return *disc_; }
     [[nodiscard]] double lambda() const noexcept { return lambda_; }

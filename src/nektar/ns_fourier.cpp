@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <iterator>
 #include <numbers>
 #include <stdexcept>
 
@@ -370,17 +371,21 @@ void FourierNS::stage_pressure_rhs(const StepContext& ctx,
 }
 
 // Stage 5: per-mode direct pressure solves, split across the thread pool
-// (each plane's solve runs whole on one thread, so results and the
-// counter-derived compute charge are independent of the pool size).
+// by mode: a mode's two planes are one two-RHS pass over its factor, run
+// whole on one thread, so results and the counter-derived compute charge
+// are independent of the pool size.
 void FourierNS::stage_pressure_solve(const StepContext&) {
     const std::size_t nm = disc_->modal_size();
     const std::vector<double> zero(disc_->dofmap().num_global(), 0.0);
-    parallel::pool().parallel_for(nplanes_, [&](std::size_t p0, std::size_t p1) {
-        for (std::size_t p = p0; p < p1; ++p) {
-            const std::size_t m = p / 2;
-            const auto sol = pressure_[m].solve_global(std::move(prhs_[p]), zero);
-            std::copy(sol.begin(), sol.end(),
-                      p_modal_.begin() + static_cast<std::ptrdiff_t>(p * nm));
+    parallel::pool().parallel_for(mloc_, [&](std::size_t m0, std::size_t m1) {
+        for (std::size_t m = m0; m < m1; ++m) {
+            const auto planes = prhs_.begin() + static_cast<std::ptrdiff_t>(2 * m);
+            std::vector<std::vector<double>> rhs(std::make_move_iterator(planes),
+                                                 std::make_move_iterator(planes + 2));
+            const auto sol = pressure_[m].solve_global(std::move(rhs), {zero, zero});
+            for (std::size_t reim = 0; reim < 2; ++reim)
+                std::copy(sol[reim].begin(), sol[reim].end(),
+                          p_modal_.begin() + static_cast<std::ptrdiff_t>((2 * m + reim) * nm));
         }
     });
 }
@@ -436,26 +441,36 @@ void FourierNS::stage_viscous_solve(const StepContext& ctx) {
     const std::vector<HelmholtzDirect>& solvers = velocity_solvers_.get(ctx.scheme.order);
     record_velocity_lambda(solvers.front().lambda());
     const VelocityBC* bcs[3] = {&opts_.u_bc, &opts_.v_bc, &opts_.w_bc};
-    // 3 components x nplanes independent solves across the thread pool;
-    // each task owns its plane's RHS and output slice.
-    parallel::pool().parallel_for(3 * nplanes_, [&](std::size_t t0, std::size_t t1) {
-        for (std::size_t t = t0; t < t1; ++t) {
-            const int c = static_cast<int>(t / nplanes_);
-            const std::size_t p = t % nplanes_;
-            const std::size_t m = p / 2;
-            const int reim = static_cast<int>(p % 2);
+    const std::vector<double> zero(disc_->dofmap().num_global(), 0.0);
+    // One task per mode: its 3 components x 2 planes are one six-RHS pass
+    // over the mode's factor; each task owns its planes' RHS and output
+    // slices.
+    parallel::pool().parallel_for(mloc_, [&](std::size_t m0, std::size_t m1) {
+        for (std::size_t m = m0; m < m1; ++m) {
+            const HelmholtzDirect& solver = solvers[m];
             // Physical Dirichlet data enters only the mean mode's real
             // plane; every other plane is homogeneous.
-            const bool mean = global_mode(m) == 0 && reim == 0;
-            const HelmholtzDirect& solver = solvers[m];
-            std::vector<double> bvals =
-                mean ? solver.dirichlet_vector(
-                           [&](double x, double y) { return (*bcs[c])(x, y, tn1); })
-                     : std::vector<double>(disc_->dofmap().num_global(), 0.0);
-            const auto sol = solver.solve_global(
-                std::move(vrhs_[static_cast<std::size_t>(c) * nplanes_ + p]), bvals);
-            std::copy(sol.begin(), sol.end(),
-                      modal_[c].begin() + static_cast<std::ptrdiff_t>(p * nm));
+            const bool mean = global_mode(m) == 0;
+            std::vector<double> bvals[3];
+            std::vector<std::vector<double>> rhs;
+            std::vector<std::span<const double>> dirichlet;
+            for (std::size_t c = 0; c < 3; ++c) {
+                if (mean)
+                    bvals[c] = solver.dirichlet_vector(
+                        [&](double x, double y) { return (*bcs[c])(x, y, tn1); });
+                for (std::size_t reim = 0; reim < 2; ++reim) {
+                    rhs.push_back(std::move(vrhs_[c * nplanes_ + 2 * m + reim]));
+                    dirichlet.emplace_back(mean && reim == 0 ? bvals[c] : zero);
+                }
+            }
+            const auto sol = solver.solve_global(std::move(rhs), dirichlet);
+            for (std::size_t c = 0; c < 3; ++c)
+                for (std::size_t reim = 0; reim < 2; ++reim) {
+                    const std::vector<double>& x = sol[2 * c + reim];
+                    std::copy(x.begin(), x.end(),
+                              modal_[c].begin() +
+                                  static_cast<std::ptrdiff_t>((2 * m + reim) * nm));
+                }
         }
     });
 }

@@ -189,7 +189,10 @@ void SerialNS2d::stage_viscous_solve(const StepContext& ctx) {
         solver.dirichlet_vector([&](double x, double y) { return opts_.u_bc(x, y, tn1); });
     const auto vdir =
         solver.dirichlet_vector([&](double x, double y) { return opts_.v_bc(x, y, tn1); });
-    auto uv = solver.solve_global({std::move(urhs_), std::move(vrhs_)}, {udir, vdir});
+    std::vector<std::vector<double>> rhs; // moved in: a braced list would copy
+    rhs.push_back(std::move(urhs_));
+    rhs.push_back(std::move(vrhs_));
+    auto uv = solver.solve_global(std::move(rhs), {udir, vdir});
     u_modal_ = std::move(uv[0]);
     v_modal_ = std::move(uv[1]);
 }

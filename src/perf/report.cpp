@@ -144,7 +144,10 @@ std::string RunReport::to_json() const {
             for (const auto& [exp, n] : h.buckets) {
                 if (!bfirst) out += ",";
                 bfirst = false;
-                out += "\"" + std::to_string(exp) + "\":" + std::to_string(n);
+                out += '"';
+                out += std::to_string(exp);
+                out += "\":";
+                out += std::to_string(n);
             }
             out += "}}";
         }

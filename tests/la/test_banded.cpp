@@ -8,6 +8,8 @@
 #include <ostream>
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "blaslite/counters.hpp"
 
@@ -251,6 +253,10 @@ struct Shape {
 };
 void PrintTo(const Shape& s, std::ostream* os) { *os << "(n " << s.n << ", kd " << s.kd << ")"; }
 
+std::string shape_name(const ::testing::TestParamInfo<Shape>& info) {
+    return "n" + std::to_string(info.param.n) + "_kd" + std::to_string(info.param.kd);
+}
+
 class BandedBitIdentity : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(BandedBitIdentity, FactorAndSolveMatchTheColumnSweep) {
@@ -265,10 +271,23 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BandedBitIdentity,
                                            Shape{40, 39}, Shape{30, 45}, Shape{20, 7},
                                            Shape{31, 30}, Shape{100, 13}, Shape{150, 37},
                                            Shape{333, 45}, Shape{260, 64}, Shape{600, 150}),
-                         [](const ::testing::TestParamInfo<Shape>& info) {
-                             return "n" + std::to_string(info.param.n) + "_kd" +
-                                    std::to_string(info.param.kd);
-                         });
+                         shape_name);
+
+// Every path of the trailing update.  Its first column block's tiles start
+// 32 + 8 rows below the panel (16 x 8 tile), so with kd from 15 to 73 it
+// gets no tile, one 8-row tile, 16-row tiles with and without an 8-row
+// remainder, and 0-2 leftover scalar rows; kd not a multiple of 8 leaves a
+// short column block.  The wide band meets every remainder across its
+// blocks.  Builds with the 8 x 6 or 4 x 6 tile take the same shapes.
+std::vector<Shape> tile_path_shapes() {
+    std::vector<Shape> shapes;
+    for (std::size_t kd : {15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 63, 64, 65, 71, 72, 73})
+        shapes.push_back({3 * kd + 7, kd});
+    shapes.push_back({1200, 400});
+    return shapes;
+}
+INSTANTIATE_TEST_SUITE_P(TilePaths, BandedBitIdentity, ::testing::ValuesIn(tile_path_shapes()),
+                         shape_name);
 
 TEST(BandedBitIdentity, StructuralZerosAndNegativeZeros) {
     // A band with exact zeros, -0.0 and a zero block, as assembled operators

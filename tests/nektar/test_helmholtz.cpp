@@ -159,7 +159,7 @@ TEST(Helmholtz, TwoRhsSolveGlobalMatchesTwoSingleSolves) {
         u1 = solver.solve_global(f1, d1);
         single_counts = scope.delta();
     }
-    std::array<std::vector<double>, 2> uv;
+    std::vector<std::vector<double>> uv;
     {
         blaslite::CountScope scope;
         uv = solver.solve_global({f0, f1}, {d0, d1});
@@ -172,6 +172,51 @@ TEST(Helmholtz, TwoRhsSolveGlobalMatchesTwoSingleSolves) {
     EXPECT_EQ(pair_counts.bytes_read, single_counts.bytes_read);
     EXPECT_EQ(pair_counts.bytes_written, single_counts.bytes_written);
     EXPECT_EQ(pair_counts.calls, single_counts.calls);
+}
+
+TEST(Helmholtz, MultiRhsSolveGlobalMatchesSingleSolves) {
+    // A Fourier mode's planes: k right-hand sides in one pass, Dirichlet data
+    // on only one of them (the mean mode's real plane), the rest homogeneous.
+    // Each solution and the summed charges equal k single calls bitwise.
+    const auto disc = disc_for(unit_square_quads(4), 5);
+    HelmholtzDirect solver(disc, 2.5, {.dirichlet = {mesh::BoundaryTag::Wall}});
+    const std::size_t n = disc->dofmap().num_global();
+    const auto bvals = solver.dirichlet_vector([](double x, double y) { return 1.0 + x - y; });
+    const std::vector<double> zero(n, 0.0);
+    for (std::size_t k : {1u, 2u, 3u, 6u}) {
+        std::vector<std::vector<double>> f(k, std::vector<double>(n));
+        std::vector<std::span<const double>> dirichlet;
+        for (std::size_t q = 0; q < k; ++q) {
+            for (std::size_t i = 0; i < n; ++i)
+                f[q][i] = std::sin(0.1 * static_cast<double>((q + 1) * i) + 0.5 * q);
+            dirichlet.emplace_back(q == k / 2 ? bvals : zero);
+        }
+        blaslite::OpCounts single_counts, multi_counts;
+        std::vector<std::vector<double>> single, multi;
+        {
+            blaslite::CountScope scope;
+            for (std::size_t q = 0; q < k; ++q)
+                single.push_back(solver.solve_global(f[q], dirichlet[q]));
+            single_counts = scope.delta();
+        }
+        {
+            blaslite::CountScope scope;
+            multi = solver.solve_global(f, dirichlet);
+            multi_counts = scope.delta();
+        }
+        ASSERT_EQ(multi.size(), k);
+        for (std::size_t q = 0; q < k; ++q) {
+            ASSERT_EQ(multi[q].size(), single[q].size());
+            EXPECT_EQ(std::memcmp(multi[q].data(), single[q].data(),
+                                  single[q].size() * sizeof(double)),
+                      0)
+                << "rhs " << q << " of " << k;
+        }
+        EXPECT_EQ(multi_counts.flops, single_counts.flops) << k;
+        EXPECT_EQ(multi_counts.bytes_read, single_counts.bytes_read) << k;
+        EXPECT_EQ(multi_counts.bytes_written, single_counts.bytes_written) << k;
+        EXPECT_EQ(multi_counts.calls, single_counts.calls) << k;
+    }
 }
 
 TEST(Helmholtz, HybridTriQuadMesh) {
