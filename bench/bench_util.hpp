@@ -165,23 +165,6 @@ struct Cli {
         return cli;
     }
 
-    /// DEPRECATED free-form filter lookup (pre-ScenarioRequest API).  Kept
-    /// for one release as an alias so out-of-tree bench forks keep building;
-    /// it warns once at runtime and forwards to the request semantics.  Use
-    /// Cli::request.selects_machine()/selects_net() (or parse a canonical
-    /// request via lab::ScenarioRequest::parse) instead.
-    [[deprecated("use Cli::request.selects_machine/selects_net; free-form string "
-                 "lookups are replaced by lab::ScenarioRequest")]]
-    [[nodiscard]] static bool matches(const std::string& filter, const std::string& name) {
-        static const bool warned = [] {
-            std::fprintf(stderr, "benchutil::Cli::matches is deprecated: build a "
-                                 "lab::ScenarioRequest and use selects_machine/"
-                                 "selects_net\n");
-            return true;
-        }();
-        (void)warned;
-        return filter.empty() || name.find(filter) != std::string::npos;
-    }
     [[nodiscard]] bool machine_selected(const std::string& name) const {
         return request.selects_machine(name);
     }

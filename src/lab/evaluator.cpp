@@ -13,6 +13,7 @@
 #include "mesh/generators.hpp"
 #include "nektar/ns_fourier.hpp"
 #include "nektar/ns_serial.hpp"
+#include "nektar/transpose.hpp"
 #include "netsim/netmodel.hpp"
 
 namespace lab {
@@ -41,13 +42,6 @@ const netsim::NetworkModel& resolve_net(const std::string& name) {
 compute::BackendKind resolve_backend(const std::string& name) {
     if (name.empty()) return compute::BackendKind::Auto;
     return compute::parse_backend(name); // "dense"/"sumfact"; pre-validated
-}
-
-/// Near-square factorisation of P for the pencil transpose model.
-void pencil_grid(int nprocs, int& rows, int& cols) {
-    rows = static_cast<int>(std::sqrt(static_cast<double>(nprocs)));
-    while (rows > 1 && nprocs % rows != 0) --rows;
-    cols = nprocs / rows;
 }
 
 /// Skeleton every evaluation shares: the request echo, the miss-marked
@@ -107,8 +101,9 @@ perf::RunReport Evaluator::evaluate_model(const ScenarioRequest& req) const {
         // ~6 transposes of the per-proc field per step; the pencil variant
         // trades the P-wide exchange for two sqrt(P)-wide staged ones.
         if (req.transpose == "pencil") {
-            int rows = 1, cols = nprocs;
-            pencil_grid(nprocs, rows, cols);
+            const int rows =
+                static_cast<int>(nektar::most_square_rows(static_cast<std::size_t>(nprocs)));
+            const int cols = nprocs / rows;
             const auto s1 = static_cast<std::size_t>(dof * 8.0 / cols);
             const auto s2 = static_cast<std::size_t>(dof * 8.0 / rows);
             comm = 6.0 * net.hierarchical_alltoall_seconds(rows, cols, s1, s2);

@@ -7,22 +7,12 @@
 #include <stdexcept>
 
 #include "blaslite/blas.hpp"
-#include "nektar/fourier_transpose.hpp"
-#include "nektar/pencil_transpose.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace nektar {
 
 namespace {
 constexpr int kStageTranspose = 2; // comm events of the nonlinear step
-
-std::unique_ptr<Transpose> make_transpose(const FourierNsOptions& opts, simmpi::Comm* comm,
-                                          std::size_t nq, std::size_t nplanes) {
-    if (opts.transpose == TransposeKind::Pencil)
-        return std::make_unique<PencilTranspose>(comm, nq, nplanes, opts.pencil_rows);
-    return std::make_unique<FourierTranspose>(comm, nq, nplanes);
-}
-
 } // namespace
 
 FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOptions opts,
@@ -34,7 +24,7 @@ FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOption
       comm_(comm),
       mloc_(opts.num_modes / (comm ? static_cast<std::size_t>(comm->size()) : 1)),
       nplanes_(2 * mloc_),
-      transpose_(make_transpose(opts, comm, disc_->quad_size(), nplanes_)),
+      transpose_(comm, disc_->quad_size(), nplanes_, opts.transpose, opts.pencil_rows),
       zplan_(2 * opts.num_modes) {
     const std::size_t nranks = comm ? static_cast<std::size_t>(comm->size()) : 1;
     if (opts_.num_modes % nranks != 0)
@@ -115,7 +105,7 @@ void FourierNS::save_state(ckpt::Checkpoint& c) const {
     if (comm_ != nullptr) comm_->save_state(c.add("comm"));
     // Subcommunicator progress (the pencil's row/column collective tag and
     // split sequences) rides in its own section.
-    if (transpose_->has_state()) transpose_->save_state(c.add("transpose"));
+    if (transpose_.has_state()) transpose_.save_state(c.add("transpose"));
 }
 
 void FourierNS::restore_state(const ckpt::Checkpoint& c) {
@@ -136,9 +126,9 @@ void FourierNS::restore_state(const ckpt::Checkpoint& c) {
     // The transpose was constructed (and its splits re-derived, in the
     // original deterministic order) before restore, so this only has to
     // verify the contexts and reload the subcomm sequences.
-    if (transpose_->has_state()) {
+    if (transpose_.has_state()) {
         auto tr = c.open("transpose");
-        transpose_->restore_state(tr);
+        transpose_.restore_state(tr);
     }
 }
 
@@ -222,8 +212,8 @@ void FourierNS::transform_all_to_quad() {
 void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
     const std::size_t nq = disc_->quad_size();
     const std::size_t nz = 2 * opts_.num_modes;
-    const std::size_t tp = transpose_->total_planes(); // 2 * M
-    const std::size_t chunk = transpose_->chunk();
+    const std::size_t tp = transpose_.total_planes(); // 2 * M
+    const std::size_t chunk = transpose_.chunk();
     if (comm_) comm_->set_stage(kStageTranspose);
 
     // 1./2./3. Transpose the three velocity components to z-line layout,
@@ -232,11 +222,11 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
     // layout.  Divergence form:
     //    N_i = -(d/dx (u u_i) + d/dy (v u_i) + d/dz (w u_i)).
     static constexpr int prod_of[6][2] = {{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}};
-    std::vector<std::vector<double>> lines(3, std::vector<double>(transpose_->lines_buffer_size()));
+    std::vector<std::vector<double>> lines(3, std::vector<double>(transpose_.lines_buffer_size()));
     std::vector<std::vector<double>> plines(
-        6, std::vector<double>(transpose_->lines_buffer_size(), 0.0));
+        6, std::vector<double>(transpose_.lines_buffer_size(), 0.0));
     std::vector<std::vector<double>> pplanes(
-        6, std::vector<double>(transpose_->planes_buffer_size()));
+        6, std::vector<double>(transpose_.planes_buffer_size()));
     std::vector<std::vector<double>> phys(3, std::vector<double>(nz));
     std::vector<fft::cplx> spec(opts_.num_modes + 1);
     std::vector<double> prod(nz);
@@ -283,14 +273,14 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
             lout.emplace_back(plines[static_cast<std::size_t>(pr)]);
             pout.emplace_back(pplanes[static_cast<std::size_t>(pr)]);
         }
-        transpose_->roundtrip_overlapped(comm_, pin, lin, lout, pout, opts_.overlap_slices,
-                                        compute_lines);
+        transpose_.roundtrip_overlapped(comm_, pin, lin, lout, pout, opts_.overlap_slices,
+                                       compute_lines);
     } else {
-        for (int c = 0; c < 3; ++c) transpose_->to_lines(comm_, quad_[c], lines[c]);
+        for (int c = 0; c < 3; ++c) transpose_.to_lines(comm_, quad_[c], lines[c]);
         compute_lines(0, chunk);
         for (int pr = 0; pr < 6; ++pr)
-            transpose_->to_planes(comm_, plines[static_cast<std::size_t>(pr)],
-                                 pplanes[static_cast<std::size_t>(pr)]);
+            transpose_.to_planes(comm_, plines[static_cast<std::size_t>(pr)],
+                                pplanes[static_cast<std::size_t>(pr)]);
     }
     if (comm_) comm_->set_stage(-1);
 

@@ -115,7 +115,7 @@ private:
     std::size_t nplanes_;    ///< 2 * mloc_
     /// Slab or pencil per opts_.transpose (construction derives the pencil's
     /// subcommunicators collectively, so all ranks must agree on the kind).
-    std::unique_ptr<Transpose> transpose_;
+    Transpose transpose_;
     fft::Plan zplan_;        ///< length-Nz real FFT plan
 
     std::vector<HelmholtzDirect> pressure_;  ///< one per local mode

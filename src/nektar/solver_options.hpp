@@ -8,6 +8,7 @@
 #include "compute/backend.hpp"
 #include "la/cg.hpp"
 #include "nektar/helmholtz.hpp"
+#include "nektar/transpose.hpp"
 
 /// \file solver_options.hpp
 /// The unified configuration API for the three Navier-Stokes solvers.
@@ -55,12 +56,6 @@ struct SolverOptions {
 };
 
 struct SerialNsOptions : SolverOptions {};
-
-/// Which distributed-transpose decomposition FourierNS runs (transpose.hpp).
-enum class TransposeKind : std::uint8_t {
-    Slab,   ///< the paper's 1-D slab: one P-wide alltoall (golden reference)
-    Pencil, ///< 2-D pencil: two staged alltoalls over row/column subcomms
-};
 
 /// NekTar-F (Fourier-spectral, one mode per rank pair of planes).
 struct FourierNsOptions : SolverOptions {

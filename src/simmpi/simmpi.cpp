@@ -293,18 +293,6 @@ void Comm::waitall(std::span<Request> rs) {
         if (r.valid()) wait(r);
 }
 
-bool Comm::test(Request& r) {
-    if (!r.valid()) throw std::runtime_error("simmpi: test on an empty Request");
-    if (r.done_) return true;
-    detail::Message msg;
-    if (!world_->try_take(wrank_, r.peer_, ctx_, r.tag_, rs_->wall, msg)) return false;
-    const std::uint32_t span =
-        trace_begin("wait", CommKind::Ptp, r.buf_.size_bytes(), /*overlapped=*/true);
-    absorb(r, std::move(msg));
-    trace_end(span);
-    return true;
-}
-
 void Comm::check_no_pending() const {
     if (rs_->pending_recvs != 0)
         throw std::runtime_error("simmpi: rank " + std::to_string(wrank_) + " finished with " +
@@ -855,21 +843,6 @@ World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
                                 " (missing send or wrong tag)");
         }
     }
-}
-
-bool World::try_take(int self, int src, std::uint64_t ctx, int tag, double wall, Message& out) {
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
-    std::lock_guard lk(box.mtx);
-    // Only the first queued (src, ctx, tag) match is eligible: a later
-    // message on the same channel never jumps an earlier one, so test()
-    // preserves the sender's program order exactly like wait() does.
-    const auto it = std::find_if(box.queue.begin(), box.queue.end(), [&](const Message& m) {
-        return m.src == src && m.ctx == ctx && m.tag == tag;
-    });
-    if (it == box.queue.end() || it->avail_time > wall) return false;
-    out = std::move(*it);
-    box.queue.erase(it);
-    return true;
 }
 
 double World::rendezvous_max(detail::GroupState& g, double wall) {

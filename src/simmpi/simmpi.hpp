@@ -55,7 +55,7 @@
 /// extra seconds.  Faults never touch payloads — only time.
 ///
 /// Nonblocking point-to-point (isend/irecv returning a Request, plus
-/// wait/waitall/test and the chunked ialltoall) keeps the same honest
+/// wait/waitall and the chunked ialltoall) keeps the same honest
 /// semantics: the transfer cost accrues in the background from the moment
 /// the send is posted (consecutive posts queue behind one another on the
 /// sender's NIC), and only the part of that window not covered by the
@@ -259,7 +259,7 @@ struct GroupState {
 } // namespace detail
 
 /// Handle for one nonblocking operation (isend/irecv).  Move-only: a Request
-/// represents exactly one pending completion, and wait()/test() consume it.
+/// represents exactly one pending completion, and wait() consumes it.
 class Request {
 public:
     Request() = default;
@@ -383,7 +383,7 @@ public:
     /// cost, only hideable under whatever the rank computes meanwhile.
     Request isend(int dest, int tag, std::span<const double> data);
 
-    /// Posts a receive; `data` must stay valid until wait()/test() completes
+    /// Posts a receive; `data` must stay valid until wait() completes
     /// the request.  Posting is free — matching, payload delivery, idle
     /// charging, and overlap accounting all happen at completion.
     Request irecv(int src, int tag, std::span<double> data);
@@ -395,13 +395,6 @@ public:
     /// becoming idle time.
     void wait(Request& r);
     void waitall(std::span<Request> rs);
-
-    /// Nonblocking completion probe.  Returns true (and completes the
-    /// request exactly like wait) only when the matching message has arrived
-    /// in *virtual* time as well as host time; a false result is always safe
-    /// to retry.  Solvers that must stay bit-deterministic should branch on
-    /// wait(), not test() — host scheduling may delay a true result.
-    [[nodiscard]] bool test(Request& r);
 
     /// MPI_Alltoall: `send` and `recv` hold size() blocks of `block` doubles.
     void alltoall(std::span<const double> send, std::span<double> recv, std::size_t block);
@@ -504,7 +497,7 @@ private:
     /// rank's NIC (posts serialize); fills the message's avail/cost fields
     /// and charges the sender-side injection overhead.
     void post_background(int dest, int tag, std::span<const double> data, double base_cost);
-    /// Completion accounting shared by wait()/test(): delivers the payload,
+    /// Completion accounting for wait(): delivers the payload,
     /// charges the uncovered remainder as idle, credits the covered part to
     /// the overlap log.
     void absorb(Request& r, detail::Message&& msg);
@@ -594,12 +587,6 @@ private:
 
     void deliver(int dest, Message msg);
     Message take(int self, int src, std::uint64_t ctx, int tag);
-    /// Nonblocking probe: pops the first (src, ctx, tag) match only if it
-    /// exists AND its avail_time has passed in the receiver's virtual time
-    /// `wall`.  A later-queued match never jumps an earlier one (FIFO per
-    /// channel).
-    [[nodiscard]] bool try_take(int self, int src, std::uint64_t ctx, int tag, double wall,
-                                Message& out);
     /// Enters the group's rendezvous with this rank's wall clock; returns
     /// the max over all members.
     double rendezvous_max(detail::GroupState& g, double wall);

@@ -6,14 +6,14 @@
 #include <numbers>
 
 #include "mesh/generators.hpp"
-#include "nektar/fourier_transpose.hpp"
+#include "transpose_oracle.hpp"
 
 namespace {
 
 using nektar::Discretization;
 using nektar::FourierNS;
 using nektar::FourierNsOptions;
-using nektar::FourierTranspose;
+using nektar::Transpose;
 
 netsim::NetworkModel test_net() {
     netsim::NetworkModel n;
@@ -25,14 +25,14 @@ netsim::NetworkModel test_net() {
 
 TEST(FourierTranspose, SerialRoundTrip) {
     const std::size_t nq = 17, npl = 6;
-    FourierTranspose tr(nullptr, nq, npl);
-    std::vector<double> planes(tr.planes_buffer_size());
-    for (std::size_t i = 0; i < planes.size(); ++i) planes[i] = static_cast<double>(i) * 0.25;
+    const Transpose tr(nullptr, nq, npl);
+    const auto planes = transpose_oracle::planes(tr, nq, 0);
     std::vector<double> lines(tr.lines_buffer_size());
     tr.to_lines(nullptr, planes, lines);
+    EXPECT_EQ(lines, transpose_oracle::lines(tr, nq, 0));
     std::vector<double> back(planes.size(), -1.0);
     tr.to_planes(nullptr, lines, back);
-    for (std::size_t i = 0; i < planes.size(); ++i) EXPECT_DOUBLE_EQ(back[i], planes[i]);
+    EXPECT_EQ(back, planes);
 }
 
 class TransposeRanks : public ::testing::TestWithParam<int> {};
@@ -42,27 +42,16 @@ TEST_P(TransposeRanks, ParallelRoundTripAndLayout) {
     const std::size_t nq = 23, npl = 4; // nq not divisible by p: exercises padding
     simmpi::World world(p, test_net());
     world.run([&](simmpi::Comm& c) {
-        FourierTranspose tr(&c, nq, npl);
-        std::vector<double> planes(tr.planes_buffer_size());
-        // Value encodes (global plane, point) uniquely.
-        for (std::size_t lp = 0; lp < npl; ++lp)
-            for (std::size_t i = 0; i < nq; ++i)
-                planes[lp * nq + i] =
-                    1000.0 * static_cast<double>(c.rank() * npl + lp) + static_cast<double>(i);
-        std::vector<double> lines(tr.lines_buffer_size());
-        tr.to_lines(&c, planes, lines);
-        const std::size_t tp = tr.total_planes();
-        for (std::size_t i = 0; i < tr.chunk(); ++i) {
-            const std::size_t gi = tr.global_point(i, c.rank());
-            for (std::size_t gp = 0; gp < tp; ++gp) {
-                const double expect =
-                    gi < nq ? 1000.0 * static_cast<double>(gp) + static_cast<double>(gi) : 0.0;
-                EXPECT_DOUBLE_EQ(lines[i * tp + gp], expect);
-            }
+        for (const auto kind : {nektar::TransposeKind::Slab, nektar::TransposeKind::Pencil}) {
+            const Transpose tr(&c, nq, npl, kind);
+            const auto planes = transpose_oracle::planes(tr, nq, c.rank());
+            std::vector<double> lines(tr.lines_buffer_size());
+            tr.to_lines(&c, planes, lines);
+            EXPECT_EQ(lines, transpose_oracle::lines(tr, nq, c.rank()));
+            std::vector<double> back(planes.size(), -1.0);
+            tr.to_planes(&c, lines, back);
+            EXPECT_EQ(back, planes);
         }
-        std::vector<double> back(planes.size(), -1.0);
-        tr.to_planes(&c, lines, back);
-        for (std::size_t i = 0; i < planes.size(); ++i) EXPECT_DOUBLE_EQ(back[i], planes[i]);
     });
 }
 

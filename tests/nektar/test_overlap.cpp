@@ -11,10 +11,10 @@
 
 #include "gs/gather_scatter.hpp"
 #include "mesh/generators.hpp"
-#include "nektar/fourier_transpose.hpp"
 #include "nektar/ns_ale.hpp"
 #include "nektar/ns_fourier.hpp"
 #include "partition/partition.hpp"
+#include "transpose_oracle.hpp"
 
 /// Property tests for the communication/computation overlap paths: every
 /// overlapped exchange must be *bit-identical* to its blocking twin — across
@@ -27,7 +27,7 @@ using nektar::AleOptions;
 using nektar::Discretization;
 using nektar::FourierNS;
 using nektar::FourierNsOptions;
-using nektar::FourierTranspose;
+using nektar::Transpose;
 
 netsim::NetworkModel make_net(std::uint64_t fault_seed) {
     netsim::NetworkModel n;
@@ -66,59 +66,58 @@ protected:
     [[nodiscard]] std::uint64_t seed() const { return std::get<2>(GetParam()); }
 };
 
+constexpr nektar::TransposeKind kKinds[] = {nektar::TransposeKind::Slab,
+                                            nektar::TransposeKind::Pencil};
+
+// A roundtrip with no output fields is the pipelined forward exchange:
+// compute(b, e) fires as each range of points lands.
 TEST_P(TransposeOverlap, ToLinesOverlappedIsBitIdentical) {
     const int p = nprocs();
     const std::size_t nq = 23, npl = 4; // nq not divisible by p: exercises padding
     simmpi::World world(p, make_net(seed()));
     world.run([&](simmpi::Comm& c) {
-        FourierTranspose tr(&c, nq, npl);
-        std::vector<double> planes(tr.planes_buffer_size());
-        for (std::size_t lp = 0; lp < npl; ++lp)
-            for (std::size_t i = 0; i < nq; ++i)
-                planes[lp * nq + i] =
-                    1000.0 * static_cast<double>(c.rank() * npl + lp) + static_cast<double>(i);
-        std::vector<double> blocking(tr.lines_buffer_size());
-        tr.to_lines(&c, planes, blocking);
-        std::vector<double> overlapped(tr.lines_buffer_size(), -1.0);
-        // on_ready ranges must partition [0, chunk) in ascending order.
-        std::size_t covered = 0;
-        tr.to_lines_overlapped(&c, planes, overlapped, nslices(),
-                               [&](std::size_t b, std::size_t e) {
-                                   ASSERT_EQ(b, covered);
-                                   ASSERT_GT(e, b);
-                                   covered = e;
-                               });
-        ASSERT_EQ(covered, tr.chunk());
-        for (std::size_t i = 0; i < blocking.size(); ++i)
-            ASSERT_EQ(overlapped[i], blocking[i]) << "p=" << p << " i=" << i;
+        for (const auto kind : kKinds) {
+            const Transpose tr(&c, nq, npl, kind);
+            const auto planes = transpose_oracle::planes(tr, nq, c.rank());
+            std::vector<double> overlapped(tr.lines_buffer_size(), -1.0);
+            // The ready ranges must partition [0, chunk) in ascending order.
+            std::size_t covered = 0;
+            tr.roundtrip_overlapped(&c, {planes}, {overlapped}, {}, {}, nslices(),
+                                    [&](std::size_t b, std::size_t e) {
+                                        ASSERT_EQ(b, covered);
+                                        ASSERT_GT(e, b);
+                                        covered = e;
+                                    });
+            ASSERT_EQ(covered, tr.chunk());
+            const auto expect = transpose_oracle::lines(tr, nq, c.rank());
+            for (std::size_t i = 0; i < expect.size(); ++i)
+                ASSERT_EQ(overlapped[i], expect[i]) << "p=" << p << " i=" << i;
+        }
     });
 }
 
+// A roundtrip with no input fields is the pipelined reverse exchange:
+// compute(b, e) produces each range of points right before it ships.
 TEST_P(TransposeOverlap, ToPlanesOverlappedIsBitIdentical) {
     const int p = nprocs();
     const std::size_t nq = 23, npl = 4;
     simmpi::World world(p, make_net(seed()));
     world.run([&](simmpi::Comm& c) {
-        FourierTranspose tr(&c, nq, npl);
-        const std::size_t tp = tr.total_planes();
-        std::vector<double> lines(tr.lines_buffer_size());
-        for (std::size_t i = 0; i < tr.chunk(); ++i)
-            for (std::size_t gp = 0; gp < tp; ++gp)
-                lines[i * tp + gp] = 17.0 * static_cast<double>(tr.global_point(i, c.rank())) +
-                                     static_cast<double>(gp);
-        std::vector<double> blocking(tr.planes_buffer_size(), -1.0);
-        tr.to_planes(&c, lines, blocking);
-        // The produce callback fills each slice of lines just before it ships.
-        std::vector<double> staged(lines.size(), 0.0);
-        std::vector<double> overlapped(tr.planes_buffer_size(), -2.0);
-        tr.to_planes_overlapped(&c, staged, overlapped, nslices(),
-                                [&](std::size_t b, std::size_t e) {
-                                    for (std::size_t i = b; i < e; ++i)
-                                        for (std::size_t gp = 0; gp < tp; ++gp)
-                                            staged[i * tp + gp] = lines[i * tp + gp];
-                                });
-        for (std::size_t i = 0; i < blocking.size(); ++i)
-            ASSERT_EQ(overlapped[i], blocking[i]) << "p=" << p << " i=" << i;
+        for (const auto kind : kKinds) {
+            const Transpose tr(&c, nq, npl, kind);
+            const std::size_t tp = tr.total_planes();
+            const auto lines = transpose_oracle::lines(tr, nq, c.rank());
+            std::vector<double> staged(lines.size(), 0.0);
+            std::vector<double> overlapped(tr.planes_buffer_size(), -2.0);
+            tr.roundtrip_overlapped(&c, {}, {}, {staged}, {overlapped}, nslices(),
+                                    [&](std::size_t b, std::size_t e) {
+                                        for (std::size_t j = b * tp; j < e * tp; ++j)
+                                            staged[j] = lines[j];
+                                    });
+            const auto expect = transpose_oracle::planes(tr, nq, c.rank());
+            for (std::size_t i = 0; i < expect.size(); ++i)
+                ASSERT_EQ(overlapped[i], expect[i]) << "p=" << p << " i=" << i;
+        }
     });
 }
 
@@ -128,52 +127,57 @@ TEST_P(TransposeOverlap, RoundtripOverlappedMatchesBlockingSequence) {
     const std::size_t nin = 2, nout = 3; // unequal field counts, like 3-in/6-out
     simmpi::World world(p, make_net(seed()));
     world.run([&](simmpi::Comm& c) {
-        FourierTranspose tr(&c, nq, npl);
-        const std::size_t tp = tr.total_planes();
-        std::vector<std::vector<double>> pin(nin), lin(nin), lout(nout), pout(nout);
-        std::vector<std::vector<double>> lin_ref(nin), lout_ref(nout), pout_ref(nout);
-        for (std::size_t f = 0; f < nin; ++f) {
-            pin[f].resize(tr.planes_buffer_size());
-            for (std::size_t j = 0; j < pin[f].size(); ++j)
-                pin[f][j] = std::sin(0.1 * static_cast<double>(j) + static_cast<double>(f) +
-                                     static_cast<double>(c.rank()));
-            lin[f].resize(tr.lines_buffer_size());
-            lin_ref[f].resize(tr.lines_buffer_size());
+        for (const auto kind : kKinds) {
+            const Transpose tr(&c, nq, npl, kind);
+            const std::size_t tp = tr.total_planes();
+            std::vector<std::vector<double>> pin(nin), lin(nin), lout(nout), pout(nout);
+            std::vector<std::vector<double>> lin_ref(nin), lout_ref(nout), pout_ref(nout);
+            for (std::size_t f = 0; f < nin; ++f) {
+                pin[f].resize(tr.planes_buffer_size());
+                for (std::size_t j = 0; j < pin[f].size(); ++j)
+                    pin[f][j] = std::sin(0.1 * static_cast<double>(j) +
+                                         static_cast<double>(f) + static_cast<double>(c.rank()));
+                lin[f].resize(tr.lines_buffer_size());
+                lin_ref[f].resize(tr.lines_buffer_size());
+            }
+            for (std::size_t f = 0; f < nout; ++f) {
+                lout[f].assign(tr.lines_buffer_size(), 0.0);
+                lout_ref[f].assign(tr.lines_buffer_size(), 0.0);
+                pout[f].assign(tr.planes_buffer_size(), -1.0);
+                pout_ref[f].assign(tr.planes_buffer_size(), -2.0);
+            }
+            // A pointwise "nonlinear" kernel mixing the input lines.
+            const auto kernel = [&](std::vector<std::vector<double>>& in,
+                                    std::vector<std::vector<double>>& out, std::size_t b,
+                                    std::size_t e) {
+                for (std::size_t i = b; i < e; ++i)
+                    for (std::size_t gp = 0; gp < tp; ++gp) {
+                        const double a = in[0][i * tp + gp], bb = in[1][i * tp + gp];
+                        out[0][i * tp + gp] = a * bb;
+                        out[1][i * tp + gp] = a + 2.0 * bb;
+                        out[2][i * tp + gp] = a * a - bb;
+                    }
+            };
+
+            // Blocking reference sequence.
+            for (std::size_t f = 0; f < nin; ++f) tr.to_lines(&c, pin[f], lin_ref[f]);
+            kernel(lin_ref, lout_ref, 0, tr.chunk());
+            for (std::size_t f = 0; f < nout; ++f) tr.to_planes(&c, lout_ref[f], pout_ref[f]);
+
+            std::vector<std::span<const double>> pin_s(pin.begin(), pin.end());
+            std::vector<std::span<double>> lin_s(lin.begin(), lin.end());
+            std::vector<std::span<const double>> lout_s(lout.begin(), lout.end());
+            std::vector<std::span<double>> pout_s(pout.begin(), pout.end());
+            tr.roundtrip_overlapped(&c, pin_s, lin_s, lout_s, pout_s, nslices(),
+                                    [&](std::size_t b, std::size_t e) {
+                                        kernel(lin, lout, b, e);
+                                    });
+
+            for (std::size_t f = 0; f < nout; ++f)
+                for (std::size_t j = 0; j < pout[f].size(); ++j)
+                    ASSERT_EQ(pout[f][j], pout_ref[f][j])
+                        << "p=" << p << " f=" << f << " j=" << j;
         }
-        for (std::size_t f = 0; f < nout; ++f) {
-            lout[f].assign(tr.lines_buffer_size(), 0.0);
-            lout_ref[f].assign(tr.lines_buffer_size(), 0.0);
-            pout[f].assign(tr.planes_buffer_size(), -1.0);
-            pout_ref[f].assign(tr.planes_buffer_size(), -2.0);
-        }
-        // A pointwise "nonlinear" kernel mixing the input lines.
-        const auto kernel = [&](std::vector<std::vector<double>>& in,
-                                std::vector<std::vector<double>>& out, std::size_t b,
-                                std::size_t e) {
-            for (std::size_t i = b; i < e; ++i)
-                for (std::size_t gp = 0; gp < tp; ++gp) {
-                    const double a = in[0][i * tp + gp], bb = in[1][i * tp + gp];
-                    out[0][i * tp + gp] = a * bb;
-                    out[1][i * tp + gp] = a + 2.0 * bb;
-                    out[2][i * tp + gp] = a * a - bb;
-                }
-        };
-
-        // Blocking reference sequence.
-        for (std::size_t f = 0; f < nin; ++f) tr.to_lines(&c, pin[f], lin_ref[f]);
-        kernel(lin_ref, lout_ref, 0, tr.chunk());
-        for (std::size_t f = 0; f < nout; ++f) tr.to_planes(&c, lout_ref[f], pout_ref[f]);
-
-        std::vector<std::span<const double>> pin_s(pin.begin(), pin.end());
-        std::vector<std::span<double>> lin_s(lin.begin(), lin.end());
-        std::vector<std::span<const double>> lout_s(lout.begin(), lout.end());
-        std::vector<std::span<double>> pout_s(pout.begin(), pout.end());
-        tr.roundtrip_overlapped(&c, pin_s, lin_s, lout_s, pout_s, nslices(),
-                                [&](std::size_t b, std::size_t e) { kernel(lin, lout, b, e); });
-
-        for (std::size_t f = 0; f < nout; ++f)
-            for (std::size_t j = 0; j < pout[f].size(); ++j)
-                ASSERT_EQ(pout[f][j], pout_ref[f][j]) << "p=" << p << " f=" << f << " j=" << j;
     });
 }
 
@@ -197,8 +201,7 @@ TEST(TransposeOverlap, PipelineRecoversWallTimeWhenComputeCoversComm) {
     const std::size_t nq = 64, npl = 8, nslices = 8;
     simmpi::World world(p, make_net(0));
     const auto reports = world.run([&](simmpi::Comm& c) {
-        FourierTranspose tr(&c, nq, npl);
-        const std::size_t tp = tr.total_planes();
+        const Transpose tr(&c, nq, npl);
         const double per_point = 1e-4; // virtual seconds of compute per point
         std::vector<double> planes(tr.planes_buffer_size(), 1.0);
         std::vector<double> lines(tr.lines_buffer_size());
@@ -218,7 +221,6 @@ TEST(TransposeOverlap, PipelineRecoversWallTimeWhenComputeCoversComm) {
         tr.roundtrip_overlapped(&c, pin, lin, lout, pout, nslices,
                                 [&](std::size_t b, std::size_t e) {
                                     c.advance_compute(static_cast<double>(e - b) * per_point);
-                                    (void)tp;
                                 });
         const double overlapped = c.wall_time() - w1;
 

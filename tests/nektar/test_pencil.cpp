@@ -1,23 +1,25 @@
-#include "nektar/pencil_transpose.hpp"
+#include "nektar/transpose.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
 
 #include "mesh/generators.hpp"
-#include "nektar/fourier_transpose.hpp"
 #include "nektar/ns_fourier.hpp"
+#include "transpose_oracle.hpp"
 
-/// The 2-D pencil transpose: bit-identity with the 1-D slab (the golden
-/// reference) at every rank count, the overlapped pipeline, the cost-model
-/// crossover that motivates it, and checkpoint/restart of a pencil solver
-/// under seeded faults.
+/// The distributed transpose, both kinds: the slab (P x 1 grid, one world
+/// alltoall) and the 2-D pencil (two staged subcommunicator alltoalls).
+/// Every kind must deliver the closed-form oracle's buffers at every rank
+/// count; the slab must price as the paper's single P-wide exchange; and a
+/// pencil solver must checkpoint/restart bit-identically under seeded faults.
 namespace {
 
-using nektar::FourierTranspose;
-using nektar::PencilTranspose;
+using nektar::Transpose;
+using nektar::TransposeKind;
 
 netsim::NetworkModel test_net(std::uint64_t fault_seed = 0) {
     netsim::NetworkModel n;
@@ -33,20 +35,31 @@ netsim::NetworkModel test_net(std::uint64_t fault_seed = 0) {
     return n;
 }
 
+constexpr TransposeKind kKinds[] = {TransposeKind::Slab, TransposeKind::Pencil};
+
 TEST(PencilTranspose, SerialRoundTrip) {
     const std::size_t nq = 17, npl = 6;
-    PencilTranspose tr(nullptr, nq, npl);
+    Transpose tr(nullptr, nq, npl, TransposeKind::Pencil);
     EXPECT_FALSE(tr.has_state());
-    std::vector<double> planes(tr.planes_buffer_size());
-    for (std::size_t i = 0; i < planes.size(); ++i) planes[i] = static_cast<double>(i) * 0.25;
+    const std::vector<double> planes = transpose_oracle::planes(tr, nq, 0);
     std::vector<double> lines(tr.lines_buffer_size());
     tr.to_lines(nullptr, planes, lines);
+    EXPECT_EQ(lines, transpose_oracle::lines(tr, nq, 0));
     std::vector<double> back(planes.size(), -1.0);
     tr.to_planes(nullptr, lines, back);
-    for (std::size_t i = 0; i < planes.size(); ++i) EXPECT_DOUBLE_EQ(back[i], planes[i]);
+    EXPECT_EQ(back, planes);
 }
 
 TEST(PencilTranspose, GridShapeIsMostSquareByDefault) {
+    // The one grid-shape rule (the lab's pricing model uses it too): the
+    // largest divisor of P that is <= sqrt(P).
+    for (std::size_t p = 1; p <= 4096; ++p) {
+        const std::size_t rows = nektar::most_square_rows(p);
+        ASSERT_EQ(p % rows, 0u) << "p=" << p;
+        ASSERT_LE(rows * rows, p) << "p=" << p;
+        for (std::size_t d = rows + 1; d * d <= p; ++d)
+            ASSERT_NE(p % d, 0u) << "p=" << p << " has a squarer divisor " << d;
+    }
     struct Case {
         int p;
         std::size_t rows;
@@ -55,7 +68,7 @@ TEST(PencilTranspose, GridShapeIsMostSquareByDefault) {
                                  Case{2, 1}, Case{7, 1}}) {
         simmpi::World world(p, test_net());
         world.run([&, rows = rows](simmpi::Comm& c) {
-            PencilTranspose tr(&c, 23, 2);
+            Transpose tr(&c, 23, 2, TransposeKind::Pencil);
             EXPECT_EQ(tr.grid_rows(), rows) << "p=" << tr.num_ranks();
             EXPECT_EQ(tr.grid_rows() * tr.grid_cols(), tr.num_ranks());
         });
@@ -64,52 +77,121 @@ TEST(PencilTranspose, GridShapeIsMostSquareByDefault) {
 
 TEST(PencilTranspose, RowsMustDivideTheRankCount) {
     simmpi::World world(6, test_net());
-    EXPECT_THROW(world.run([](simmpi::Comm& c) { PencilTranspose tr(&c, 23, 2, 4); }),
+    EXPECT_THROW(world.run([](simmpi::Comm& c) {
+        Transpose tr(&c, 23, 2, TransposeKind::Pencil, 4);
+    }),
                  std::invalid_argument);
+}
+
+/// Runs `body(comm)` on `p` ranks; p = 1 is the serial case (null comm).
+template <class Body>
+void on_ranks(int p, Body&& body) {
+    if (p == 1) {
+        body(nullptr);
+        return;
+    }
+    simmpi::World world(p, test_net());
+    world.run([&](simmpi::Comm& c) { body(&c); });
 }
 
 class PencilRanks : public ::testing::TestWithParam<int> {};
 
-/// The pencil must produce byte-identical planes/lines buffers to the slab —
-/// same point and plane ownership, same padding zeros — at every rank count,
-/// including prime counts that degenerate to a 1 x P grid.
+/// Both kinds deliver the closed-form oracle's lines — same point and plane
+/// ownership, same padding zeros — blocking and through
+/// roundtrip_overlapped, at every rank count including primes (a 1 x P
+/// pencil grid).  So the pencil matches the slab bit for bit.
 TEST_P(PencilRanks, MatchesSlabBitForBit) {
     const int p = GetParam();
-    const std::size_t nq = 23, npl = 4; // nq not divisible by p: exercises padding
-    simmpi::World world(p, test_net());
-    world.run([&](simmpi::Comm& c) {
-        FourierTranspose slab(&c, nq, npl);
-        PencilTranspose pencil(&c, nq, npl);
-        ASSERT_EQ(pencil.chunk(), slab.chunk());
-        ASSERT_EQ(pencil.total_planes(), slab.total_planes());
-        EXPECT_TRUE(pencil.has_state());
+    const std::size_t nq = 23, npl = 4, nslices = 3; // nq % p != 0: exercises padding
+    on_ranks(p, [&](simmpi::Comm* c) {
+        const int rank = c ? c->rank() : 0;
+        for (const TransposeKind kind : kKinds) {
+            const Transpose tr(c, nq, npl, kind);
+            const auto planes = transpose_oracle::planes(tr, nq, rank);
+            const auto expect = transpose_oracle::lines(tr, nq, rank);
+            EXPECT_EQ(tr.has_state(), kind == TransposeKind::Pencil && p > 1);
 
-        std::vector<double> planes(slab.planes_buffer_size());
-        for (std::size_t lp = 0; lp < npl; ++lp)
-            for (std::size_t i = 0; i < nq; ++i)
-                planes[lp * nq + i] =
-                    1000.0 * static_cast<double>(c.rank() * npl + lp) + static_cast<double>(i);
+            std::vector<double> lines(tr.lines_buffer_size(), -1.0);
+            tr.to_lines(c, planes, lines);
+            EXPECT_EQ(lines, expect) << "blocking, p=" << p;
+            std::vector<double> back(planes.size(), -1.0);
+            tr.to_planes(c, lines, back);
+            EXPECT_EQ(back, planes) << "blocking, p=" << p;
 
-        std::vector<double> slab_lines(slab.lines_buffer_size());
-        std::vector<double> pencil_lines(pencil.lines_buffer_size(), -1.0);
-        slab.to_lines(&c, planes, slab_lines);
-        pencil.to_lines(&c, planes, pencil_lines);
-        EXPECT_EQ(pencil_lines, slab_lines);
-
-        std::vector<double> back(planes.size(), -1.0);
-        pencil.to_planes(&c, pencil_lines, back);
-        EXPECT_EQ(back, planes);
+            // The roundtrip doubles every line; doubling is exact.
+            std::vector<double> rlines(tr.lines_buffer_size(), -1.0);
+            std::vector<double> out(tr.lines_buffer_size(), -1.0);
+            std::vector<double> rback(planes.size(), -1.0);
+            tr.roundtrip_overlapped(c, {planes}, {rlines}, {out}, {rback}, nslices,
+                                    [&](std::size_t b, std::size_t e) {
+                                        const std::size_t tp = tr.total_planes();
+                                        for (std::size_t j = b * tp; j < e * tp; ++j)
+                                            out[j] = 2.0 * rlines[j];
+                                    });
+            EXPECT_EQ(rlines, expect) << "overlapped, p=" << p;
+            for (std::size_t j = 0; j < planes.size(); ++j)
+                ASSERT_EQ(rback[j], 2.0 * planes[j]) << "overlapped, p=" << p << " j=" << j;
+        }
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(Ranks, PencilRanks, ::testing::Values(2, 3, 4, 6, 8, 12, 16));
+INSTANTIATE_TEST_SUITE_P(Ranks, PencilRanks, ::testing::Values(1, 2, 3, 4, 6, 7, 8, 12, 16));
+
+/// The slab is the P x 1 grid on the world communicator: no split(), no
+/// checkpoint state, and one group-0 Alltoall per blocking direction — the
+/// events price_log re-prices across P.  The pencil splits and logs
+/// subcommunicator-sized events instead.
+TEST(SlabTranspose, CallsNoSplitAndLogsOnlyWorldAlltoalls) {
+    const int p = 6;
+    const std::size_t nq = 23, npl = 2;
+    simmpi::World world(p, test_net());
+    world.run([&](simmpi::Comm& c) {
+        const Transpose slab(&c, nq, npl, TransposeKind::Slab);
+        EXPECT_EQ(slab.grid_rows(), static_cast<std::size_t>(p));
+        EXPECT_EQ(slab.grid_cols(), 1u);
+        EXPECT_FALSE(slab.has_state());
+        EXPECT_TRUE(c.log().empty()) << "the slab constructor communicated";
+
+        const auto planes = transpose_oracle::planes(slab, nq, c.rank());
+        std::vector<double> lines(slab.lines_buffer_size()), back(planes.size());
+        const simmpi::CommEventKey world_alltoall{simmpi::CommKind::Alltoall,
+                                                  npl * slab.chunk() * sizeof(double)};
+        slab.to_lines(&c, planes, lines);
+        ASSERT_EQ(c.log().size(), 1u);
+        ASSERT_EQ(c.log().at(-1).size(), 1u);
+        EXPECT_EQ(c.log().at(-1).at(world_alltoall), 1u);
+        slab.to_planes(&c, lines, back);
+        EXPECT_EQ(c.log().at(-1).size(), 1u);
+        EXPECT_EQ(c.log().at(-1).at(world_alltoall), 2u);
+
+        slab.roundtrip_overlapped(&c, {planes}, {lines}, {lines}, {back}, 2,
+                                  [](std::size_t, std::size_t) {});
+        for (const auto& [key, n] : c.log().at(-1)) {
+            EXPECT_EQ(key.kind, simmpi::CommKind::Alltoall);
+            EXPECT_EQ(key.group, 0u);
+            EXPECT_EQ(key.groups, 1u);
+        }
+
+        const Transpose pencil(&c, nq, npl, TransposeKind::Pencil);
+        EXPECT_TRUE(pencil.has_state());
+        bool split = false;
+        for (const auto& [key, n] : c.log().at(-1)) split |= key.kind == simmpi::CommKind::Split;
+        EXPECT_TRUE(split) << "the pencil derives its grid through split()";
+    });
+}
 
 TEST(PencilTranspose, OverlappedModesMatchBlockingBitForBit) {
+    // One-way pipelines are roundtrips with no fields the other way: with
+    // no outputs the exchange is a pipelined to_lines whose compute(b, e)
+    // fires as each range of points lands; with no inputs it is a pipelined
+    // to_planes whose compute(b, e) produces each range right before it
+    // ships.  Both must match the blocking calls.
     const int p = 6;
     const std::size_t nq = 29, npl = 4, nslices = 3;
     simmpi::World world(p, test_net());
     world.run([&](simmpi::Comm& c) {
-        PencilTranspose tr(&c, nq, npl);
+        const Transpose tr(&c, nq, npl, TransposeKind::Pencil);
+        const std::size_t tp = tr.total_planes();
         std::vector<double> planes(tr.planes_buffer_size());
         for (std::size_t i = 0; i < planes.size(); ++i)
             planes[i] = std::sin(0.37 * static_cast<double>(i) + c.rank());
@@ -119,13 +201,22 @@ TEST(PencilTranspose, OverlappedModesMatchBlockingBitForBit) {
 
         std::vector<double> overlapped(tr.lines_buffer_size(), -1.0);
         std::size_t covered = 0;
-        tr.to_lines_overlapped(&c, planes, overlapped, nslices,
-                               [&](std::size_t b, std::size_t e) { covered += e - b; });
+        tr.roundtrip_overlapped(&c, {planes}, {overlapped}, {}, {}, nslices,
+                                [&](std::size_t b, std::size_t e) {
+                                    EXPECT_EQ(b, covered);
+                                    covered = e;
+                                });
         EXPECT_EQ(covered, tr.chunk());
         EXPECT_EQ(overlapped, blocking);
 
+        std::vector<double> staged(blocking.size(), 0.0);
         std::vector<double> back(planes.size(), -1.0);
-        tr.to_planes_overlapped(&c, overlapped, back, nslices);
+        tr.roundtrip_overlapped(&c, {}, {}, {staged}, {back}, nslices,
+                                [&](std::size_t b, std::size_t e) {
+                                    std::copy(blocking.begin() + static_cast<long>(b * tp),
+                                              blocking.begin() + static_cast<long>(e * tp),
+                                              staged.begin() + static_cast<long>(b * tp));
+                                });
         EXPECT_EQ(back, planes);
     });
 }
@@ -135,7 +226,7 @@ TEST(PencilTranspose, RoundtripOverlappedMatchesBlockingSequence) {
     const std::size_t nq = 18, npl = 2, nslices = 2;
     simmpi::World world(p, test_net());
     world.run([&](simmpi::Comm& c) {
-        PencilTranspose tr(&c, nq, npl);
+        const Transpose tr(&c, nq, npl, TransposeKind::Pencil);
         const std::size_t tp = tr.total_planes();
         std::vector<double> pin(tr.planes_buffer_size());
         for (std::size_t i = 0; i < pin.size(); ++i)
@@ -180,9 +271,7 @@ TEST(PencilTranspose, CostModelCrossesOverAtScale) {
         return fast->alltoall_seconds(p, block * sizeof(double));
     };
     const auto pencil_seconds = [&](int p) {
-        int rows = 1;
-        for (int r = 1; r * r <= p; ++r)
-            if (p % r == 0) rows = r;
+        const int rows = static_cast<int>(nektar::most_square_rows(static_cast<std::size_t>(p)));
         const int cols = p / rows;
         const std::size_t chunk = (nq + p - 1) / p;
         const std::size_t npl = tp / static_cast<std::size_t>(p);
@@ -315,6 +404,8 @@ TEST(FourierNsPencil, SlabCheckpointIsRefusedByAPencilSolver) {
             slab_ck[static_cast<std::size_t>(c.rank())] = ns.checkpoint().serialize();
         });
     }
+    // The slab has no subcommunicators, so it writes no transpose section.
+    EXPECT_FALSE(ckpt::Checkpoint::deserialize(slab_ck[0]).has("transpose"));
     simmpi::World world(nranks, test_net());
     EXPECT_THROW(world.run([&](simmpi::Comm& c) {
         nektar::FourierNS ns(disc, fourier_opts(nektar::TransposeKind::Pencil), &c);
