@@ -7,6 +7,15 @@
 
 namespace la {
 
+const char* to_string(CgStatus s) noexcept {
+    switch (s) {
+    case CgStatus::Converged: return "converged";
+    case CgStatus::MaxIterations: return "max-iterations";
+    case CgStatus::Breakdown: return "breakdown";
+    }
+    return "unknown";
+}
+
 CgResult pcg(const ApplyFn& apply, std::span<const double> inv_diag, std::span<const double> b,
              std::span<double> x, const CgOptions& opts, const DotFn& dot_in) {
     const std::size_t n = b.size();
@@ -26,21 +35,24 @@ CgResult pcg(const ApplyFn& apply, std::span<const double> inv_diag, std::span<c
     CgResult res;
     res.residual_norm = std::sqrt(std::max(0.0, dot(r, r)));
     if (res.residual_norm <= opts.tolerance) {
-        res.converged = true;
+        res.status = CgStatus::Converged;
         return res;
     }
 
     for (std::size_t it = 0; it < opts.max_iterations; ++it) {
         apply(p, std::span<double>(ap));
         const double pap = dot(p, ap);
-        if (pap <= 0.0) break; // lost positive definiteness (or exact solve)
+        if (pap <= 0.0) { // lost positive definiteness
+            res.status = CgStatus::Breakdown;
+            return res;
+        }
         const double alpha = rz / pap;
         blaslite::daxpy(alpha, p, x);
         blaslite::daxpy(-alpha, ap, r);
         res.iterations = it + 1;
         res.residual_norm = std::sqrt(std::max(0.0, dot(r, r)));
         if (res.residual_norm <= opts.tolerance) {
-            res.converged = true;
+            res.status = CgStatus::Converged;
             return res;
         }
         blaslite::dvmul(r, inv_diag, z);

@@ -15,11 +15,22 @@
 /// runtime with gather-scatter assembly.
 namespace la {
 
+/// How a CG solve ended.
+enum class CgStatus {
+    Converged,     ///< ||r||_2 reached the tolerance
+    MaxIterations, ///< the iteration budget ran out first
+    Breakdown,     ///< p^T A p <= 0: the operator is not positive definite
+};
+
 struct CgResult {
     std::size_t iterations = 0;    ///< iterations actually performed
     double residual_norm = 0.0;    ///< final ||r||_2
-    bool converged = false;
+    CgStatus status = CgStatus::MaxIterations;
+    [[nodiscard]] bool converged() const noexcept { return status == CgStatus::Converged; }
 };
+
+/// "converged", "max-iterations" or "breakdown" (error messages).
+[[nodiscard]] const char* to_string(CgStatus s) noexcept;
 
 struct CgOptions {
     std::size_t max_iterations = 1000;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "blaslite/blas.hpp"
 
@@ -121,6 +122,24 @@ void cholesky_solve(const DenseMatrix& l, std::span<double> b) {
         for (std::size_t j = ii + 1; j < n; ++j) s -= l(j, ii) * b[j];
         b[ii] = s / l(ii, ii);
     }
+}
+
+bool spd_inverse(DenseMatrix& a) {
+    const std::size_t n = a.rows();
+    if (!cholesky_factor(a)) return false;
+    DenseMatrix inv(n, n);
+    std::vector<double> col(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        std::fill(col.begin(), col.end(), 0.0);
+        col[j] = 1.0;
+        cholesky_solve(a, col);
+        for (std::size_t i = 0; i < n; ++i) inv(i, j) = col[i];
+    }
+    const std::uint64_t n3 = static_cast<std::uint64_t>(n) * n * n;
+    blaslite::detail::charge(n3 / 3 + 2 * n3, (n * n / 2 + n * n) * sizeof(double),
+                             n * n * sizeof(double));
+    a = std::move(inv);
+    return true;
 }
 
 void cholesky_solve_cols(const DenseMatrix& l, double* b, std::size_t ld, std::size_t nrhs) {

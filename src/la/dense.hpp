@@ -73,6 +73,12 @@ bool cholesky_factor(DenseMatrix& a);
 /// Solves L L^T x = b after cholesky_factor; b is overwritten with x.
 void cholesky_solve(const DenseMatrix& l, std::span<double> b);
 
+/// Replaces an SPD matrix by its inverse: cholesky_factor, then
+/// cholesky_solve on every identity column.  Returns false, with `a`
+/// unspecified, if it is not SPD.  Charges the blaslite counters n^3/3
+/// flops for the factor and 2 n^2 per column solve.
+bool spd_inverse(DenseMatrix& a);
+
 /// Solves L L^T X = B for `nrhs` right-hand sides stored as column-major
 /// columns of B (column c starts at b + c*ld, length l.rows()); every column
 /// is overwritten with its solution.  Each column is solved with exactly the

@@ -157,16 +157,16 @@ void helmholtz_apply(const Discretization& disc,
             panel = std::max(panel, g.exp->num_modes() * (g.contiguous ? run.count : 1));
     parallel::Scratch xs(panel), ys(panel);
     const bool masked = !mask.empty();
-    const auto gather = [&](std::size_t e, double* xe) {
+    const auto gather = [&](std::size_t e, double* xe, std::size_t nm) {
         const std::vector<LocalDof>& map = dm.element_map(e);
-        for (std::size_t i = 0; i < map.size(); ++i) {
+        for (std::size_t i = 0; i < nm; ++i) {
             const auto gi = static_cast<std::size_t>(map[i].global);
             xe[i] = map[i].sign * (masked && mask[gi] ? 0.0 : x[gi]);
         }
     };
-    const auto scatter_add = [&](std::size_t e, const double* ye) {
+    const auto scatter_add = [&](std::size_t e, const double* ye, std::size_t nm) {
         const std::vector<LocalDof>& map = dm.element_map(e);
-        for (std::size_t i = 0; i < map.size(); ++i)
+        for (std::size_t i = 0; i < nm; ++i)
             y[static_cast<std::size_t>(map[i].global)] += map[i].sign * ye[i];
     };
 
@@ -194,24 +194,27 @@ void helmholtz_apply(const Discretization& disc,
         const ElemGroup& g = groups[gi];
         Cursor& c = at[gi];
         const ElemGroup::MatrixRun& run = g.runs[c.run];
-        const std::size_t nm = g.exp->num_modes();
-        const double* stiff = stiff_of(*run.mats).data();
+        const la::DenseMatrix& op = stiff_of(*run.mats);
+        const std::size_t nm = op.rows();
+        assert(nm <= g.exp->num_modes() && (lambda == 0.0 || nm == g.exp->num_modes()));
+        const double* stiff = op.data();
         const double* mass = run.mats->mass.data();
         if (g.contiguous) {
-            for (std::size_t j = 0; j < run.count; ++j) gather(e0 + j, xs.data() + j * nm);
+            for (std::size_t j = 0; j < run.count; ++j) gather(e0 + j, xs.data() + j * nm, nm);
             blaslite::dgemm_cm(1.0, stiff, nm, xs.data(), nm, 0.0, ys.data(), nm, nm,
                                run.count, nm);
             if (lambda != 0.0)
                 blaslite::dgemm_cm(lambda, mass, nm, xs.data(), nm, 1.0, ys.data(), nm, nm,
                                    run.count, nm);
-            for (std::size_t j = 0; j < run.count; ++j) scatter_add(e0 + j, ys.data() + j * nm);
+            for (std::size_t j = 0; j < run.count; ++j)
+                scatter_add(e0 + j, ys.data() + j * nm, nm);
             ++c.run;
         } else {
-            gather(e0, xs.data());
+            gather(e0, xs.data(), nm);
             blaslite::dgemv(1.0, stiff, nm, nm, nm, xs.data(), 0.0, ys.data());
             if (lambda != 0.0)
                 blaslite::dgemv(lambda, mass, nm, nm, nm, xs.data(), 1.0, ys.data());
-            scatter_add(e0, ys.data());
+            scatter_add(e0, ys.data(), nm);
             if (++c.j == run.count) {
                 c.j = 0;
                 ++c.run;
@@ -294,7 +297,7 @@ std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
     std::vector<double> dx(n, 0.0);
     const la::CgResult res = la::pcg(masked_apply, inv_diag_, rhs, dx, opts_);
     last_iters_ = res.iterations;
-    if (!res.converged && res.residual_norm > 1e-6)
+    if (!res.converged() && res.residual_norm > 1e-6)
         throw std::runtime_error("HelmholtzPCG: CG failed to converge");
     blaslite::daxpy(1.0, dx, x);
 

@@ -100,6 +100,11 @@ private:
 /// Dirichlet-constrained CG.  Bitwise equal, in results and in charged
 /// operations, to the scatter / per-run product / gather_add sequence over
 /// a zero-masked copy of x.
+///
+/// An S with fewer rows than the expansion has modes acts on each
+/// element's leading S.rows() modes only (lambda must then be 0): the
+/// boundary Schur complements of the condensed ALE velocity solve, whose
+/// x and y hold just the leading (vertex and edge) global dofs.
 void helmholtz_apply(const Discretization& disc,
                      const std::function<const la::DenseMatrix&(const ElemMatrices&)>& stiff_of,
                      double lambda, std::span<const double> x, std::span<double> y,

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "blaslite/blas.hpp"
 
@@ -161,6 +162,7 @@ void AleNS2d::rebuild_discretization() {
     // built with backend_ resolves Auto call sites to it.
     disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false,
                                              backend_);
+    condensed_.reset();
 }
 
 std::uint64_t AleNS2d::options_fingerprint() const {
@@ -262,8 +264,19 @@ std::vector<double> AleNS2d::dirichlet_x(const HelmholtzBC& bc,
     return x;
 }
 
-std::size_t AleNS2d::pcg_solve(double lambda, const std::vector<char>& dirichlet,
-                               std::span<const double> rhs, std::span<double> x) const {
+void AleNS2d::check(AleSolve which, const la::CgResult& res) const {
+    last_iters_[static_cast<std::size_t>(which)] = res.iterations;
+    if (res.converged()) return;
+    static constexpr std::array<const char*, 4> kName = {"mesh", "pressure", "u", "v"};
+    throw std::runtime_error(
+        std::string("AleNS2d: ") + kName[static_cast<std::size_t>(which)] +
+        " PCG solve of step " + std::to_string(steps_taken()) + " stopped (" +
+        la::to_string(res.status) + ") after " + std::to_string(res.iterations) +
+        " iterations at residual " + std::to_string(res.residual_norm));
+}
+
+void AleNS2d::pcg_solve(AleSolve which, double lambda, const std::vector<char>& dirichlet,
+                        std::span<const double> rhs, std::span<double> x) const {
     const std::size_t n = x.size();
     // Assembled diagonal for the Jacobi preconditioner.
     std::vector<double> diag(n, 0.0);
@@ -298,11 +311,110 @@ std::size_t AleNS2d::pcg_solve(double lambda, const std::vector<char>& dirichlet
         return global_dot(a, b);
     };
     std::vector<double> dx(n, 0.0);
-    const la::CgResult res = la::pcg(masked_apply, inv_diag, r, dx, opts_.cg, dot);
-    if (!res.converged && res.residual_norm > 1e-5)
-        throw std::runtime_error("AleNS2d: PCG failed to converge");
+    check(which, la::pcg(masked_apply, inv_diag, r, dx, opts_.cg, dot));
     blaslite::daxpy(1.0, dx, x);
-    return res.iterations;
+}
+
+const AleNS2d::CondensedVelocity& AleNS2d::condensed(double lambda) const {
+    if (condensed_ && condensed_->lambda == lambda) return *condensed_;
+    CondensedVelocity cv;
+    cv.lambda = lambda;
+    cv.nb = local_mesh_->num_vertices() + local_mesh_->num_edges() * (order_ - 1);
+    std::vector<double> diag(cv.nb, 0.0);
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const ElemMatrices* mats = disc_->ops(e).matrix_identity();
+        const std::size_t nbe = disc_->ops(e).expansion().num_boundary_modes();
+        auto it = cv.blocks.find(mats);
+        if (it == cv.blocks.end()) it = cv.blocks.emplace(mats, condense(*mats, lambda, nbe)).first;
+        const la::DenseMatrix& s = it->second.schur;
+        const auto& map = disc_->dofmap().element_map(e);
+        for (std::size_t i = 0; i < s.rows(); ++i) {
+            assert(static_cast<std::size_t>(map[i].global) < cv.nb);
+            diag[static_cast<std::size_t>(map[i].global)] += s(i, i);
+        }
+    }
+    gs_assemble(diag);
+    cv.inv_diag.resize(cv.nb);
+    for (std::size_t i = 0; i < cv.nb; ++i)
+        cv.inv_diag[i] = vel_dirichlet_[i] ? 1.0 : 1.0 / diag[i];
+    condensed_ = std::move(cv);
+    return *condensed_;
+}
+
+void AleNS2d::condensed_solve(AleSolve which, double lambda, std::span<const double> rhs,
+                              std::span<double> x) const {
+    const CondensedVelocity& cv = condensed(lambda);
+    const std::size_t nb = cv.nb;
+    const std::function<const la::DenseMatrix&(const ElemMatrices&)> schur_of =
+        [&cv](const ElemMatrices& m) -> const la::DenseMatrix& { return cv.blocks.at(&m).schur; };
+    const std::function<void(std::span<double>)> assemble = [this](std::span<double> y) {
+        gs_assemble(y);
+    };
+    // The non-renumbered dof map puts an element's interiors after every
+    // vertex and edge dof, consecutively in mode order.
+    const auto interior_begin = [&](std::size_t e, std::size_t nbe) {
+        return static_cast<std::size_t>(disc_->dofmap().element_map(e)[nbe].global);
+    };
+
+    // Condensed residual r_b = f_b - sum_e K^T f_i - S x0 (H_bi H_ii^-1 is
+    // K^T; x0 is the Dirichlet data, zero on the interiors), and x_i keeps
+    // w = H_ii^-1 f_i for the back-solve.
+    std::vector<double> y(nb), cb;
+    helmholtz_apply(*disc_, schur_of, 0.0, x.first(nb), y);
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const SchurBlocks& sb = cv.blocks.at(disc_->ops(e).matrix_identity());
+        const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
+        if (ni == 0) continue;
+        const auto& map = disc_->dofmap().element_map(e);
+        const std::size_t i0 = interior_begin(e, nbe);
+        blaslite::dgemv(1.0, sb.hii_inv.data(), ni, ni, ni, rhs.data() + i0, 0.0, x.data() + i0);
+        cb.resize(nbe);
+        blaslite::dgemv_t(1.0, sb.k.data(), nbe, ni, nbe, rhs.data() + i0, 0.0, cb.data());
+        for (std::size_t i = 0; i < nbe; ++i)
+            y[static_cast<std::size_t>(map[i].global)] += map[i].sign * cb[i];
+    }
+    gs_assemble(y);
+    std::vector<double> r(nb);
+    for (std::size_t i = 0; i < nb; ++i) r[i] = vel_dirichlet_[i] ? 0.0 : rhs[i] - y[i];
+
+    // With the interiors eliminated exactly, the Schur residual is the full
+    // system's boundary residual: the tolerance keeps its meaning.
+    const std::span<const char> mask(vel_dirichlet_.data(), nb);
+    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
+        helmholtz_apply(*disc_, schur_of, 0.0, in, out, mask, assemble);
+    };
+    const auto dot = [&](std::span<const double> a, std::span<const double> b) {
+        return global_dot(a, b);
+    };
+    std::vector<double> dx(nb, 0.0);
+    check(which, la::pcg(masked_apply, cv.inv_diag, r, dx, opts_.cg, dot));
+    blaslite::daxpy(1.0, dx, x.first(nb));
+
+    // Interior back-solve: x_i = w - K x_b, element by element.
+    std::vector<double> ub;
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const SchurBlocks& sb = cv.blocks.at(disc_->ops(e).matrix_identity());
+        const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
+        if (ni == 0) continue;
+        const auto& map = disc_->dofmap().element_map(e);
+        ub.resize(nbe);
+        for (std::size_t i = 0; i < nbe; ++i)
+            ub[i] = map[i].sign * x[static_cast<std::size_t>(map[i].global)];
+        blaslite::dgemv(-1.0, sb.k.data(), nbe, ni, nbe, ub.data(), 1.0,
+                        x.data() + interior_begin(e, nbe));
+    }
+}
+
+std::vector<double> AleNS2d::velocity_helmholtz(double lambda, std::span<const double> f_quad,
+                                                const std::function<double(double, double)>& g,
+                                                Path path) const {
+    const std::vector<double> rhs = weak_rhs(f_quad);
+    std::vector<double> x = dirichlet_x(opts_.velocity_bc, g);
+    if (path == Path::Condensed)
+        condensed_solve(AleSolve::U, lambda, rhs, x);
+    else
+        pcg_solve(AleSolve::U, lambda, vel_dirichlet_, rhs, x);
+    return x;
 }
 
 void AleNS2d::load_state(const std::function<double(double, double)>& u0,
@@ -355,7 +467,7 @@ void AleNS2d::begin_step(const StepContext& ctx) {
             [&](double, double) { return vb; });
         for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
         std::vector<double> zero_rhs(disc_->dofmap().num_global(), 0.0);
-        pcg_solve(0.0, mesh_dirichlet_, zero_rhs, x);
+        pcg_solve(AleSolve::Mesh, 0.0, mesh_dirichlet_, zero_rhs, x);
         wglob = std::move(x);
     }
 
@@ -428,7 +540,7 @@ void AleNS2d::stage_pressure_rhs(const StepContext& ctx,
 void AleNS2d::stage_pressure_solve(const StepContext&) {
     std::vector<double> pglob(disc_->dofmap().num_global(), 0.0);
     if (comm_) comm_->set_stage(5);
-    last_p_iters_ = pcg_solve(0.0, p_dirichlet_, prhs_, pglob);
+    pcg_solve(AleSolve::Pressure, 0.0, p_dirichlet_, prhs_, pglob);
     if (comm_) comm_->set_stage(-1);
     disc_->scatter(pglob, p_modal_);
 }
@@ -454,8 +566,9 @@ void AleNS2d::stage_viscous_rhs(const StepContext& ctx,
     vrhs_ = weak_rhs(vhat);
 }
 
-// Stage 7: velocity PCG solves with lambda from the step's *effective*
-// gamma0, so the implicit operator matches the explicit weights.
+// Stage 7: condensed velocity PCG solves with lambda from the step's
+// *effective* gamma0, so the implicit operator matches the explicit
+// weights.  u and v share the step's condensed operator.
 void AleNS2d::stage_viscous_solve(const StepContext& ctx) {
     const double tn1 = ctx.t_new;
     if (comm_) comm_->set_stage(7);
@@ -465,8 +578,8 @@ void AleNS2d::stage_viscous_solve(const StepContext& ctx) {
                           [&](double x, double y) { return opts_.u_bc(x, y, tn1); });
     auto xv = dirichlet_x(opts_.velocity_bc,
                           [&](double x, double y) { return opts_.v_bc(x, y, tn1); });
-    pcg_solve(lambda, vel_dirichlet_, urhs_, xu);
-    pcg_solve(lambda, vel_dirichlet_, vrhs_, xv);
+    condensed_solve(AleSolve::U, lambda, urhs_, xu);
+    condensed_solve(AleSolve::V, lambda, vrhs_, xv);
     if (comm_) comm_->set_stage(-1);
     disc_->scatter(xu, u_modal_);
     disc_->scatter(xv, v_modal_);

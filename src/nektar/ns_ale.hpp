@@ -1,7 +1,11 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "gs/gather_scatter.hpp"
@@ -9,6 +13,7 @@
 #include "nektar/helmholtz.hpp"
 #include "nektar/ns_serial.hpp"
 #include "nektar/splitting.hpp"
+#include "nektar/static_condensation.hpp"
 
 /// \file ns_ale.hpp
 /// NekTar-ALE: the arbitrary Lagrangian-Eulerian Navier-Stokes solver on a
@@ -31,10 +36,19 @@
 /// The mesh is split across ranks by the METIS-style partitioner; every rank
 /// owns a contiguous sub-discretization and shares interface dofs through
 /// gather-scatter assembly inside PCG.
+///
+/// The two lambda-shifted velocity solves of stage 7 run statically
+/// condensed: the interior modes are eliminated element by element and the
+/// same Jacobi PCG runs on the boundary Schur system, whose gather-scatter
+/// is the full system's (interior dofs are rank-private).  The pressure and
+/// mesh-velocity (lambda = 0) solves run Jacobi PCG on the full system.
 namespace nektar {
 
 // AleOptions (the SolverOptions extension for this solver) lives in
 // solver_options.hpp with the rest of the unified configuration API.
+
+/// The four PCG solves of an ALE step.
+enum class AleSolve : std::uint8_t { Mesh, Pressure, U, V };
 
 class AleNS2d : public SolverCore {
 public:
@@ -62,8 +76,25 @@ public:
     /// Mesh velocity (vertical component) at quadrature points.
     [[nodiscard]] const std::vector<double>& mesh_velocity_quad() const noexcept { return wq_; }
 
-    /// PCG iterations of the last pressure solve (diagnostics).
-    [[nodiscard]] std::size_t last_pressure_iterations() const noexcept { return last_p_iters_; }
+    /// PCG iterations of the last solve of each kind (diagnostics).
+    [[nodiscard]] std::size_t last_iterations(AleSolve s) const noexcept {
+        return last_iters_[static_cast<std::size_t>(s)];
+    }
+    [[nodiscard]] std::size_t last_pressure_iterations() const noexcept {
+        return last_iterations(AleSolve::Pressure);
+    }
+
+    /// How velocity_helmholtz solves: stage 7's statically condensed PCG, or
+    /// the full-system Jacobi PCG of the pressure and mesh-velocity solves.
+    enum class Path { Condensed, FullSystem };
+
+    /// Solves (L + lambda M) x = f on the current mesh with the velocity
+    /// boundary conditions, Dirichlet data g, at the configured CG
+    /// tolerance; returns this rank's global dof vector.  Collective when
+    /// parallel.  Records its iterations as AleSolve::U.
+    [[nodiscard]] std::vector<double> velocity_helmholtz(
+        double lambda, std::span<const double> f_quad,
+        const std::function<double(double, double)>& g, Path path) const;
 
 protected:
     /// ALE extras ahead of the splitting stages: the mesh-velocity Helmholtz
@@ -96,8 +127,26 @@ private:
     void nonlinear(std::vector<std::vector<double>>& nl) const;
     /// Distributed (or serial) diagonally preconditioned CG solve of
     /// (L + lambda M) x = rhs with Dirichlet data already in x.
-    std::size_t pcg_solve(double lambda, const std::vector<char>& dirichlet,
-                          std::span<const double> rhs, std::span<double> x) const;
+    void pcg_solve(AleSolve which, double lambda, const std::vector<char>& dirichlet,
+                   std::span<const double> rhs, std::span<double> x) const;
+    /// The same solve, statically condensed, for the velocity boundary
+    /// conditions: condense rhs onto the boundary dofs, Jacobi PCG on the
+    /// Schur system, back-solve the interiors element by element.
+    void condensed_solve(AleSolve which, double lambda, std::span<const double> rhs,
+                         std::span<double> x) const;
+    /// Records a solve's iterations; throws if it did not converge.
+    void check(AleSolve which, const la::CgResult& res) const;
+
+    /// Stage 7's condensed operator for one (discretization, lambda): the
+    /// per-matrix-class blocks and the Jacobi preconditioner on the
+    /// assembled diag(S).  rebuild_discretization() drops it.
+    struct CondensedVelocity {
+        double lambda = 0.0;
+        std::size_t nb = 0; ///< vertex + edge dofs: the leading local global ids
+        std::map<const ElemMatrices*, SchurBlocks> blocks;
+        std::vector<double> inv_diag; ///< 1 on Dirichlet rows
+    };
+    const CondensedVelocity& condensed(double lambda) const;
     [[nodiscard]] double global_dot(std::span<const double> a, std::span<const double> b) const;
     std::vector<double> weak_rhs(std::span<const double> quad) const;
     void gs_assemble(std::span<double> global) const;
@@ -122,7 +171,8 @@ private:
     std::vector<double> uq_, vq_, wq_;
     // Inter-stage scratch of the current step (RHS vectors in global dofs).
     std::vector<double> prhs_, urhs_, vrhs_;
-    mutable std::size_t last_p_iters_ = 0;
+    mutable std::optional<CondensedVelocity> condensed_;
+    mutable std::array<std::size_t, 4> last_iters_{};
 };
 
 } // namespace nektar

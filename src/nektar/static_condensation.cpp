@@ -54,6 +54,36 @@ std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
 
 } // namespace
 
+SchurBlocks condense(const ElemMatrices& mats, double lambda, std::size_t nb) {
+    const std::size_t nm = mats.lap.rows();
+    const std::size_t ni = nm - nb;
+    la::DenseMatrix h = mats.lap;
+    blaslite::daxpy(lambda, std::span<const double>(mats.mass.data(), nm * nm),
+                    std::span<double>(h.data(), nm * nm));
+    SchurBlocks sb{.schur = la::DenseMatrix(nb, nb), .k = la::DenseMatrix(ni, nb),
+                   .hii_inv = la::DenseMatrix(ni, ni)};
+    la::DenseMatrix hib(ni, nb);
+    for (std::size_t i = 0; i < ni; ++i) {
+        for (std::size_t j = 0; j < ni; ++j) sb.hii_inv(i, j) = h(nb + i, nb + j);
+        for (std::size_t j = 0; j < nb; ++j) hib(i, j) = h(nb + i, j);
+    }
+    for (std::size_t i = 0; i < nb; ++i)
+        for (std::size_t j = 0; j < nb; ++j) sb.schur(i, j) = h(i, j);
+    if (ni == 0) return sb;
+    if (!la::spd_inverse(sb.hii_inv))
+        throw std::runtime_error("condense: interior block not SPD");
+    sb.k = la::matmul(sb.hii_inv, hib);
+    // S -= H_bi K, H_bi being the top-right block of h.
+    blaslite::dgemm(-1.0, h.data() + nb, nm, sb.k.data(), nb, 1.0, sb.schur.data(), nb, nb, nb,
+                    ni);
+    for (std::size_t i = 0; i < nb; ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            sb.schur(i, j) = sb.schur(j, i) = 0.5 * (sb.schur(i, j) + sb.schur(j, i));
+    blaslite::detail::charge(nb * (nb - 1), nb * (nb - 1) * sizeof(double),
+                             nb * (nb - 1) * sizeof(double));
+    return sb;
+}
+
 CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> disc,
                                        double lambda, HelmholtzBC bc)
     : disc_(std::move(disc)),
@@ -88,43 +118,21 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
     la::SymBandedMatrix schur(nb_, kd);
     elems_.resize(disc_->num_elements());
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
+        const ElemMatrices* mats = disc_->ops(e).matrix_identity();
+        auto it = blocks_.find(mats);
+        if (it == blocks_.end())
+            it = blocks_.emplace(mats, condense(*mats, lambda_, elem_bdofs[e].size())).first;
+        elems_[e] = &it->second;
+        // Assemble in the global orientation: S_glob = D S D with D the
+        // element's boundary-mode signs.
+        const la::DenseMatrix& s = it->second.schur;
         const auto& map = flat_map_.element_map(e);
-        const std::size_t nm = ops.num_modes();
-        const std::size_t nmb = ops.expansion().num_boundary_modes();
-        const std::size_t nmi = nm - nmb;
-        // Signed elemental Helmholtz matrix (global-orientation basis).
-        la::DenseMatrix h(nm, nm);
-        for (std::size_t i = 0; i < nm; ++i)
-            for (std::size_t j = 0; j < nm; ++j)
-                h(i, j) = map[i].sign * map[j].sign *
-                          (ops.laplacian()(i, j) + lambda_ * ops.mass()(i, j));
-        ElemData& ed = elems_[e];
-        ed.a_bi = la::DenseMatrix(nmb, nmi);
-        la::DenseMatrix a_ii(nmi, nmi);
-        for (std::size_t i = 0; i < nmb; ++i)
-            for (std::size_t j = 0; j < nmi; ++j) ed.a_bi(i, j) = h(i, nmb + j);
-        for (std::size_t i = 0; i < nmi; ++i)
-            for (std::size_t j = 0; j < nmi; ++j) a_ii(i, j) = h(nmb + i, nmb + j);
-        ed.a_ii_chol = a_ii;
-        if (nmi > 0 && !la::cholesky_factor(ed.a_ii_chol))
-            throw std::runtime_error("CondensedHelmholtz: interior block not SPD");
-
-        // X = A_ii^{-1} A_ib, column by column; S = A_bb - A_bi X.
-        la::DenseMatrix x(nmi, nmb);
-        std::vector<double> col(nmi);
-        for (std::size_t j = 0; j < nmb; ++j) {
-            for (std::size_t i = 0; i < nmi; ++i) col[i] = ed.a_bi(j, i); // A_ib col j
-            if (nmi > 0) la::cholesky_solve(ed.a_ii_chol, col);
-            for (std::size_t i = 0; i < nmi; ++i) x(i, j) = col[i];
-        }
-        for (std::size_t i = 0; i < nmb; ++i) {
+        for (std::size_t i = 0; i < s.rows(); ++i) {
             const int gi = bperm_[static_cast<std::size_t>(elem_bdofs[e][i])];
             for (std::size_t j = 0; j <= i; ++j) {
                 const int gj = bperm_[static_cast<std::size_t>(elem_bdofs[e][j])];
-                double s = h(i, j);
-                for (std::size_t k = 0; k < nmi; ++k) s -= ed.a_bi(i, k) * x(k, j);
-                schur.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gj), s);
+                schur.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gj),
+                          map[i].sign * map[j].sign * s(i, j));
             }
         }
     }
@@ -165,27 +173,26 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
 
 std::vector<double> CondensedHelmholtz::solve(
     std::span<const double> f_quad, const std::function<double(double, double)>& g) const {
-    // Signed local weak RHS per element, then condensation of the interiors.
+    // Local weak RHS per element, condensed: l_b - D K^T l_i (H_bi H_ii^-1
+    // is K^T; interior modes carry sign +1).
     std::vector<double> rhs(nb_, 0.0);
-    std::vector<std::vector<double>> li(disc_->num_elements()); // signed interior rhs
+    std::vector<std::vector<double>> li(disc_->num_elements()); // interior rhs
+    std::vector<double> cb;
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const ElementOps& ops = disc_->ops(e);
         const auto& map = flat_map_.element_map(e);
-        const std::size_t nm = ops.num_modes();
-        const std::size_t nmb = ops.expansion().num_boundary_modes();
-        const std::size_t nmi = nm - nmb;
-        std::vector<double> l(nm, 0.0);
+        const SchurBlocks& sb = *elems_[e];
+        const std::size_t nmb = sb.k.cols();
+        const std::size_t nmi = sb.k.rows();
+        std::vector<double> l(ops.num_modes(), 0.0);
         ops.weak_inner(disc_->quad_block(f_quad, e), l);
-        for (std::size_t i = 0; i < nm; ++i) l[i] *= map[i].sign;
         li[e].assign(l.begin() + static_cast<std::ptrdiff_t>(nmb), l.end());
-        std::vector<double> w = li[e];
-        if (nmi > 0) la::cholesky_solve(elems_[e].a_ii_chol, w);
-        for (std::size_t i = 0; i < nmb; ++i) {
-            double s = l[i];
-            for (std::size_t k = 0; k < nmi; ++k) s -= elems_[e].a_bi(i, k) * w[k];
-            rhs[static_cast<std::size_t>(
-                bperm_[static_cast<std::size_t>(map[i].global)])] += s;
-        }
+        cb.assign(nmb, 0.0);
+        if (nmi > 0)
+            blaslite::dgemv_t(1.0, sb.k.data(), nmb, nmi, nmb, li[e].data(), 0.0, cb.data());
+        for (std::size_t i = 0; i < nmb; ++i)
+            rhs[static_cast<std::size_t>(bperm_[static_cast<std::size_t>(map[i].global)])] +=
+                map[i].sign * (l[i] - cb[i]);
     }
 
     // Dirichlet data on the condensed system.
@@ -200,30 +207,24 @@ std::vector<double> CondensedHelmholtz::solve(
     for (int d : dirichlet_dofs_) rhs[static_cast<std::size_t>(d)] = bvals[static_cast<std::size_t>(d)];
     chol_.solve(rhs);
 
-    // Interior back-substitution: u_i = A_ii^{-1} (l_i - A_ib u_b).
+    // Interior back-substitution: u_i = H_ii^-1 l_i - K u_b, u_b in the
+    // element's own orientation.
     std::vector<double> modal(disc_->modal_size(), 0.0);
+    std::vector<double> ub;
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
         const auto& map = flat_map_.element_map(e);
-        const std::size_t nm = ops.num_modes();
-        const std::size_t nmb = ops.expansion().num_boundary_modes();
-        const std::size_t nmi = nm - nmb;
+        const SchurBlocks& sb = *elems_[e];
+        const std::size_t nmb = sb.k.cols();
+        const std::size_t nmi = sb.k.rows();
         auto out = disc_->modal_block(std::span<double>(modal), e);
-        std::vector<double> ub(nmb);
-        for (std::size_t i = 0; i < nmb; ++i) {
-            ub[i] = rhs[static_cast<std::size_t>(
-                bperm_[static_cast<std::size_t>(map[i].global)])];
-            out[i] = map[i].sign * ub[i];
-        }
+        ub.resize(nmb);
+        for (std::size_t i = 0; i < nmb; ++i)
+            ub[i] = out[i] = map[i].sign * rhs[static_cast<std::size_t>(
+                                               bperm_[static_cast<std::size_t>(map[i].global)])];
         if (nmi == 0) continue;
-        std::vector<double> w = li[e];
-        for (std::size_t k = 0; k < nmi; ++k) {
-            double s = w[k];
-            for (std::size_t i = 0; i < nmb; ++i) s -= elems_[e].a_bi(i, k) * ub[i];
-            w[k] = s;
-        }
-        la::cholesky_solve(elems_[e].a_ii_chol, w);
-        for (std::size_t k = 0; k < nmi; ++k) out[nmb + k] = map[nmb + k].sign * w[k];
+        blaslite::dgemv(1.0, sb.hii_inv.data(), nmi, nmi, nmi, li[e].data(), 0.0,
+                        out.data() + nmb);
+        blaslite::dgemv(-1.0, sb.k.data(), nmb, nmi, nmb, ub.data(), 1.0, out.data() + nmb);
     }
     return modal;
 }

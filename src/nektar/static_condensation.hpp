@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -22,6 +23,20 @@
 /// independent per-element back-solves for the interiors.
 namespace nektar {
 
+/// One matrix class's condensed blocks of H = L + lambda M, in the element's
+/// own (unsigned) mode orientation: the leading nb modes are the vertex and
+/// edge (boundary) modes, the trailing ni the interior bubbles.
+struct SchurBlocks {
+    la::DenseMatrix schur;   ///< S = H_bb - H_bi H_ii^-1 H_ib   (nb x nb)
+    la::DenseMatrix k;       ///< K = H_ii^-1 H_ib               (ni x nb)
+    la::DenseMatrix hii_inv; ///< H_ii^-1, through its Cholesky factor (ni x ni)
+};
+
+/// Condenses the interior modes out of one element's L + lambda M.  Every
+/// flop is charged to the blaslite counters (la::spd_inverse, dgemm, and
+/// the symmetrisation of S).  Throws if H_ii is not SPD.
+[[nodiscard]] SchurBlocks condense(const ElemMatrices& mats, double lambda, std::size_t nb);
+
 class CondensedHelmholtz {
 public:
     CondensedHelmholtz(std::shared_ptr<const Discretization> disc, double lambda,
@@ -39,11 +54,6 @@ public:
     [[nodiscard]] std::size_t bandwidth() const noexcept { return chol_.bandwidth(); }
 
 private:
-    struct ElemData {
-        la::DenseMatrix a_bi;       ///< boundary-interior coupling
-        la::DenseMatrix a_ii_chol;  ///< Cholesky factor of the interior block
-    };
-
     std::shared_ptr<const Discretization> disc_;
     double lambda_;
     HelmholtzBC bc_;
@@ -51,7 +61,9 @@ private:
     /// a boundary-only RCM pass.
     std::vector<int> bperm_;
     std::size_t nb_ = 0;
-    std::vector<ElemData> elems_;
+    /// Condensed blocks per matrix class, and each element's.
+    std::map<const ElemMatrices*, SchurBlocks> blocks_;
+    std::vector<const SchurBlocks*> elems_;
     std::vector<int> dirichlet_dofs_;             ///< condensed numbering
     std::vector<char> is_dirichlet_;
     la::BandedCholesky chol_;

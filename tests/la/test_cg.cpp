@@ -26,7 +26,7 @@ TEST(Pcg, SolvesSpdBandedSystem) {
     const auto res = la::pcg(
         [&](std::span<const double> in, std::span<double> out) { a.matvec(in, out); }, inv_diag,
         b, x, {.max_iterations = 500, .tolerance = 1e-12});
-    EXPECT_TRUE(res.converged);
+    EXPECT_TRUE(res.converged());
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
 
@@ -39,7 +39,7 @@ TEST(Pcg, ImmediateConvergenceOnExactGuess) {
     const auto res = la::pcg(
         [&](std::span<const double> in, std::span<double> out) { a.matvec(in, out); }, inv_diag,
         b, x);
-    EXPECT_TRUE(res.converged);
+    EXPECT_TRUE(res.converged());
     EXPECT_EQ(res.iterations, 0u);
 }
 
@@ -53,8 +53,22 @@ TEST(Pcg, ReportsNonConvergenceWithinBudget) {
     const auto res = la::pcg(
         [&](std::span<const double> in, std::span<double> out) { a.matvec(in, out); }, inv_diag,
         b, x, {.max_iterations = 3, .tolerance = 1e-14});
-    EXPECT_FALSE(res.converged);
+    EXPECT_FALSE(res.converged());
+    EXPECT_EQ(res.status, la::CgStatus::MaxIterations);
     EXPECT_EQ(res.iterations, 3u);
+}
+
+TEST(Pcg, ReportsBreakdownOnIndefiniteOperator) {
+    // diag(1, -1) with b = (1, 1): p^T A p = 0 on the first search direction.
+    const auto apply = [](std::span<const double> in, std::span<double> out) {
+        out[0] = in[0];
+        out[1] = -in[1];
+    };
+    std::vector<double> b = {1.0, 1.0}, x(2, 0.0), inv_diag(2, 1.0);
+    const auto res = la::pcg(apply, inv_diag, b, x, {.max_iterations = 10, .tolerance = 1e-12});
+    EXPECT_EQ(res.status, la::CgStatus::Breakdown);
+    EXPECT_FALSE(res.converged());
+    EXPECT_STREQ(la::to_string(res.status), "breakdown");
 }
 
 TEST(Pcg, DiagonalPreconditionerBeatsNone) {
@@ -78,8 +92,8 @@ TEST(Pcg, DiagonalPreconditionerBeatsNone) {
         [&](std::span<const double> in, std::span<double> out) { a.matvec(in, out); }, inv2, b,
         x2, {.max_iterations = 400, .tolerance = 1e-10});
 
-    EXPECT_TRUE(with.converged);
-    EXPECT_TRUE(without.converged);
+    EXPECT_TRUE(with.converged());
+    EXPECT_TRUE(without.converged());
     EXPECT_LT(with.iterations, without.iterations);
 }
 

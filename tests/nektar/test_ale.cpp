@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
+#include <utility>
 
 #include "mesh/generators.hpp"
 #include "partition/partition.hpp"
@@ -165,6 +167,131 @@ TEST(AleNS, StageBreakdownWeightsOnSolves) {
     const auto total = bd.total_counts();
     const auto solves = bd.counts[5].flops + bd.counts[7].flops;
     EXPECT_GT(solves, total.flops / 2) << "PCG solves must dominate the ALE step";
+}
+
+/// Flapping-body options with nonzero Dirichlet data on every velocity
+/// boundary (free stream outside, body motion on the body).
+AleOptions flap_options(double viscosity) {
+    AleOptions opts;
+    opts.dt = 2e-3;
+    opts.viscosity = viscosity;
+    opts.body_velocity = [](double t) { return 0.3 * std::sin(5.0 * t); };
+    opts.u_bc = [](double x, double y, double) {
+        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
+        return body ? 0.0 : 1.0;
+    };
+    opts.v_bc = [motion = opts.body_velocity](double x, double y, double t) {
+        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
+        return body ? motion(t) : 0.0;
+    };
+    return opts;
+}
+
+/// || a - b ||_L2 and || b ||_L2 of two global dof vectors on this rank's
+/// sub-discretization, summed over ranks when `c` is non-null.
+std::pair<double, double> l2_diff(const AleNS2d& ns, const std::vector<double>& a,
+                                  const std::vector<double>& b, simmpi::Comm* c) {
+    const auto& d = ns.disc();
+    std::vector<double> diff(a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) diff[i] = a[i] - b[i];
+    const auto sq = [&](const std::vector<double>& g) {
+        std::vector<double> modal(d.modal_size()), quad(d.quad_size());
+        d.scatter(g, modal);
+        d.to_quad(modal, quad);
+        const double n = d.l2_norm(quad);
+        return n * n;
+    };
+    double dd = sq(diff), bb = sq(b);
+    if (c != nullptr) {
+        dd = c->allreduce_sum(dd);
+        bb = c->allreduce_sum(bb);
+    }
+    return {std::sqrt(dd), std::sqrt(bb)};
+}
+
+/// Condensed vs full-system velocity solve on a moved mesh, both at
+/// tolerance 1e-12, at the lambdas of a coarse and of the production step.
+void expect_condensed_matches_full(AleNS2d& ns, simmpi::Comm* c) {
+    for (int s = 0; s < 3; ++s) ns.step(); // move the mesh
+    std::vector<double> f(ns.disc().quad_size());
+    ns.disc().eval_at_quad([](double x, double y) { return std::sin(x) * std::cos(2.0 * y); },
+                           f);
+    const auto g = [](double x, double y) { return 1.0 + 0.25 * x - 0.5 * y * y; };
+    for (const double lambda : {600.0, 50000.0, 75000.0}) {
+        const auto full = ns.velocity_helmholtz(lambda, f, g, AleNS2d::Path::FullSystem);
+        const std::size_t full_iters = ns.last_iterations(nektar::AleSolve::U);
+        const auto cond = ns.velocity_helmholtz(lambda, f, g, AleNS2d::Path::Condensed);
+        const std::size_t cond_iters = ns.last_iterations(nektar::AleSolve::U);
+        const auto [err, norm] = l2_diff(ns, cond, full, c);
+        EXPECT_GT(norm, 0.1) << "lambda=" << lambda;
+        EXPECT_LT(err, 1e-10 * norm) << "lambda=" << lambda;
+        EXPECT_LT(cond_iters, full_iters) << "lambda=" << lambda;
+    }
+}
+
+TEST(AleCondensed, SerialMatchesFullSystemSolve) {
+    AleOptions opts = flap_options(0.05);
+    opts.cg = {.max_iterations = 5000, .tolerance = 1e-12};
+    AleNS2d ns(flap_mesh(), 4, opts);
+    ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+    expect_condensed_matches_full(ns, nullptr);
+}
+
+class AleCondensedRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(AleCondensedRanks, ParallelMatchesFullSystemSolve) {
+    const int p = GetParam();
+    const auto m = flap_mesh();
+    AleOptions opts = flap_options(0.05);
+    opts.cg = {.max_iterations = 5000, .tolerance = 1e-12};
+    partition::Graph gr;
+    m.dual_graph(gr.xadj, gr.adjncy);
+    const auto part = partition::partition_graph(gr, p);
+    simmpi::World world(p, test_net());
+    world.run([&](simmpi::Comm& c) {
+        AleNS2d ns(m, 4, opts, &c, &part);
+        ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+        expect_condensed_matches_full(ns, &c);
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, AleCondensedRanks, ::testing::Values(2, 4));
+
+TEST(AleCondensed, VelocitySolvesStayCheapOnTheBenchMesh) {
+    // perfbench's ale_flap_p4 set-up: the full-system Jacobi PCG took about
+    // 700 iterations per steady-step velocity solve here.
+    const auto m = mesh::flapping_body_mesh(2);
+    AleOptions opts = flap_options(0.01);
+    opts.cg.tolerance = 1e-8;
+    partition::Graph gr;
+    m.dual_graph(gr.xadj, gr.adjncy);
+    const auto part = partition::partition_graph(gr, 4);
+    simmpi::World world(4, test_net());
+    world.run([&](simmpi::Comm& c) {
+        AleNS2d ns(m, 4, opts, &c, &part);
+        ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+        for (int s = 0; s < 4; ++s) ns.step(); // two ramp steps, two steady
+        EXPECT_GT(ns.last_iterations(nektar::AleSolve::U), 3u);
+        EXPECT_LT(ns.last_iterations(nektar::AleSolve::U), 200u);
+        EXPECT_LT(ns.last_iterations(nektar::AleSolve::V), 200u);
+        EXPECT_GT(ns.last_iterations(nektar::AleSolve::Pressure), 3u);
+        EXPECT_GT(ns.last_iterations(nektar::AleSolve::Mesh), 3u);
+    });
+}
+
+TEST(AleNS, UnconvergedSolveThrowsNamingSolveAndStep) {
+    AleOptions opts = flap_options(0.05);
+    opts.cg.max_iterations = 3;
+    AleNS2d ns(flap_mesh(), 3, opts);
+    ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+    try {
+        ns.step();
+        FAIL() << "expected an unconverged-solve error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("PCG solve of step 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("max-iterations"), std::string::npos) << what;
+    }
 }
 
 TEST(AleNS, ParallelRunNeedsPartition) {
