@@ -6,8 +6,10 @@
 /// from which sum factorisation stays ahead of the dense batch — in the
 /// RunReport (top-level "crossover_order").  A second sweep times the
 /// banded direct solver (factor, one solve, the two-RHS solve) at
-/// per-Fourier-mode band shapes and a wide band, and a third the
-/// matrix-free Helmholtz apply of the PCG solvers on a perturbed mesh.
+/// per-Fourier-mode band shapes and a wide band, a third the matrix-free
+/// Helmholtz apply of the PCG solvers on a perturbed mesh, and a fourth
+/// SerialNS2d's condensed direct solver at Table 1's shape (setup, the
+/// two-RHS velocity solve, a single solve).
 /// Writes machine-readable
 /// results to BENCH_hotpath.json (CI uploads it as an artifact and gates the
 /// engines, the direct solver and the apply against committed baselines;
@@ -18,6 +20,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +30,8 @@
 #include "la/banded.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/discretization.hpp"
-#include "nektar/helmholtz.hpp"
+#include "nektar/solver_options.hpp"
+#include "nektar/static_condensation.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -264,6 +268,57 @@ perf::Case to_case(const ApplyResult& r) {
     return c;
 }
 
+struct CondensedResult {
+    std::size_t order = 0, n = 0, kd = 0;
+    double setup_ms = 0.0, solve2_ms = 0.0, solve_ms = 0.0;
+};
+
+/// SerialNS2d's velocity operator on Table 1's mesh at order 6 (lambda =
+/// gamma0/(nu dt) of a second-order step at dt = 2e-3, nu = 0.01): the
+/// constructor (condense every matrix class, assemble and factor the Schur
+/// band), the step's two-RHS solve_global and a single-RHS one.
+CondensedResult run_condensed(double min_seconds) {
+    mesh::BluffBodyParams p;
+    p.n_upstream = 6;
+    p.n_wake = 10;
+    p.n_body = 3;
+    p.n_side = 4;
+    const auto disc = std::make_shared<nektar::Discretization>(
+        std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p)), 6);
+    const nektar::HelmholtzBC bc = nektar::SolverOptions{}.velocity_bc;
+    const double lambda = 1.5 / (0.01 * 2e-3);
+    std::optional<nektar::CondensedHelmholtz> cond;
+    CondensedResult r{disc->order()};
+    r.setup_ms = 1e3 * benchutil::time_per_call([&] { cond.emplace(disc, lambda, bc); },
+                                                min_seconds);
+    r.n = cond->boundary_dofs();
+    r.kd = cond->bandwidth();
+    const std::size_t n = disc->dofmap().num_global();
+    std::vector<std::vector<double>> rhs(2, std::vector<double>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+        rhs[0][i] = std::sin(0.3 * static_cast<double>(i));
+        rhs[1][i] = std::cos(0.7 * static_cast<double>(i));
+    }
+    const auto du = cond->dirichlet_vector([](double, double) { return 1.0; });
+    const auto dv = cond->dirichlet_vector([](double x, double y) { return 0.1 * x * y; });
+    r.solve2_ms = 1e3 * benchutil::time_per_call(
+        [&] { (void)cond->solve_global(rhs, {du, dv}); }, min_seconds);
+    r.solve_ms = 1e3 * benchutil::time_per_call(
+        [&] { (void)cond->solve_global(rhs[0], du); }, min_seconds);
+    return r;
+}
+
+perf::Case to_case(const CondensedResult& r) {
+    perf::Case c;
+    c.values["order"] = static_cast<double>(r.order);
+    c.values["n"] = static_cast<double>(r.n);
+    c.values["kd"] = static_cast<double>(r.kd);
+    c.values["condensed_ms.setup"] = r.setup_ms;
+    c.values["condensed_ms.solve2"] = r.solve2_ms;
+    c.values["condensed_ms.solve"] = r.solve_ms;
+    return c;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -349,6 +404,17 @@ int main(int argc, char** argv) {
                                benchutil::fmt(r.helm_ms, "%.4f")});
     }
 
+    // SerialNS2d's condensed direct solver, one shape in both sweeps.
+    std::printf("\nCondensed Helmholtz, Table 1 mesh, order 6 (setup, two-RHS solve, "
+                "one solve)\n");
+    benchutil::Table cond_table({"order", "n", "kd", "setup ms", "solve2 ms", "solve ms"});
+    cond_table.print_header();
+    const CondensedResult cond = run_condensed(min_seconds);
+    cond_table.print_row({std::to_string(cond.order), std::to_string(cond.n),
+                          std::to_string(cond.kd), benchutil::fmt(cond.setup_ms, "%.3f"),
+                          benchutil::fmt(cond.solve2_ms, "%.3f"),
+                          benchutil::fmt(cond.solve_ms, "%.3f")});
+
     perf::RunReport rep = perf::report("bench_hotpath");
     rep.backend = "dense+sumfact"; // both engines measured side by side
     rep.crossover_order = crossover;
@@ -356,6 +422,7 @@ int main(int argc, char** argv) {
     for (const CaseResult& r : results) rep.cases.push_back(to_case(r));
     for (const BandedResult& r : banded) rep.cases.push_back(to_case(r));
     for (const ApplyResult& r : applies) rep.cases.push_back(to_case(r));
+    rep.cases.push_back(to_case(cond));
     cli.finish(std::move(rep), "BENCH_hotpath.json");
     return 0;
 }

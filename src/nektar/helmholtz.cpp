@@ -3,16 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "blaslite/blas.hpp"
 #include "parallel/scratch.hpp"
 
 namespace nektar {
 
-namespace {
+std::vector<double> weak_rhs(const Discretization& disc, std::span<const double> f_quad) {
+    std::vector<double> rhs(disc.dofmap().num_global(), 0.0);
+    std::vector<double> local(disc.modal_size(), 0.0);
+    disc.weak_inner(f_quad, local);
+    disc.gather_add(local, rhs);
+    return rhs;
+}
 
-std::vector<char> dirichlet_mask(const Discretization& disc, const HelmholtzBC& bc,
-                                 std::vector<int>* dofs_out) {
+std::vector<int> constrained_dofs(const Discretization& disc, const HelmholtzBC& bc) {
     std::vector<int> dofs = disc.dofmap().boundary_dofs(
         [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); });
     if (bc.pin_first_dof && dofs.empty()) {
@@ -22,20 +28,59 @@ std::vector<char> dirichlet_mask(const Discretization& disc, const HelmholtzBC& 
         const auto& map0 = disc.dofmap().element_map(0);
         dofs.push_back(map0[disc.ops(0).expansion().vertex_mode(0)].global);
     }
-    std::vector<char> mask(disc.dofmap().num_global(), 0);
-    for (int d : dofs) mask[static_cast<std::size_t>(d)] = 1;
-    if (dofs_out) *dofs_out = std::move(dofs);
-    return mask;
+    return dofs;
 }
 
-} // namespace
+std::vector<double> dirichlet_data(const Discretization& disc, const HelmholtzBC& bc,
+                                   const std::function<double(double, double)>& g) {
+    std::vector<double> bvals(disc.dofmap().num_global(), 0.0);
+    if (g) {
+        const auto vals = disc.dofmap().dirichlet_values(
+            [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); }, g);
+        for (const auto& [dof, v] : vals) bvals[static_cast<std::size_t>(dof)] = v;
+    }
+    return bvals;
+}
+
+DirichletReduction::DirichletReduction(la::SymBandedMatrix& h, std::vector<int> dofs)
+    : dofs_(std::move(dofs)) {
+    const std::size_t n = h.size();
+    const std::size_t kd = h.bandwidth();
+    std::vector<char> constrained(n, 0);
+    for (int d : dofs_) constrained[static_cast<std::size_t>(d)] = 1;
+    for (int d : dofs_) {
+        const auto du = static_cast<std::size_t>(d);
+        const std::size_t lo = du > kd ? du - kd : 0;
+        const std::size_t hi = std::min(n - 1, du + kd);
+        for (std::size_t r = lo; r <= hi; ++r) {
+            if (constrained[r]) continue;
+            const double v = h.at(r, du);
+            if (v != 0.0) lift_.emplace_back(static_cast<int>(r), d, v);
+        }
+    }
+    for (int d : dofs_) {
+        const auto du = static_cast<std::size_t>(d);
+        const std::size_t lo = du > kd ? du - kd : 0;
+        const std::size_t hi = std::min(n - 1, du + kd);
+        for (std::size_t r = lo; r <= hi; ++r) {
+            if (r == du) continue;
+            const double v = h.at(r, du);
+            if (v != 0.0) h.add(r, du, -v);
+        }
+        h.band(0, du) = 1.0;
+    }
+}
+
+void DirichletReduction::impose(std::span<double> rhs, std::span<const double> values) const {
+    for (const auto& [r, d, v] : lift_)
+        rhs[static_cast<std::size_t>(r)] -= v * values[static_cast<std::size_t>(d)];
+    for (int d : dofs_) rhs[static_cast<std::size_t>(d)] = values[static_cast<std::size_t>(d)];
+}
 
 HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
                                  HelmholtzBC bc)
     : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
     const DofMap& dm = disc_->dofmap();
-    is_dirichlet_ = dirichlet_mask(*disc_, bc_, &dirichlet_dofs_);
-
     la::SymBandedMatrix h(dm.num_global(), dm.bandwidth());
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const ElementOps& ops = disc_->ops(e);
@@ -51,55 +96,10 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
             }
         }
     }
-
-    // Record Dirichlet columns for RHS lifting, then reduce the system to the
-    // identity on constrained dofs.
-    const std::size_t n = dm.num_global();
-    const std::size_t kd = dm.bandwidth();
-    for (int d : dirichlet_dofs_) {
-        const auto du = static_cast<std::size_t>(d);
-        const std::size_t lo = du > kd ? du - kd : 0;
-        const std::size_t hi = std::min(n - 1, du + kd);
-        for (std::size_t r = lo; r <= hi; ++r) {
-            if (is_dirichlet_[r]) continue;
-            const double v = h.at(r, du);
-            if (v != 0.0) lift_.emplace_back(static_cast<int>(r), d, v);
-        }
-    }
-    for (int d : dirichlet_dofs_) {
-        const auto du = static_cast<std::size_t>(d);
-        const std::size_t lo = du > kd ? du - kd : 0;
-        const std::size_t hi = std::min(n - 1, du + kd);
-        for (std::size_t r = lo; r <= hi; ++r) {
-            if (r == du) continue;
-            const double v = h.at(r, du);
-            if (v != 0.0) h.add(r, du, -v);
-        }
-        h.band(0, du) = 1.0;
-    }
-
+    dirichlet_ = DirichletReduction(h, constrained_dofs(*disc_, bc_));
     if (!chol_.factor(std::move(h)))
         throw std::runtime_error("HelmholtzDirect: matrix not positive definite "
                                  "(all-Neumann Poisson needs pin_first_dof)");
-}
-
-std::vector<double> HelmholtzDirect::dirichlet_vector(
-    const std::function<double(double, double)>& g) const {
-    std::vector<double> bvals(disc_->dofmap().num_global(), 0.0);
-    if (g) {
-        const auto vals = disc_->dofmap().dirichlet_values(
-            [&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }, g);
-        for (const auto& [dof, v] : vals) bvals[static_cast<std::size_t>(dof)] = v;
-    }
-    return bvals;
-}
-
-void HelmholtzDirect::impose_dirichlet(std::vector<double>& rhs,
-                                       std::span<const double> dirichlet) const {
-    for (const auto& [r, d, v] : lift_)
-        rhs[static_cast<std::size_t>(r)] -= v * dirichlet[static_cast<std::size_t>(d)];
-    for (int d : dirichlet_dofs_)
-        rhs[static_cast<std::size_t>(d)] = dirichlet[static_cast<std::size_t>(d)];
 }
 
 std::vector<double> HelmholtzDirect::to_modal(std::span<const double> x) const {
@@ -110,7 +110,7 @@ std::vector<double> HelmholtzDirect::to_modal(std::span<const double> x) const {
 
 std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
                                                   std::span<const double> dirichlet) const {
-    impose_dirichlet(rhs, dirichlet);
+    dirichlet_.impose(rhs, dirichlet);
     chol_.solve(rhs);
     return to_modal(rhs);
 }
@@ -119,7 +119,7 @@ std::vector<std::vector<double>> HelmholtzDirect::solve_global(
     std::vector<std::vector<double>> rhs,
     const std::vector<std::span<const double>>& dirichlet) const {
     assert(rhs.size() == dirichlet.size());
-    for (std::size_t q = 0; q < rhs.size(); ++q) impose_dirichlet(rhs[q], dirichlet[q]);
+    for (std::size_t q = 0; q < rhs.size(); ++q) dirichlet_.impose(rhs[q], dirichlet[q]);
     const std::vector<std::span<double>> views(rhs.begin(), rhs.end());
     chol_.solve(views);
     std::vector<std::vector<double>> modal;
@@ -130,11 +130,7 @@ std::vector<std::vector<double>> HelmholtzDirect::solve_global(
 
 std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,
                                            const std::function<double(double, double)>& g) const {
-    std::vector<double> rhs(disc_->dofmap().num_global(), 0.0);
-    std::vector<double> local(disc_->modal_size(), 0.0);
-    disc_->weak_inner(f_quad, local);
-    disc_->gather_add(local, rhs);
-    return solve_global(std::move(rhs), dirichlet_vector(g));
+    return solve_global(weak_rhs(*disc_, f_quad), dirichlet_vector(g));
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +230,8 @@ void helmholtz_apply(const Discretization& disc,
 HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double lambda,
                            HelmholtzBC bc, la::CgOptions opts)
     : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)), opts_(opts) {
-    is_dirichlet_ = dirichlet_mask(*disc_, bc_, nullptr);
+    is_dirichlet_.assign(disc_->dofmap().num_global(), 0);
+    for (int d : constrained_dofs(*disc_, bc_)) is_dirichlet_[static_cast<std::size_t>(d)] = 1;
     // Assembled diagonal for the Jacobi preconditioner.
     const DofMap& dm = disc_->dofmap();
     std::vector<double> diag(dm.num_global(), 0.0);
@@ -275,16 +272,8 @@ void HelmholtzPCG::apply(std::span<const double> x, std::span<double> y,
 std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
                                         const std::function<double(double, double)>& g) const {
     const std::size_t n = disc_->dofmap().num_global();
-    std::vector<double> rhs(n, 0.0), local(disc_->modal_size(), 0.0);
-    disc_->weak_inner(f_quad, local);
-    disc_->gather_add(local, rhs);
-
-    std::vector<double> x(n, 0.0);
-    if (g) {
-        const auto vals = disc_->dofmap().dirichlet_values(
-            [&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }, g);
-        for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
-    }
+    std::vector<double> rhs = weak_rhs(*disc_, f_quad);
+    std::vector<double> x = dirichlet_data(*disc_, bc_, g);
     // Lift: rhs <- rhs - H x0 on free dofs, then solve for the correction
     // with homogeneous constraints.
     std::vector<double> hx(n);
@@ -297,8 +286,11 @@ std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
     std::vector<double> dx(n, 0.0);
     const la::CgResult res = la::pcg(masked_apply, inv_diag_, rhs, dx, opts_);
     last_iters_ = res.iterations;
-    if (!res.converged() && res.residual_norm > 1e-6)
-        throw std::runtime_error("HelmholtzPCG: CG failed to converge");
+    if (!res.converged())
+        throw std::runtime_error(std::string("HelmholtzPCG: CG stopped (") +
+                                 la::to_string(res.status) + ") after " +
+                                 std::to_string(res.iterations) + " iterations at residual " +
+                                 std::to_string(res.residual_norm));
     blaslite::daxpy(1.0, dx, x);
 
     std::vector<double> modal(disc_->modal_size());

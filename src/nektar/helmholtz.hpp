@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "la/banded.hpp"
@@ -14,10 +15,14 @@
 /// \file helmholtz.hpp
 /// Global Helmholtz/Poisson solvers:  (grad u, grad v) + lambda (u, v) = (f, v).
 ///
-/// Two paths, exactly as in the paper:
-///  * HelmholtzDirect — assembled symmetric *banded* matrix factored once by
-///    Cholesky (the LAPACK dpbtrf/dpbtrs path of stages 5/7, Figure 12; also
-///    the per-Fourier-mode solver of NekTar-F).
+/// Each solver has one role:
+///  * CondensedHelmholtz (static_condensation.hpp) — SerialNS2d's direct
+///    solver for stages 5 and 7 (Figure 12): the interior modes are
+///    eliminated element by element and the boundary Schur system is
+///    factored once by banded Cholesky, NekTar's ordering of Figure 10.
+///  * HelmholtzDirect — the full assembled band factored once by Cholesky
+///    (the LAPACK dpbtrf/dpbtrs path): NekTar-F's per-Fourier-mode solver,
+///    and the reference the condensed solver is tested against.
 ///  * HelmholtzPCG — matrix-free diagonally preconditioned conjugate
 ///    gradient over the elemental matrices (the NekTar-ALE path, which also
 ///    runs distributed with gather-scatter assembly).
@@ -34,6 +39,42 @@ struct HelmholtzBC {
     }
 };
 
+/// The weak right-hand side (f, v) of a forcing given at quadrature points,
+/// assembled into disc.dofmap() numbering (weak_inner, then gather_add).
+[[nodiscard]] std::vector<double> weak_rhs(const Discretization& disc,
+                                           std::span<const double> f_quad);
+
+/// The global dofs `bc` constrains: those of its Dirichlet-tagged boundary
+/// edges or, when there are none and pin_first_dof is set, the first vertex
+/// dof of element 0.
+[[nodiscard]] std::vector<int> constrained_dofs(const Discretization& disc,
+                                                const HelmholtzBC& bc);
+
+/// A global-length vector holding g on the Dirichlet dofs of `bc` (vertex
+/// values interpolated, edge modes L2-projected) and zeros elsewhere; all
+/// zeros for an empty g.
+[[nodiscard]] std::vector<double> dirichlet_data(const Discretization& disc,
+                                                 const HelmholtzBC& bc,
+                                                 const std::function<double(double, double)>& g);
+
+/// Dirichlet reduction of an assembled banded system.  The constructor
+/// records the constrained columns of `h` for lifting and then turns their
+/// rows and columns into the identity; impose() lifts known values out of a
+/// right-hand side and writes them into the constrained rows.
+class DirichletReduction {
+public:
+    DirichletReduction() = default;
+    DirichletReduction(la::SymBandedMatrix& h, std::vector<int> dofs);
+
+    /// rhs[r] -= H(r, d) values[d] on every free row r and constrained dof
+    /// d, then rhs[d] = values[d].
+    void impose(std::span<double> rhs, std::span<const double> values) const;
+
+private:
+    std::vector<int> dofs_;
+    std::vector<std::tuple<int, int, double>> lift_; ///< (row, dof, H(row, dof))
+};
+
 class HelmholtzDirect {
 public:
     HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
@@ -47,7 +88,8 @@ public:
         const std::function<double(double, double)>& g = {}) const;
 
     /// Variant with the weak RHS already assembled into global dofs
-    /// (the Navier-Stokes stepper builds these itself); `rhs` is consumed.
+    /// (the Navier-Stokes stepper builds these itself) and global-length
+    /// Dirichlet data (dirichlet_vector); `rhs` is consumed.
     [[nodiscard]] std::vector<double> solve_global(std::vector<double> rhs,
                                                    std::span<const double> dirichlet) const;
 
@@ -61,29 +103,21 @@ public:
     [[nodiscard]] const Discretization& disc() const noexcept { return *disc_; }
     [[nodiscard]] double lambda() const noexcept { return lambda_; }
     [[nodiscard]] std::size_t bandwidth() const noexcept { return chol_.bandwidth(); }
-    [[nodiscard]] const std::vector<int>& dirichlet_dofs() const noexcept {
-        return dirichlet_dofs_;
-    }
-    /// Fills a global-length vector with Dirichlet values from g (zeros
-    /// elsewhere); convenience for solve_global callers.
+    /// dirichlet_data for this solver's boundary conditions.
     [[nodiscard]] std::vector<double> dirichlet_vector(
-        const std::function<double(double, double)>& g) const;
+        const std::function<double(double, double)>& g) const {
+        return dirichlet_data(*disc_, bc_, g);
+    }
 
 private:
-    /// Lifts the known boundary values out of `rhs` and imposes them.
-    void impose_dirichlet(std::vector<double>& rhs, std::span<const double> dirichlet) const;
     /// Global solution -> per-element modal form.
     [[nodiscard]] std::vector<double> to_modal(std::span<const double> x) const;
 
     std::shared_ptr<const Discretization> disc_;
     double lambda_;
     HelmholtzBC bc_;
-    std::vector<int> dirichlet_dofs_;
-    std::vector<char> is_dirichlet_;
+    DirichletReduction dirichlet_;
     la::BandedCholesky chol_;
-    /// Original matrix columns of Dirichlet dofs (for RHS lifting):
-    /// (row, dirichlet dof, value).
-    std::vector<std::tuple<int, int, double>> lift_;
 };
 
 /// Matrix-free global apply y = (S + lambda M) x, with the elemental S of

@@ -76,7 +76,8 @@ public:
 
     /// The per-effective-order velocity operator cache (restart regression
     /// hook: a run resumed mid-ramp must rebuild the ramp orders' operators).
-    [[nodiscard]] const HelmholtzOrderCache& velocity_solver_cache() const noexcept {
+    [[nodiscard]] const HelmholtzOrderCache<HelmholtzDirect>& velocity_solver_cache()
+        const noexcept {
         return velocity_solvers_;
     }
 
@@ -121,7 +122,7 @@ private:
     std::vector<HelmholtzDirect> pressure_;  ///< one per local mode
     /// Per-mode velocity operators keyed on the *effective* startup order
     /// (lambda = gamma0/(nu dt) + beta_k^2 must match the explicit weights).
-    HelmholtzOrderCache velocity_solvers_;
+    HelmholtzOrderCache<HelmholtzDirect> velocity_solvers_;
 
     // [component][plane * modal_size] modal coefficients; quad likewise.
     std::vector<double> modal_[3];

@@ -15,7 +15,7 @@ SerialNS2d::SerialNS2d(std::shared_ptr<const Discretization> disc, SerialNsOptio
       backend_(compute::resolve(opts.backend, disc_->backend())),
       pressure_solver_(disc_, 0.0, opts.pressure_bc) {
     velocity_solvers_.configure([this](double gamma0) {
-        std::vector<HelmholtzDirect> v;
+        std::vector<CondensedHelmholtz> v;
         v.emplace_back(disc_, gamma0 / (opts_.viscosity * opts_.dt), opts_.velocity_bc);
         return v;
     });
@@ -151,10 +151,10 @@ void SerialNS2d::stage_pressure_rhs(const StepContext& ctx,
     disc_->gather_add(local, prhs_);
 }
 
-// Stage 5: banded direct solve for the pressure.
+// Stage 5: condensed banded direct solve for the pressure.
 void SerialNS2d::stage_pressure_solve(const StepContext&) {
-    std::vector<double> pdir(disc_->dofmap().num_global(), 0.0);
-    p_modal_ = pressure_solver_.solve_global(std::move(prhs_), pdir);
+    const std::vector<double> pdir(disc_->dofmap().num_global(), 0.0);
+    p_modal_ = pressure_solver_.solve_global(prhs_, pdir);
 }
 
 // Stage 6: Helmholtz RHS, u** = uhat - dt grad p, then scaled so that
@@ -178,11 +178,11 @@ void SerialNS2d::stage_viscous_rhs(const StepContext& ctx,
     disc_->gather_add(lv, vrhs_);
 }
 
-// Stage 7: banded direct Helmholtz solves of u and v, in one pass over the
-// factor, with the operator of the step's *effective* order, so the
-// implicit lambda matches the explicit weights.
+// Stage 7: condensed banded direct Helmholtz solves of u and v, in one
+// pass over the Schur factor, with the operator of the step's *effective*
+// order, so the implicit lambda matches the explicit weights.
 void SerialNS2d::stage_viscous_solve(const StepContext& ctx) {
-    const HelmholtzDirect& solver = velocity_solvers_.get(ctx.scheme.order).front();
+    const CondensedHelmholtz& solver = velocity_solvers_.get(ctx.scheme.order).front();
     record_velocity_lambda(solver.lambda());
     const double tn1 = ctx.t_new;
     const auto udir =
@@ -192,7 +192,7 @@ void SerialNS2d::stage_viscous_solve(const StepContext& ctx) {
     std::vector<std::vector<double>> rhs; // moved in: a braced list would copy
     rhs.push_back(std::move(urhs_));
     rhs.push_back(std::move(vrhs_));
-    auto uv = solver.solve_global(std::move(rhs), {udir, vdir});
+    auto uv = solver.solve_global(rhs, {udir, vdir});
     u_modal_ = std::move(uv[0]);
     v_modal_ = std::move(uv[1]);
 }

@@ -4,9 +4,9 @@
 #include <memory>
 #include <vector>
 
-#include "nektar/helmholtz.hpp"
 #include "nektar/solver_options.hpp"
 #include "nektar/splitting.hpp"
+#include "nektar/static_condensation.hpp"
 
 /// \file ns_serial.hpp
 /// The serial 2-D incompressible Navier-Stokes solver (paper §4.1).
@@ -19,9 +19,10 @@
 ///   2  evaluate nonlinear terms -(u . grad) u at quadrature points
 ///   3  weight-average with previous nonlinear terms (stiffly-stable)
 ///   4  set up the pressure Poisson RHS
-///   5  banded direct solve of the Poisson equation
+///   5  condensed banded direct solve of the Poisson equation
 ///   6  set up the viscous Helmholtz RHS
-///   7  banded direct solves of the Helmholtz equations
+///   7  condensed banded direct solves of the Helmholtz equations
+/// Both solves go through CondensedHelmholtz, the solver's one direct path.
 namespace nektar {
 
 class SerialNS2d : public SolverCore {
@@ -59,7 +60,8 @@ public:
 
     /// The per-effective-order velocity operator cache (restart regression
     /// hook: a run resumed mid-ramp must rebuild the ramp orders' operators).
-    [[nodiscard]] const HelmholtzOrderCache& velocity_solver_cache() const noexcept {
+    [[nodiscard]] const HelmholtzOrderCache<CondensedHelmholtz>& velocity_solver_cache()
+        const noexcept {
         return velocity_solvers_;
     }
 
@@ -92,11 +94,11 @@ private:
     SerialNsOptions opts_;
     /// Resolved compute backend (opts_.backend, Auto -> disc default).
     compute::BackendKind backend_ = compute::BackendKind::Auto;
-    HelmholtzDirect pressure_solver_;
+    CondensedHelmholtz pressure_solver_;
     /// Velocity Helmholtz operators keyed on the *effective* startup order,
     /// so the implicit lambda = gamma0/(nu dt) always matches the explicit
     /// weights (the ramped first steps included).
-    HelmholtzOrderCache velocity_solvers_;
+    HelmholtzOrderCache<CondensedHelmholtz> velocity_solvers_;
 
     // State: modal coefficients and quadrature values of (u, v).
     std::vector<double> u_modal_, v_modal_, p_modal_;

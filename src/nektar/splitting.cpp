@@ -87,24 +87,6 @@ void FieldHistory::restore(ckpt::SectionReader& r) {
     }
 }
 
-void HelmholtzOrderCache::configure(Factory factory) {
-    factory_ = std::move(factory);
-    for (auto& c : cache_) c.reset();
-}
-
-const std::vector<HelmholtzDirect>& HelmholtzOrderCache::get(int je) const {
-    auto& slot = cache_.at(static_cast<std::size_t>(je));
-    if (!slot) slot = factory_(stiffly_stable(je).gamma0);
-    return *slot;
-}
-
-std::vector<int> HelmholtzOrderCache::built_orders() const {
-    std::vector<int> orders;
-    for (std::size_t je = 0; je < cache_.size(); ++je)
-        if (cache_[je]) orders.push_back(static_cast<int>(je));
-    return orders;
-}
-
 SolverCore::SolverCore(int time_order, double dt, std::size_t num_fields)
     : time_order_(time_order), dt_(dt), num_fields_(num_fields) {
     if (time_order < 1 || time_order > kMaxTimeOrder)

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
-#include "nektar/helmholtz.hpp"
 #include "obs/trace.hpp"
 #include "perf/stage_stats.hpp"
 
@@ -93,26 +92,41 @@ private:
 /// During the startup ramp the effective gamma0 differs from the requested
 /// order's, so the velocity operator lambda = gamma0/(nu dt) (+ beta_k^2)
 /// must be rebuilt to match the explicit weights; this cache builds each
-/// order's operator set once, on first use.
+/// order's operator set once, on first use.  `Solver` is the solver's
+/// direct operator: CondensedHelmholtz (SerialNS2d) or HelmholtzDirect
+/// (FourierNS).
+template <class Solver>
 class HelmholtzOrderCache {
 public:
     /// Builds the full operator set (one per Fourier mode; a single entry
     /// for the 2-D solvers) for the given effective gamma0.
-    using Factory = std::function<std::vector<HelmholtzDirect>(double gamma0)>;
+    using Factory = std::function<std::vector<Solver>(double gamma0)>;
 
-    void configure(Factory factory);
+    void configure(Factory factory) {
+        factory_ = std::move(factory);
+        for (auto& c : cache_) c.reset();
+    }
 
     /// The operator set for integration order `je`, built on first use.
-    [[nodiscard]] const std::vector<HelmholtzDirect>& get(int je) const;
+    [[nodiscard]] const std::vector<Solver>& get(int je) const {
+        auto& slot = cache_.at(static_cast<std::size_t>(je));
+        if (!slot) slot = factory_(stiffly_stable(je).gamma0);
+        return *slot;
+    }
 
     /// The orders whose operator sets have been built, ascending.  The
     /// restart regression tests use this to assert a run resumed mid-ramp
     /// rebuilds the ramp orders' operators, not just the steady-state one.
-    [[nodiscard]] std::vector<int> built_orders() const;
+    [[nodiscard]] std::vector<int> built_orders() const {
+        std::vector<int> orders;
+        for (std::size_t je = 0; je < cache_.size(); ++je)
+            if (cache_[je]) orders.push_back(static_cast<int>(je));
+        return orders;
+    }
 
 private:
     Factory factory_;
-    mutable std::array<std::optional<std::vector<HelmholtzDirect>>, kMaxTimeOrder + 1> cache_;
+    mutable std::array<std::optional<std::vector<Solver>>, kMaxTimeOrder + 1> cache_;
 };
 
 /// The shared stage pipeline: owns the clock, the step counter, the stage

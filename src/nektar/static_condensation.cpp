@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cassert>
 #include <deque>
-#include <set>
 #include <stdexcept>
 
 #include "blaslite/blas.hpp"
@@ -21,16 +20,10 @@ std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
     std::vector<std::vector<int>> dof_elems(n_dofs);
     for (std::size_t e = 0; e < elem_bdofs.size(); ++e)
         for (int d : elem_bdofs[e]) dof_elems[static_cast<std::size_t>(d)].push_back(static_cast<int>(e));
-    const auto neighbours = [&](int d) {
-        std::set<int> nb;
-        for (int e : dof_elems[static_cast<std::size_t>(d)])
-            for (int u : elem_bdofs[static_cast<std::size_t>(e)])
-                if (u != d) nb.insert(u);
-        return nb;
-    };
     std::vector<int> order;
     order.reserve(n_dofs);
     std::vector<char> seen(n_dofs, 0);
+    std::vector<int> nb;
     for (std::size_t start = 0; start < n_dofs; ++start) {
         if (seen[start]) continue;
         std::deque<int> queue{static_cast<int>(start)};
@@ -39,7 +32,14 @@ std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
             const int d = queue.front();
             queue.pop_front();
             order.push_back(d);
-            for (int u : neighbours(d)) {
+            // Unvisited neighbours in ascending order (repeats are skipped
+            // below, once the first copy is marked seen).
+            nb.clear();
+            for (int e : dof_elems[static_cast<std::size_t>(d)])
+                for (int u : elem_bdofs[static_cast<std::size_t>(e)])
+                    if (!seen[static_cast<std::size_t>(u)]) nb.push_back(u);
+            std::sort(nb.begin(), nb.end());
+            for (int u : nb) {
                 if (seen[static_cast<std::size_t>(u)]) continue;
                 seen[static_cast<std::size_t>(u)] = 1;
                 queue.push_back(u);
@@ -86,36 +86,47 @@ SchurBlocks condense(const ElemMatrices& mats, double lambda, std::size_t nb) {
 
 CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> disc,
                                        double lambda, HelmholtzBC bc)
-    : disc_(std::move(disc)),
-      lambda_(lambda),
-      bc_(std::move(bc)),
-      flat_map_(disc_->mesh(), disc_->order(), /*renumber=*/false) {
-    const std::size_t P = disc_->order();
-    const mesh::Mesh& m = disc_->mesh();
-    nb_ = m.num_vertices() + m.num_edges() * (P - 1);
-
-    // Boundary dof lists per element (flat ids; boundary modes come first in
-    // the expansion ordering and map below nb_ in the flat numbering).
+    : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
+    const DofMap& dm = disc_->dofmap();
+    // The boundary (vertex and edge) dofs are the ones some element maps a
+    // boundary mode to.  Number them in the dof map's order, then renumber
+    // by a boundary-only RCM pass.
+    std::vector<int> local(dm.num_global(), -1);
     std::vector<std::vector<int>> elem_bdofs(disc_->num_elements());
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const auto& map = flat_map_.element_map(e);
-        const std::size_t nmb = disc_->ops(e).expansion().num_boundary_modes();
-        for (std::size_t i = 0; i < nmb; ++i) {
-            assert(map[i].global < static_cast<int>(nb_));
+        const auto& map = dm.element_map(e);
+        for (std::size_t i = 0; i < disc_->ops(e).expansion().num_boundary_modes(); ++i) {
+            local[static_cast<std::size_t>(map[i].global)] = 0;
             elem_bdofs[e].push_back(map[i].global);
         }
     }
-    bperm_ = boundary_rcm(elem_bdofs, nb_);
+    std::size_t nb = 0;
+    for (int& l : local)
+        if (l == 0) l = static_cast<int>(nb++);
+    for (auto& bd : elem_bdofs)
+        for (int& d : bd) d = local[static_cast<std::size_t>(d)];
+    const std::vector<int> bperm = boundary_rcm(elem_bdofs, nb);
+    bidx_.assign(dm.num_global(), -1);
+    bglobal_.resize(nb);
+    for (std::size_t g = 0; g < dm.num_global(); ++g) {
+        if (local[g] < 0) continue;
+        const int b = bperm[static_cast<std::size_t>(local[g])];
+        bidx_[g] = b;
+        bglobal_[static_cast<std::size_t>(b)] = static_cast<int>(g);
+    }
+    const auto row = [&](const LocalDof& ld) {
+        return static_cast<std::size_t>(bidx_[static_cast<std::size_t>(ld.global)]);
+    };
 
     std::size_t kd = 0;
     for (const auto& bd : elem_bdofs)
         for (int a : bd)
             for (int b : bd)
                 kd = std::max(kd, static_cast<std::size_t>(
-                                      std::abs(bperm_[static_cast<std::size_t>(a)] -
-                                               bperm_[static_cast<std::size_t>(b)])));
+                                      std::abs(bperm[static_cast<std::size_t>(a)] -
+                                               bperm[static_cast<std::size_t>(b)])));
 
-    la::SymBandedMatrix schur(nb_, kd);
+    la::SymBandedMatrix schur(nb, kd);
     elems_.resize(disc_->num_elements());
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const ElemMatrices* mats = disc_->ops(e).matrix_identity();
@@ -126,107 +137,98 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
         // Assemble in the global orientation: S_glob = D S D with D the
         // element's boundary-mode signs.
         const la::DenseMatrix& s = it->second.schur;
-        const auto& map = flat_map_.element_map(e);
-        for (std::size_t i = 0; i < s.rows(); ++i) {
-            const int gi = bperm_[static_cast<std::size_t>(elem_bdofs[e][i])];
-            for (std::size_t j = 0; j <= i; ++j) {
-                const int gj = bperm_[static_cast<std::size_t>(elem_bdofs[e][j])];
-                schur.add(static_cast<std::size_t>(gi), static_cast<std::size_t>(gj),
-                          map[i].sign * map[j].sign * s(i, j));
-            }
-        }
+        const auto& map = dm.element_map(e);
+        for (std::size_t i = 0; i < s.rows(); ++i)
+            for (std::size_t j = 0; j <= i; ++j)
+                schur.add(row(map[i]), row(map[j]), map[i].sign * map[j].sign * s(i, j));
     }
 
-    // Dirichlet reduction, as in HelmholtzDirect.
-    for (int d : flat_map_.boundary_dofs([&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }))
-        dirichlet_dofs_.push_back(bperm_[static_cast<std::size_t>(d)]);
-    if (bc_.pin_first_dof && dirichlet_dofs_.empty())
-        dirichlet_dofs_.push_back(bperm_[static_cast<std::size_t>(
-            flat_map_.element_map(0)[disc_->ops(0).expansion().vertex_mode(0)].global)]);
-    std::sort(dirichlet_dofs_.begin(), dirichlet_dofs_.end());
-    is_dirichlet_.assign(nb_, 0);
-    for (int d : dirichlet_dofs_) is_dirichlet_[static_cast<std::size_t>(d)] = 1;
-    for (int d : dirichlet_dofs_) {
-        const auto du = static_cast<std::size_t>(d);
-        const std::size_t lo = du > kd ? du - kd : 0;
-        const std::size_t hi = std::min(nb_ - 1, du + kd);
-        for (std::size_t r = lo; r <= hi; ++r) {
-            if (is_dirichlet_[r]) continue;
-            const double v = schur.at(r, du);
-            if (v != 0.0) lift_.emplace_back(static_cast<int>(r), d, v);
-        }
-    }
-    for (int d : dirichlet_dofs_) {
-        const auto du = static_cast<std::size_t>(d);
-        const std::size_t lo = du > kd ? du - kd : 0;
-        const std::size_t hi = std::min(nb_ - 1, du + kd);
-        for (std::size_t r = lo; r <= hi; ++r) {
-            if (r == du) continue;
-            const double v = schur.at(r, du);
-            if (v != 0.0) schur.add(r, du, -v);
-        }
-        schur.band(0, du) = 1.0;
-    }
+    // Every constrained dof is a vertex or edge dof, so a Schur row.
+    std::vector<int> dofs;
+    for (int d : constrained_dofs(*disc_, bc_)) dofs.push_back(bidx_[static_cast<std::size_t>(d)]);
+    std::sort(dofs.begin(), dofs.end());
+    dirichlet_ = DirichletReduction(schur, std::move(dofs));
     if (!chol_.factor(std::move(schur)))
         throw std::runtime_error("CondensedHelmholtz: Schur complement not SPD");
 }
 
-std::vector<double> CondensedHelmholtz::solve(
-    std::span<const double> f_quad, const std::function<double(double, double)>& g) const {
-    // Local weak RHS per element, condensed: l_b - D K^T l_i (H_bi H_ii^-1
-    // is K^T; interior modes carry sign +1).
-    std::vector<double> rhs(nb_, 0.0);
-    std::vector<std::vector<double>> li(disc_->num_elements()); // interior rhs
-    std::vector<double> cb;
+void CondensedHelmholtz::condense_rhs(std::span<const double> rhs,
+                                      std::span<const double> dirichlet,
+                                      std::span<double> rb) const {
+    const std::size_t nb = bglobal_.size();
+    std::vector<double> values(nb);
+    for (std::size_t b = 0; b < nb; ++b) {
+        const auto g = static_cast<std::size_t>(bglobal_[b]);
+        rb[b] = rhs[g];
+        values[b] = dirichlet[g];
+    }
+    // H_bi H_ii^-1 is K^T; interior modes carry sign +1.
+    std::vector<double> fi, cb;
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
-        const auto& map = flat_map_.element_map(e);
         const SchurBlocks& sb = *elems_[e];
-        const std::size_t nmb = sb.k.cols();
-        const std::size_t nmi = sb.k.rows();
-        std::vector<double> l(ops.num_modes(), 0.0);
-        ops.weak_inner(disc_->quad_block(f_quad, e), l);
-        li[e].assign(l.begin() + static_cast<std::ptrdiff_t>(nmb), l.end());
-        cb.assign(nmb, 0.0);
-        if (nmi > 0)
-            blaslite::dgemv_t(1.0, sb.k.data(), nmb, nmi, nmb, li[e].data(), 0.0, cb.data());
-        for (std::size_t i = 0; i < nmb; ++i)
-            rhs[static_cast<std::size_t>(bperm_[static_cast<std::size_t>(map[i].global)])] +=
-                map[i].sign * (l[i] - cb[i]);
+        const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
+        if (ni == 0) continue;
+        const auto& map = disc_->dofmap().element_map(e);
+        fi.resize(ni);
+        for (std::size_t i = 0; i < ni; ++i)
+            fi[i] = rhs[static_cast<std::size_t>(map[nbe + i].global)];
+        cb.resize(nbe);
+        blaslite::dgemv_t(1.0, sb.k.data(), nbe, ni, nbe, fi.data(), 0.0, cb.data());
+        for (std::size_t i = 0; i < nbe; ++i)
+            rb[static_cast<std::size_t>(bidx_[static_cast<std::size_t>(map[i].global)])] -=
+                map[i].sign * cb[i];
     }
+    dirichlet_.impose(rb, values);
+}
 
-    // Dirichlet data on the condensed system.
-    std::vector<double> bvals(nb_, 0.0);
-    if (g) {
-        for (const auto& [dof, v] : flat_map_.dirichlet_values(
-                 [&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }, g))
-            bvals[static_cast<std::size_t>(bperm_[static_cast<std::size_t>(dof)])] = v;
-    }
-    for (const auto& [r, d, v] : lift_)
-        rhs[static_cast<std::size_t>(r)] -= v * bvals[static_cast<std::size_t>(d)];
-    for (int d : dirichlet_dofs_) rhs[static_cast<std::size_t>(d)] = bvals[static_cast<std::size_t>(d)];
-    chol_.solve(rhs);
-
-    // Interior back-substitution: u_i = H_ii^-1 l_i - K u_b, u_b in the
-    // element's own orientation.
+std::vector<double> CondensedHelmholtz::back_solve(std::span<const double> rhs,
+                                                   std::span<const double> xb) const {
     std::vector<double> modal(disc_->modal_size(), 0.0);
-    std::vector<double> ub;
+    std::vector<double> fi, ub;
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const auto& map = flat_map_.element_map(e);
         const SchurBlocks& sb = *elems_[e];
-        const std::size_t nmb = sb.k.cols();
-        const std::size_t nmi = sb.k.rows();
+        const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
+        const auto& map = disc_->dofmap().element_map(e);
         auto out = disc_->modal_block(std::span<double>(modal), e);
-        ub.resize(nmb);
-        for (std::size_t i = 0; i < nmb; ++i)
-            ub[i] = out[i] = map[i].sign * rhs[static_cast<std::size_t>(
-                                               bperm_[static_cast<std::size_t>(map[i].global)])];
-        if (nmi == 0) continue;
-        blaslite::dgemv(1.0, sb.hii_inv.data(), nmi, nmi, nmi, li[e].data(), 0.0,
-                        out.data() + nmb);
-        blaslite::dgemv(-1.0, sb.k.data(), nmb, nmi, nmb, ub.data(), 1.0, out.data() + nmb);
+        ub.resize(nbe);
+        for (std::size_t i = 0; i < nbe; ++i)
+            ub[i] = out[i] =
+                map[i].sign * xb[static_cast<std::size_t>(bidx_[static_cast<std::size_t>(map[i].global)])];
+        if (ni == 0) continue;
+        fi.resize(ni);
+        for (std::size_t i = 0; i < ni; ++i)
+            fi[i] = rhs[static_cast<std::size_t>(map[nbe + i].global)];
+        blaslite::dgemv(1.0, sb.hii_inv.data(), ni, ni, ni, fi.data(), 0.0, out.data() + nbe);
+        blaslite::dgemv(-1.0, sb.k.data(), nbe, ni, nbe, ub.data(), 1.0, out.data() + nbe);
     }
     return modal;
+}
+
+std::vector<double> CondensedHelmholtz::solve_global(std::span<const double> rhs,
+                                                     std::span<const double> dirichlet) const {
+    std::vector<double> rb(bglobal_.size());
+    condense_rhs(rhs, dirichlet, rb);
+    chol_.solve(rb);
+    return back_solve(rhs, rb);
+}
+
+std::vector<std::vector<double>> CondensedHelmholtz::solve_global(
+    const std::vector<std::vector<double>>& rhs,
+    const std::vector<std::span<const double>>& dirichlet) const {
+    assert(rhs.size() == dirichlet.size());
+    std::vector<std::vector<double>> rb(rhs.size(), std::vector<double>(bglobal_.size()));
+    for (std::size_t q = 0; q < rhs.size(); ++q) condense_rhs(rhs[q], dirichlet[q], rb[q]);
+    const std::vector<std::span<double>> views(rb.begin(), rb.end());
+    chol_.solve(views);
+    std::vector<std::vector<double>> modal;
+    modal.reserve(rhs.size());
+    for (std::size_t q = 0; q < rhs.size(); ++q) modal.push_back(back_solve(rhs[q], rb[q]));
+    return modal;
+}
+
+std::vector<double> CondensedHelmholtz::solve(
+    std::span<const double> f_quad, const std::function<double(double, double)>& g) const {
+    return solve_global(weak_rhs(*disc_, f_quad), dirichlet_vector(g));
 }
 
 } // namespace nektar

@@ -37,39 +37,70 @@ struct SchurBlocks {
 /// the symmetrisation of S).  Throws if H_ii is not SPD.
 [[nodiscard]] SchurBlocks condense(const ElemMatrices& mats, double lambda, std::size_t nb);
 
+/// SerialNS2d's direct Helmholtz solver: HelmholtzDirect's contract, with
+/// the interiors eliminated.  The constructor condenses every matrix class,
+/// assembles the boundary Schur complement S in a reverse Cuthill-McKee
+/// numbering of the boundary dofs, reduces it for the Dirichlet dofs and
+/// factors it once.  A solve condenses the assembled right-hand side,
+///     r_b = f_b - sum_e D K^T f_i     (D the element's boundary-mode signs),
+/// solves S x_b = r_b on the band and back-solves each element's interiors,
+///     x_i = H_ii^-1 f_i - K D x_b.
 class CondensedHelmholtz {
 public:
     CondensedHelmholtz(std::shared_ptr<const Discretization> disc, double lambda,
                        HelmholtzBC bc);
 
-    /// Same contract as HelmholtzDirect::solve: forcing at quadrature
-    /// points, optional Dirichlet data, per-element modal solution out.
+    /// Forcing at quadrature points and optional Dirichlet data g: the weak
+    /// right-hand side (weak_rhs) through solve_global.  Per-element modal
+    /// solution out.
     [[nodiscard]] std::vector<double> solve(
         std::span<const double> f_quad,
         const std::function<double(double, double)>& g = {}) const;
 
+    /// The weak right-hand side already assembled in disc->dofmap()
+    /// numbering, with global-length Dirichlet data (dirichlet_vector).
+    [[nodiscard]] std::vector<double> solve_global(std::span<const double> rhs,
+                                                   std::span<const double> dirichlet) const;
+
+    /// Several right-hand sides in one pass over the Schur factor (a step's
+    /// u and v).  Bitwise and in operation counts the same as one
+    /// single-RHS call each.
+    [[nodiscard]] std::vector<std::vector<double>> solve_global(
+        const std::vector<std::vector<double>>& rhs,
+        const std::vector<std::span<const double>>& dirichlet) const;
+
+    [[nodiscard]] double lambda() const noexcept { return lambda_; }
+    /// dirichlet_data for this solver's boundary conditions.
+    [[nodiscard]] std::vector<double> dirichlet_vector(
+        const std::function<double(double, double)>& g) const {
+        return dirichlet_data(*disc_, bc_, g);
+    }
+
     /// Size and half-bandwidth of the condensed boundary system (compare
     /// with HelmholtzDirect::bandwidth() on the full system).
-    [[nodiscard]] std::size_t boundary_dofs() const noexcept { return nb_; }
+    [[nodiscard]] std::size_t boundary_dofs() const noexcept { return bglobal_.size(); }
     [[nodiscard]] std::size_t bandwidth() const noexcept { return chol_.bandwidth(); }
 
 private:
+    /// r_b = f_b - sum_e D K^T f_i and the Dirichlet reduction, in Schur rows.
+    void condense_rhs(std::span<const double> rhs, std::span<const double> dirichlet,
+                      std::span<double> rb) const;
+    /// Per-element modal solution from the Schur solution x_b and the
+    /// interiors' right-hand side.
+    [[nodiscard]] std::vector<double> back_solve(std::span<const double> rhs,
+                                                 std::span<const double> xb) const;
+
     std::shared_ptr<const Discretization> disc_;
     double lambda_;
     HelmholtzBC bc_;
-    /// Unpermuted boundary-dof layout (vertices then edge modes) remapped by
-    /// a boundary-only RCM pass.
-    std::vector<int> bperm_;
-    std::size_t nb_ = 0;
+    /// Global dof -> Schur row (-1 on interior dofs), and its inverse.
+    std::vector<int> bidx_;
+    std::vector<int> bglobal_;
     /// Condensed blocks per matrix class, and each element's.
     std::map<const ElemMatrices*, SchurBlocks> blocks_;
     std::vector<const SchurBlocks*> elems_;
-    std::vector<int> dirichlet_dofs_;             ///< condensed numbering
-    std::vector<char> is_dirichlet_;
+    DirichletReduction dirichlet_; ///< in Schur rows
     la::BandedCholesky chol_;
-    std::vector<std::tuple<int, int, double>> lift_;
-    /// Non-renumbered dof map (vertices first, edges, then interiors last).
-    DofMap flat_map_;
 };
 
 } // namespace nektar

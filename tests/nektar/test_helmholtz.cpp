@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <string>
 
 #include "blaslite/counters.hpp"
 #include "mesh/generators.hpp"
+#include "nektar/static_condensation.hpp"
 
 namespace {
 
@@ -174,12 +176,14 @@ TEST(Helmholtz, TwoRhsSolveGlobalMatchesTwoSingleSolves) {
     EXPECT_EQ(pair_counts.calls, single_counts.calls);
 }
 
-TEST(Helmholtz, MultiRhsSolveGlobalMatchesSingleSolves) {
-    // A Fourier mode's planes: k right-hand sides in one pass, Dirichlet data
-    // on only one of them (the mean mode's real plane), the rest homogeneous.
-    // Each solution and the summed charges equal k single calls bitwise.
+/// k right-hand sides in one pass, Dirichlet data on only one of them (a
+/// Fourier mode's planes: the mean mode's real plane), the rest
+/// homogeneous.  Each solution and the summed charges equal k single calls
+/// bitwise.
+template <class Solver>
+void expect_multi_rhs_matches_single_solves() {
     const auto disc = disc_for(unit_square_quads(4), 5);
-    HelmholtzDirect solver(disc, 2.5, {.dirichlet = {mesh::BoundaryTag::Wall}});
+    const Solver solver(disc, 2.5, {.dirichlet = {mesh::BoundaryTag::Wall}});
     const std::size_t n = disc->dofmap().num_global();
     const auto bvals = solver.dirichlet_vector([](double x, double y) { return 1.0 + x - y; });
     const std::vector<double> zero(n, 0.0);
@@ -217,6 +221,36 @@ TEST(Helmholtz, MultiRhsSolveGlobalMatchesSingleSolves) {
         EXPECT_EQ(multi_counts.bytes_written, single_counts.bytes_written) << k;
         EXPECT_EQ(multi_counts.calls, single_counts.calls) << k;
     }
+}
+
+TEST(Helmholtz, MultiRhsSolveGlobalMatchesSingleSolves) {
+    {
+        SCOPED_TRACE("HelmholtzDirect");
+        expect_multi_rhs_matches_single_solves<HelmholtzDirect>();
+    }
+    {
+        SCOPED_TRACE("CondensedHelmholtz");
+        expect_multi_rhs_matches_single_solves<nektar::CondensedHelmholtz>();
+    }
+}
+
+TEST(Helmholtz, PcgThrowsWhenCgStopsUnconverged) {
+    // Two iterations cannot reach 1e-10 on this problem: the solve must
+    // throw, naming the status and the iteration count, rather than return
+    // an unconverged field.
+    const auto disc = disc_for(unit_square_quads(4), 5);
+    HelmholtzPCG solver(disc, 1.0, {.dirichlet = {mesh::BoundaryTag::Wall}},
+                        {.max_iterations = 2, .tolerance = 1e-10});
+    std::vector<double> fq(disc->quad_size(), 1.0);
+    try {
+        (void)solver.solve(fq);
+        ADD_FAILURE() << "unconverged PCG solve did not throw";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("max-iterations"), std::string::npos) << what;
+        EXPECT_NE(what.find("after 2 iterations"), std::string::npos) << what;
+    }
+    EXPECT_EQ(solver.last_iterations(), 2u);
 }
 
 TEST(Helmholtz, HybridTriQuadMesh) {
