@@ -9,7 +9,8 @@
 /// per-Fourier-mode band shapes and a wide band, a third the matrix-free
 /// Helmholtz apply of the PCG solvers on a perturbed mesh, and a fourth
 /// SerialNS2d's condensed direct solver at Table 1's shape (setup, the
-/// two-RHS velocity solve, a single solve).
+/// two-RHS velocity solve, a single solve), and a fifth the setup kernels
+/// (the Discretization and DofMap builds).
 /// Writes machine-readable
 /// results to BENCH_hotpath.json (CI uploads it as an artifact and gates the
 /// engines, the direct solver and the apply against committed baselines;
@@ -319,6 +320,39 @@ perf::Case to_case(const CondensedResult& r) {
     return c;
 }
 
+struct SetupResult {
+    std::size_t order = 0, n = 0, kd = 0;
+    double disc_ms = 0.0, dofmap_ms = 0.0;
+};
+
+/// The setup kernels of a solver construction: the whole Discretization
+/// build (dof map, elemental geometry and matrices, engines) and the DofMap
+/// alone, with or without the RCM renumbering.
+SetupResult run_setup(const mesh::Mesh& mesh, std::size_t order, bool renumber,
+                      double min_seconds) {
+    const auto m = std::make_shared<const mesh::Mesh>(mesh);
+    SetupResult r{order};
+    r.disc_ms = 1e3 * benchutil::time_per_call(
+                          [&] { (void)nektar::Discretization(m, order, renumber); },
+                          min_seconds);
+    r.dofmap_ms = 1e3 * benchutil::time_per_call(
+                            [&] { (void)nektar::DofMap(*m, order, renumber); }, min_seconds);
+    const nektar::DofMap dm(*m, order, renumber);
+    r.n = dm.num_global();
+    r.kd = dm.bandwidth();
+    return r;
+}
+
+perf::Case to_case(const SetupResult& r) {
+    perf::Case c;
+    c.values["order"] = static_cast<double>(r.order);
+    c.values["n"] = static_cast<double>(r.n);
+    c.values["kd"] = static_cast<double>(r.kd);
+    c.values["setup_ms.disc"] = r.disc_ms;
+    c.values["setup_ms.dofmap"] = r.dofmap_ms;
+    return c;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -415,6 +449,25 @@ int main(int argc, char** argv) {
                           benchutil::fmt(cond.solve2_ms, "%.3f"),
                           benchutil::fmt(cond.solve_ms, "%.3f")});
 
+    // Setup kernels, the same two shapes in both sweeps: Table 1's mesh at
+    // order 6 with RCM (SerialNS2d's construction) and the ALE mesh at order
+    // 4 without it (AleNS2d's per-step rebuild).
+    std::printf("\nSetup: Discretization and DofMap builds\n");
+    benchutil::Table setup_table({"mesh", "order", "n", "kd", "disc ms", "dofmap ms"});
+    setup_table.print_header();
+    mesh::BluffBodyParams t1;
+    t1.n_upstream = 6;
+    t1.n_wake = 10;
+    t1.n_body = 3;
+    t1.n_side = 4;
+    const std::pair<const char*, SetupResult> setups[] = {
+        {"table1+rcm", run_setup(mesh::bluff_body_mesh(t1), 6, true, min_seconds)},
+        {"ale", run_setup(mesh::flapping_body_mesh(2), 4, false, min_seconds)}};
+    for (const auto& [name, r] : setups)
+        setup_table.print_row({name, std::to_string(r.order), std::to_string(r.n),
+                               std::to_string(r.kd), benchutil::fmt(r.disc_ms, "%.3f"),
+                               benchutil::fmt(r.dofmap_ms, "%.3f")});
+
     perf::RunReport rep = perf::report("bench_hotpath");
     rep.backend = "dense+sumfact"; // both engines measured side by side
     rep.crossover_order = crossover;
@@ -423,6 +476,7 @@ int main(int argc, char** argv) {
     for (const BandedResult& r : banded) rep.cases.push_back(to_case(r));
     for (const ApplyResult& r : applies) rep.cases.push_back(to_case(r));
     rep.cases.push_back(to_case(cond));
+    for (const auto& [name, r] : setups) rep.cases.push_back(to_case(r));
     cli.finish(std::move(rep), "BENCH_hotpath.json");
     return 0;
 }

@@ -3,7 +3,7 @@
 
 Compares a freshly measured BENCH_hotpath.json against one or more committed
 baselines and fails when any gated kernel of any case got more than
---threshold slower.  Five baselines are committed:
+--threshold slower.  Six baselines are committed:
 
   bench/BENCH_hotpath_baseline.json  — the dense batched engine (gate its
                                        "batched_ms" metric group)
@@ -15,13 +15,15 @@ baselines and fails when any gated kernel of any case got more than
                                        (gate its "pcg_apply_ms" metric group)
   bench/BENCH_condensed_baseline.json — SerialNS2d's condensed direct solver
                                        (gate its "condensed_ms" metric group)
+  bench/BENCH_setup_baseline.json    — the Discretization and DofMap builds
+                                       (gate its "setup_ms" metric group)
 
 All are RunReports (see bench/run_report_schema.json): the sweep lives in the
 top-level "cases" array as flat objects whose kernel timings use dotted keys
 ("batched_ms.to_quad", "sumfact_ms.grad", "banded_ms.factor", ...).  A case
 is identified by its coordinates: (order, elements, planes) for the engine
 sweep, (n, kd) for the banded one, (order, elements) for the PCG apply,
-(order, n, kd) for the condensed solver.  --baseline and --metric-group
+(order, n, kd) for the condensed solver and the setup builds.  --baseline and --metric-group
 repeat in lockstep: the i-th baseline is gated on the i-th group (a single
 --metric-group applies to every baseline; the default is "batched_ms").
 
@@ -57,8 +59,9 @@ main build, then
       --baseline bench/BENCH_hotpath_baseline.json --current BENCH_hotpath.json
 and commit the updated baseline together with the change that moved it.
 With --metric-group, --update keeps only the cases that carry that group
-(how bench/BENCH_banded_baseline.json, bench/BENCH_pcg_baseline.json and
-bench/BENCH_condensed_baseline.json are cut from a full sweep).
+(how bench/BENCH_banded_baseline.json, bench/BENCH_pcg_baseline.json,
+bench/BENCH_condensed_baseline.json and bench/BENCH_setup_baseline.json are
+cut from a full sweep).
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ GROUP_KERNELS = {
     "banded_ms": ("factor", "solve", "solve2"),
     "pcg_apply_ms": ("lap", "helm"),
     "condensed_ms": ("setup", "solve2", "solve"),
+    "setup_ms": ("disc", "dofmap"),
 }
 # The coordinates that identify a case (each sweep carries a subset).
 CASE_COORDS = ("order", "elements", "planes", "n", "kd")

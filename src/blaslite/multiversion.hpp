@@ -37,3 +37,32 @@
 #ifndef REPRO_MULTIVERSION_CLONES
 #define REPRO_MULTIVERSION_CLONES 0
 #endif
+
+namespace blaslite {
+
+/// The x86-64 microarchitecture level REPRO_MULTIVERSION kernels run with:
+/// the host's when clones are made (checked like their resolver, by CPU
+/// feature), else the compile target's.  Kernels that size their register
+/// tiles per level pass it to their cloned entry point; only speed may
+/// depend on it.
+enum class IsaLevel { base, v3, v4 };
+
+inline IsaLevel isa_level() noexcept {
+#if REPRO_MULTIVERSION_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
+        __builtin_cpu_supports("avx512cd"))
+        return IsaLevel::v4;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return IsaLevel::v3;
+    return IsaLevel::base;
+#elif defined(__AVX512F__)
+    return IsaLevel::v4;
+#elif defined(__AVX2__)
+    return IsaLevel::v3;
+#else
+    return IsaLevel::base;
+#endif
+}
+
+} // namespace blaslite

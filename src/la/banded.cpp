@@ -318,37 +318,15 @@ template <typename Shape>
     return n;
 }
 
-/// The tile shape for the ISA the factor runs with: the host's level when
-/// REPRO_MULTIVERSION makes clones (checked like its resolver, by CPU
-/// feature), else the compile target's.  Only speed depends on the choice;
-/// every shape applies the same operations to every entry.
-enum class Tile { tall, avx2, base };
-
-Tile host_tile() noexcept {
-#if REPRO_MULTIVERSION_CLONES
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512cd"))
-        return Tile::tall;
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return Tile::avx2;
-    return Tile::base;
-#elif defined(__AVX512F__)
-    return Tile::tall;
-#elif defined(__AVX2__)
-    return Tile::avx2;
-#else
-    return Tile::base;
-#endif
-}
-
-/// factor_tiled with the shape `tile` names, in one function per clone.
+/// factor_tiled with the tile shape of ISA level `isa`, in one function per
+/// clone.  Only speed depends on the shape; every shape applies the same
+/// operations to every entry.
 REPRO_MULTIVERSION
 std::size_t factor_band(double* a, std::size_t n, std::size_t kd, double pivot_floor,
-                        std::size_t& flops, Tile tile) noexcept {
-    switch (tile) {
-        case Tile::tall: return factor_tiled<TallTile>(a, n, kd, pivot_floor, flops);
-        case Tile::avx2: return factor_tiled<Avx2Tile>(a, n, kd, pivot_floor, flops);
+                        std::size_t& flops, blaslite::IsaLevel isa) noexcept {
+    switch (isa) {
+        case blaslite::IsaLevel::v4: return factor_tiled<TallTile>(a, n, kd, pivot_floor, flops);
+        case blaslite::IsaLevel::v3: return factor_tiled<Avx2Tile>(a, n, kd, pivot_floor, flops);
         default: return factor_tiled<BaseTile>(a, n, kd, pivot_floor, flops);
     }
 }
@@ -410,7 +388,7 @@ bool BandedCholesky::factor(SymBandedMatrix a) {
     const double pivot_floor = 1e-12 * scale;
 
     std::size_t flops = 0;
-    if (factor_band(band_.data(), n_, kd_, pivot_floor, flops, host_tile()) != n_) {
+    if (factor_band(band_.data(), n_, kd_, pivot_floor, flops, blaslite::isa_level()) != n_) {
         n_ = 0;
         return false;
     }

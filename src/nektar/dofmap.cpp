@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <map>
 #include <numeric>
 #include <set>
@@ -17,52 +16,66 @@ namespace {
 
 /// Reverse Cuthill-McKee over an implicit dof graph given by dof -> elements
 /// incidence: two dofs are adjacent iff they appear in a common element.
+/// Only O(n_dofs) scratch is kept (no global adjacency): each dof's
+/// neighbours are collected from its elements when it is needed.
 std::vector<int> rcm_permutation(const std::vector<std::vector<LocalDof>>& maps,
                                  std::size_t n_dofs) {
-    std::vector<std::vector<int>> dof_elems(n_dofs);
-    for (std::size_t e = 0; e < maps.size(); ++e)
-        for (const LocalDof& ld : maps[e])
-            dof_elems[static_cast<std::size_t>(ld.global)].push_back(static_cast<int>(e));
+    // dof -> elements in ascending element order (CSR).
+    std::vector<std::size_t> first(n_dofs + 1, 0);
+    for (const auto& map : maps)
+        for (const LocalDof& ld : map) ++first[static_cast<std::size_t>(ld.global) + 1];
+    std::partial_sum(first.begin(), first.end(), first.begin());
+    std::vector<std::size_t> dof_elems(first[n_dofs]);
+    {
+        std::vector<std::size_t> next(first.begin(), first.end() - 1);
+        for (std::size_t e = 0; e < maps.size(); ++e)
+            for (const LocalDof& ld : maps[e])
+                dof_elems[next[static_cast<std::size_t>(ld.global)]++] = e;
+    }
+    const auto for_each_incident = [&](std::size_t d, auto&& visit) {
+        for (std::size_t k = first[d]; k < first[d + 1]; ++k)
+            for (const LocalDof& ld : maps[dof_elems[k]])
+                visit(static_cast<std::size_t>(ld.global));
+    };
 
+    // Degree: distinct dofs sharing an element with d, d itself included.
+    std::vector<int> degree(n_dofs, 0);
+    {
+        std::vector<std::size_t> stamp(n_dofs, n_dofs);
+        for (std::size_t d = 0; d < n_dofs; ++d)
+            for_each_incident(d, [&](std::size_t u) {
+                if (stamp[u] != d) {
+                    stamp[u] = d;
+                    ++degree[d];
+                }
+            });
+    }
+
+    // Breadth-first; `order` doubles as the queue.  Each dof's unvisited
+    // neighbours are sorted by id, then by degree with std::sort: that sort
+    // is not stable, so the ascending input is what fixes the order of
+    // equal degrees.
     std::vector<int> order;
     order.reserve(n_dofs);
     std::vector<char> seen(n_dofs, 0);
-    std::vector<int> degree(n_dofs, 0);
-    for (std::size_t d = 0; d < n_dofs; ++d) {
-        std::set<int> nb;
-        for (int e : dof_elems[d])
-            for (const LocalDof& ld : maps[static_cast<std::size_t>(e)]) nb.insert(ld.global);
-        degree[d] = static_cast<int>(nb.size());
-    }
-
-    const auto neighbours = [&](int d) {
-        std::set<int> nb;
-        for (int e : dof_elems[static_cast<std::size_t>(d)])
-            for (const LocalDof& ld : maps[static_cast<std::size_t>(e)])
-                if (ld.global != d) nb.insert(ld.global);
-        return nb;
-    };
-
+    std::vector<int> nb;
     for (std::size_t start = 0; start < n_dofs; ++start) {
         if (seen[start]) continue;
-        // Lowest-degree unvisited dof of this component as the seed.
-        int seed = static_cast<int>(start);
-        std::deque<int> queue{seed};
         seen[start] = 1;
-        while (!queue.empty()) {
-            const int d = queue.front();
-            queue.pop_front();
-            order.push_back(d);
-            std::vector<int> nb;
-            for (int u : neighbours(d))
-                if (!seen[static_cast<std::size_t>(u)]) nb.push_back(u);
-            std::sort(nb.begin(), nb.end(),
-                      [&](int a, int b) { return degree[static_cast<std::size_t>(a)] <
-                                                 degree[static_cast<std::size_t>(b)]; });
-            for (int u : nb) {
-                seen[static_cast<std::size_t>(u)] = 1;
-                queue.push_back(u);
-            }
+        order.push_back(static_cast<int>(start));
+        for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+            nb.clear();
+            for_each_incident(static_cast<std::size_t>(order[head]), [&](std::size_t u) {
+                if (!seen[u]) {
+                    seen[u] = 1;
+                    nb.push_back(static_cast<int>(u));
+                }
+            });
+            std::sort(nb.begin(), nb.end());
+            std::sort(nb.begin(), nb.end(), [&](int a, int b) {
+                return degree[static_cast<std::size_t>(a)] < degree[static_cast<std::size_t>(b)];
+            });
+            order.insert(order.end(), nb.begin(), nb.end());
         }
     }
     // Reverse (the "R" of RCM) and invert into a permutation old -> new.
@@ -128,11 +141,12 @@ DofMap::DofMap(const mesh::Mesh& m, std::size_t order, bool renumber)
 
     bandwidth_ = 0;
     for (const auto& map : maps_) {
-        for (const LocalDof& a : map)
-            for (const LocalDof& b : map)
-                bandwidth_ = std::max(bandwidth_,
-                                      static_cast<std::size_t>(std::abs(a.global - b.global)));
+        const auto [lo, hi] = std::minmax_element(
+            map.begin(), map.end(),
+            [](const LocalDof& a, const LocalDof& b) { return a.global < b.global; });
+        bandwidth_ = std::max(bandwidth_, static_cast<std::size_t>(hi->global - lo->global));
     }
+    build_edge_projection();
 }
 
 std::vector<int> DofMap::boundary_dofs(
@@ -150,27 +164,34 @@ std::vector<int> DofMap::boundary_dofs(
     return {dofs.begin(), dofs.end()};
 }
 
-std::vector<std::pair<int, double>> DofMap::dirichlet_values(
-    const std::function<bool(mesh::BoundaryTag)>& pred,
-    const std::function<double(double, double)>& g) const {
+void DofMap::build_edge_projection() {
     const std::size_t P = order_;
     const std::size_t em = P - 1;
     // 1-D bubble mass matrix and quadrature, shared across edges (the edge
     // length scales both sides of the projection and cancels).
-    const spectral::QuadratureRule rule = spectral::gauss_lobatto(P + 2);
-    la::DenseMatrix bm(em, em);
-    for (std::size_t i = 1; i <= em; ++i)
-        for (std::size_t j = 1; j <= em; ++j) {
+    edge_rule_ = spectral::gauss_lobatto(P + 2);
+    const std::size_t nq = edge_rule_.size();
+    edge_phi_ = la::DenseMatrix(nq, em);
+    for (std::size_t q = 0; q < nq; ++q)
+        for (std::size_t i = 1; i <= em; ++i)
+            edge_phi_(q, i - 1) = spectral::modal_basis(i, P, edge_rule_.points[q]);
+    edge_mass_chol_ = la::DenseMatrix(em, em);
+    for (std::size_t i = 0; i < em; ++i)
+        for (std::size_t j = 0; j < em; ++j) {
             double s = 0.0;
-            for (std::size_t q = 0; q < rule.size(); ++q)
-                s += rule.weights[q] * spectral::modal_basis(i, P, rule.points[q]) *
-                     spectral::modal_basis(j, P, rule.points[q]);
-            bm(i - 1, j - 1) = s;
+            for (std::size_t q = 0; q < nq; ++q)
+                s += edge_rule_.weights[q] * edge_phi_(q, i) * edge_phi_(q, j);
+            edge_mass_chol_(i, j) = s;
         }
-    la::DenseMatrix bm_chol = bm;
-    [[maybe_unused]] const bool ok = la::cholesky_factor(bm_chol);
+    [[maybe_unused]] const bool ok = la::cholesky_factor(edge_mass_chol_);
     assert(ok);
+}
 
+std::vector<std::pair<int, double>> DofMap::dirichlet_values(
+    const std::function<bool(mesh::BoundaryTag)>& pred,
+    const std::function<double(double, double)>& g) const {
+    const std::size_t em = order_ - 1;
+    const spectral::QuadratureRule& rule = edge_rule_;
     std::map<int, double> values;
     for (std::size_t ed = 0; ed < mesh_->num_edges(); ++ed) {
         const mesh::Edge& edge = mesh_->edge(ed);
@@ -188,10 +209,10 @@ std::vector<std::pair<int, double>> DofMap::dirichlet_values(
             const double x = 0.5 * (1.0 - t) * a.x + 0.5 * (1.0 + t) * b.x;
             const double y = 0.5 * (1.0 - t) * a.y + 0.5 * (1.0 + t) * b.y;
             const double resid = g(x, y) - (0.5 * (1.0 - t) * ga + 0.5 * (1.0 + t) * gb);
-            for (std::size_t i = 1; i <= em; ++i)
-                rhs[i - 1] += rule.weights[q] * spectral::modal_basis(i, P, t) * resid;
+            for (std::size_t i = 0; i < em; ++i)
+                rhs[i] += rule.weights[q] * edge_phi_(q, i) * resid;
         }
-        la::cholesky_solve(bm_chol, rhs);
+        la::cholesky_solve(edge_mass_chol_, rhs);
         for (std::size_t j = 0; j < em; ++j)
             values[perm_[static_cast<std::size_t>(edge_dof_base_[ed]) + j]] = rhs[j];
     }

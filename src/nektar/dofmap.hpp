@@ -4,7 +4,9 @@
 #include <functional>
 #include <vector>
 
+#include "la/dense.hpp"
 #include "mesh/mesh.hpp"
+#include "spectral/jacobi.hpp"
 
 /// \file dofmap.hpp
 /// Global C0 degree-of-freedom numbering for the spectral/hp expansion.
@@ -63,6 +65,14 @@ private:
     std::vector<int> vertex_dof_;
     std::vector<int> edge_dof_base_;
     std::vector<int> perm_; ///< pre-RCM id -> final global id
+    /// dirichlet_values' edge projection, built once: the 1-D rule, the
+    /// edge bubbles at its points (point x bubble) and the Cholesky factor
+    /// of the 1-D bubble mass matrix.
+    spectral::QuadratureRule edge_rule_;
+    la::DenseMatrix edge_phi_;
+    la::DenseMatrix edge_mass_chol_;
+
+    void build_edge_projection();
 };
 
 } // namespace nektar

@@ -2,70 +2,212 @@
 
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 #include "blaslite/blas.hpp"
+#include "blaslite/multiversion.hpp"
 #include "parallel/scratch.hpp"
-#include "spectral/jacobi.hpp"
 
 namespace nektar {
 
 namespace {
 
-/// Barycentric Lagrange differentiation matrix on the given nodes.
-la::DenseMatrix diff_matrix(const std::vector<double>& x) {
-    const std::size_t n = x.size();
-    std::vector<double> w(n, 1.0);
-    for (std::size_t j = 0; j < n; ++j)
-        for (std::size_t k = 0; k < n; ++k)
-            if (k != j) w[j] *= (x[j] - x[k]);
-    for (auto& v : w) v = 1.0 / v;
-    la::DenseMatrix d(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double diag = 0.0;
-        for (std::size_t j = 0; j < n; ++j) {
-            if (i == j) continue;
-            d(i, j) = (w[j] / w[i]) / (x[i] - x[j]);
-            diag -= d(i, j);
-        }
-        d(i, i) = diag;
+/// Rows of the staged matrices are padded to a multiple of kPad columns,
+/// the widest vector any clone uses.
+constexpr std::size_t kPad = 8;
+
+#if defined(__GNUC__) || defined(__clang__)
+/// W consecutive columns of one row, for W in {2, 4, 8}: the native vector
+/// of each clone (xmm, ymm, zmm).  A wider vector than the clone has is
+/// split into halves that GCC keeps in memory across a loop.
+template <std::size_t W>
+struct Cols {
+    typedef double type
+        __attribute__((vector_size(W * sizeof(double)), aligned(alignof(double)), may_alias));
+};
+#else
+template <std::size_t W>
+struct Cols {
+    using type = double;
+};
+#endif
+
+/// Register tile: IR rows i by R vectors of W columns j.
+template <std::size_t W, std::size_t IR, std::size_t R>
+struct ProductTile {
+    static_assert(IR >= 1 && IR <= 4 && R >= 1 && R <= 2);
+    static constexpr std::size_t width = W, rows = IR, vecs = R, cols = W * R;
+};
+
+/// One shape per ISA level: 2 * IR * R accumulators, R vectors of each of
+/// b, dx and dy and three broadcasts fit the register file (32 zmm on
+/// x86-64-v4, 16 ymm or xmm below it).
+#if defined(__GNUC__) || defined(__clang__)
+using V4Tile = ProductTile<8, 4, 2>;
+using V3Tile = ProductTile<4, 2, 2>;
+using BaseTile = ProductTile<2, 2, 2>;
+#else
+using V4Tile = ProductTile<1, 1, 1>;
+using V3Tile = V4Tile;
+using BaseTile = V4Tile;
+#endif
+
+/// The staged inputs and outputs of the products: b, dx and dy are nq x ld
+/// (q-major), bw, dxw and dyw are nm x nq (mode-major), mass and lap are
+/// nm x ld; ld is a multiple of kPad.
+struct Staged {
+    const double *b, *dx, *dy, *bw, *dxw, *dyw;
+    std::size_t nq, nm, ld;
+    double *mass, *lap;
+};
+
+/// One row's accumulators for R vectors of columns.  Named, not an array:
+/// GCC spills an array of vectors indexed in a loop.
+template <std::size_t W, std::size_t R>
+struct RowAcc {
+    using V = typename Cols<W>::type;
+    V m0{}, m1{}, l0{}, l1{};
+};
+
+/// mass += sb b_q and lap += (sx dx_q + sy dy_q) over R vectors of row q:
+/// each product rounded, the two Laplacian products summed first, then
+/// added to the accumulator (element_ops.cpp is compiled without FP
+/// contraction), exactly as the scalar
+/// lij += dxw(q, i) * dx(q, j) + dyw(q, i) * dy(q, j).
+template <std::size_t W, std::size_t R>
+[[gnu::always_inline]] inline void accumulate(RowAcc<W, R>& a, const double* b, const double* dx,
+                                              const double* dy, double sb, double sx,
+                                              double sy) noexcept {
+    using V = typename Cols<W>::type;
+    const V* pb = reinterpret_cast<const V*>(b);
+    const V* px = reinterpret_cast<const V*>(dx);
+    const V* py = reinterpret_cast<const V*>(dy);
+    a.m0 += sb * pb[0];
+    a.l0 += sx * px[0] + sy * py[0];
+    if constexpr (R > 1) {
+        a.m1 += sb * pb[1];
+        a.l1 += sx * px[1] + sy * py[1];
     }
-    return d;
 }
 
-/// Builds the (expansion, geometry)-dependent elemental matrices.
+template <std::size_t W, std::size_t R>
+[[gnu::always_inline]] inline void store(const RowAcc<W, R>& a, double* mass,
+                                         double* lap) noexcept {
+    using V = typename Cols<W>::type;
+    reinterpret_cast<V*>(mass)[0] = a.m0;
+    reinterpret_cast<V*>(lap)[0] = a.l0;
+    if constexpr (R > 1) {
+        reinterpret_cast<V*>(mass)[1] = a.m1;
+        reinterpret_cast<V*>(lap)[1] = a.l1;
+    }
+}
+
+/// Entries (i, j) of mass and lap for rows [i0, i0 + rows) and columns
+/// [j0, j0 + cols): each a sum over q in ascending order, one term per q.
+template <typename Tile>
+[[gnu::always_inline]] inline void product_tile(const Staged& s, std::size_t i0,
+                                                std::size_t j0) noexcept {
+    constexpr std::size_t W = Tile::width, IR = Tile::rows, R = Tile::vecs;
+    RowAcc<W, R> a0, a1, a2, a3;
+    const std::size_t nq = s.nq;
+    const double* bw = s.bw + i0 * nq;
+    const double* dxw = s.dxw + i0 * nq;
+    const double* dyw = s.dyw + i0 * nq;
+    for (std::size_t q = 0; q < nq; ++q) {
+        const std::size_t o = q * s.ld + j0;
+        const double *b = s.b + o, *dx = s.dx + o, *dy = s.dy + o;
+        accumulate(a0, b, dx, dy, bw[q], dxw[q], dyw[q]);
+        if constexpr (IR > 1) accumulate(a1, b, dx, dy, bw[nq + q], dxw[nq + q], dyw[nq + q]);
+        if constexpr (IR > 2)
+            accumulate(a2, b, dx, dy, bw[2 * nq + q], dxw[2 * nq + q], dyw[2 * nq + q]);
+        if constexpr (IR > 3)
+            accumulate(a3, b, dx, dy, bw[3 * nq + q], dxw[3 * nq + q], dyw[3 * nq + q]);
+    }
+    const std::size_t o = i0 * s.ld + j0;
+    store(a0, s.mass + o, s.lap + o);
+    if constexpr (IR > 1) store(a1, s.mass + o + s.ld, s.lap + o + s.ld);
+    if constexpr (IR > 2) store(a2, s.mass + o + 2 * s.ld, s.lap + o + 2 * s.ld);
+    if constexpr (IR > 3) store(a3, s.mass + o + 3 * s.ld, s.lap + o + 3 * s.ld);
+}
+
+/// Every entry of mass and lap, Tile by Tile.  Column blocks are the outer
+/// loop, so a block's b, dx and dy stay in L1 across the rows; the last
+/// rows and columns take one-row and one-vector tiles.
+template <typename Tile>
+[[gnu::always_inline]] inline void products(const Staged& s) noexcept {
+    using OneRow = ProductTile<Tile::width, 1, Tile::vecs>;
+    using OneVec = ProductTile<Tile::width, Tile::rows, 1>;
+    using Single = ProductTile<Tile::width, 1, 1>;
+    std::size_t j0 = 0;
+    for (; j0 + Tile::cols <= s.ld; j0 += Tile::cols) {
+        std::size_t i = 0;
+        for (; i + Tile::rows <= s.nm; i += Tile::rows) product_tile<Tile>(s, i, j0);
+        for (; i < s.nm; ++i) product_tile<OneRow>(s, i, j0);
+    }
+    for (; j0 < s.ld; j0 += Tile::width) {
+        std::size_t i = 0;
+        for (; i + Tile::rows <= s.nm; i += Tile::rows) product_tile<OneVec>(s, i, j0);
+        for (; i < s.nm; ++i) product_tile<Single>(s, i, j0);
+    }
+}
+
+/// products with the tile of ISA level `isa`, in one function per clone.
+REPRO_MULTIVERSION
+void elemental_products(const Staged& s, blaslite::IsaLevel isa) noexcept {
+    switch (isa) {
+        case blaslite::IsaLevel::v4: products<V4Tile>(s); break;
+        case blaslite::IsaLevel::v3: products<V3Tile>(s); break;
+        default: products<BaseTile>(s); break;
+    }
+}
+
+/// Builds the (expansion, geometry)-dependent elemental matrices:
+/// mass(i, j) = sum_q wj B(q, i) B(q, j) and
+/// lap(i, j) = sum_q [wj dx(q, i) dx(q, j) + wj dy(q, i) dy(q, j)], with
+/// dx = rx D1 + sx D2 and dy = ry D1 + sy D2 the physical derivatives of
+/// every mode at every point.
 ElemMatrices build_matrices(const spectral::Expansion& exp, const ElemGeometry& geom) {
     const std::size_t nq = exp.num_quad();
     const std::size_t nm = exp.num_modes();
+    const std::size_t ld = (nm + kPad - 1) / kPad * kPad;
     const la::DenseMatrix& B = exp.basis();
     const la::DenseMatrix& D1 = exp.dbasis_dxi1();
     const la::DenseMatrix& D2 = exp.dbasis_dxi2();
+    parallel::Scratch buf(3 * nq * ld + 3 * nm * nq + 2 * nm * ld);
+    double* b = buf.data();
+    double* dx = b + nq * ld;
+    double* dy = dx + nq * ld;
+    double* bw = dy + nq * ld;
+    double* dxw = bw + nm * nq;
+    double* dyw = dxw + nm * nq;
+    double* mass = dyw + nm * nq;
+    double* lap = mass + nm * ld;
+    for (std::size_t q = 0; q < nq; ++q) {
+        for (std::size_t m = 0; m < nm; ++m) {
+            b[q * ld + m] = B(q, m);
+            dx[q * ld + m] = geom.rx[q] * D1(q, m) + geom.sx[q] * D2(q, m);
+            dy[q * ld + m] = geom.ry[q] * D1(q, m) + geom.sy[q] * D2(q, m);
+        }
+        for (std::size_t m = nm; m < ld; ++m)
+            b[q * ld + m] = dx[q * ld + m] = dy[q * ld + m] = 0.0;
+    }
+    // The weighted factors mode-major, so one row's are contiguous in q.
+    for (std::size_t m = 0; m < nm; ++m)
+        for (std::size_t q = 0; q < nq; ++q) {
+            bw[m * nq + q] = geom.wj[q] * b[q * ld + m];
+            dxw[m * nq + q] = geom.wj[q] * dx[q * ld + m];
+            dyw[m * nq + q] = geom.wj[q] * dy[q * ld + m];
+        }
+    elemental_products({b, dx, dy, bw, dxw, dyw, nq, nm, ld, mass, lap}, blaslite::isa_level());
+
     ElemMatrices mats;
     mats.mass = la::DenseMatrix(nm, nm);
     mats.lap = la::DenseMatrix(nm, nm);
-    // Physical derivatives of every mode at every point, then one dgemm each.
-    la::DenseMatrix dx(nq, nm), dy(nq, nm), bw(nq, nm), dxw(nq, nm), dyw(nq, nm);
-    for (std::size_t q = 0; q < nq; ++q) {
-        for (std::size_t mI = 0; mI < nm; ++mI) {
-            dx(q, mI) = geom.rx[q] * D1(q, mI) + geom.sx[q] * D2(q, mI);
-            dy(q, mI) = geom.ry[q] * D1(q, mI) + geom.sy[q] * D2(q, mI);
-            bw(q, mI) = geom.wj[q] * B(q, mI);
-            dxw(q, mI) = geom.wj[q] * dx(q, mI);
-            dyw(q, mI) = geom.wj[q] * dy(q, mI);
-        }
-    }
-    for (std::size_t i = 0; i < nm; ++i) {
+    for (std::size_t i = 0; i < nm; ++i)
         for (std::size_t j = 0; j < nm; ++j) {
-            double mij = 0.0, lij = 0.0;
-            for (std::size_t q = 0; q < nq; ++q) {
-                mij += bw(q, i) * B(q, j);
-                lij += dxw(q, i) * dx(q, j) + dyw(q, i) * dy(q, j);
-            }
-            mats.mass(i, j) = mij;
-            mats.lap(i, j) = lij;
+            mats.mass(i, j) = mass[i * ld + j];
+            mats.lap(i, j) = lap[i * ld + j];
         }
-    }
     mats.mass_chol = mats.mass;
     if (!la::cholesky_factor(mats.mass_chol))
         throw std::runtime_error("ElementOps: mass matrix not SPD");
@@ -121,13 +263,12 @@ ElementOps::ElementOps(const mesh::Mesh& m, std::size_t e,
     const auto build = [this] { return build_matrices(*exp_, geom_); };
     mats_ = cache ? cache->get(exp_.get(), geom_, build)
                   : std::make_shared<const ElemMatrices>(build());
+}
 
-    if (el.shape == spectral::Shape::Quad) {
-        nq1d_ = static_cast<std::size_t>(std::lround(std::sqrt(static_cast<double>(nq))));
-        assert(nq1d_ * nq1d_ == nq);
-        const spectral::QuadratureRule rule = spectral::gauss_lobatto(nq1d_);
-        d1d_ = diff_matrix(rule.points);
-    }
+const la::DenseMatrix& ElementOps::colloc_diff_1d() const noexcept {
+    static const la::DenseMatrix none;
+    const spectral::TensorBasis* tb = exp_->tensor_basis();
+    return tb ? tb->colloc : none;
 }
 
 PointMap ElementOps::map_at(double x1, double x2) const {
@@ -224,18 +365,19 @@ void ElementOps::grad_from_modal(std::span<const double> modal, std::span<double
 
 void ElementOps::grad_collocation(std::span<const double> quad, std::span<double> dudx,
                                   std::span<double> dudy) const {
-    if (nq1d_ == 0)
+    const std::size_t n = colloc_nq1d();
+    if (n == 0)
         throw std::logic_error("grad_collocation: quad elements only");
-    const std::size_t n = nq1d_;
+    const la::DenseMatrix& d1d = colloc_diff_1d();
     parallel::Scratch d1(n * n), d2(n * n);
     // d/dxi1: differentiate along rows (xi1 is the fast index).
     for (std::size_t j = 0; j < n; ++j)
-        blaslite::dgemv(1.0, d1d_.data(), n, n, n, quad.data() + j * n, 0.0, d1.data() + j * n);
+        blaslite::dgemv(1.0, d1d.data(), n, n, n, quad.data() + j * n, 0.0, d1.data() + j * n);
     // d/dxi2: differentiate along columns.
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             double s = 0.0;
-            for (std::size_t k = 0; k < n; ++k) s += d1d_(j, k) * quad[k * n + i];
+            for (std::size_t k = 0; k < n; ++k) s += d1d(j, k) * quad[k * n + i];
             d2[j * n + i] = s;
         }
     }

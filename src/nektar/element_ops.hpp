@@ -121,9 +121,13 @@ public:
     /// Collocation machinery behind grad_collocation, exposed so the batched
     /// compute backends can fuse the derivative across a whole element group:
     /// 1-D points per direction (0 on triangles) and the 1-D GLL
-    /// differentiation matrix (nq1d x nq1d row-major).
-    [[nodiscard]] std::size_t colloc_nq1d() const noexcept { return nq1d_; }
-    [[nodiscard]] const la::DenseMatrix& colloc_diff_1d() const noexcept { return d1d_; }
+    /// differentiation matrix (nq1d x nq1d row-major; empty on triangles),
+    /// both held once by the quad expansion.
+    [[nodiscard]] std::size_t colloc_nq1d() const noexcept {
+        const spectral::TensorBasis* tb = exp_->tensor_basis();
+        return tb ? tb->nq1d : 0;
+    }
+    [[nodiscard]] const la::DenseMatrix& colloc_diff_1d() const noexcept;
 
     /// L2 projection of quadrature values onto the modal basis
     /// (solves M u = B^T W f with the factored elemental mass matrix).
@@ -143,9 +147,6 @@ private:
     std::shared_ptr<const spectral::Expansion> exp_;
     ElemGeometry geom_;
     std::shared_ptr<const ElemMatrices> mats_; ///< shared across congruent elements
-    // Collocation machinery (quads): 1-D GLL differentiation matrix.
-    la::DenseMatrix d1d_;
-    std::size_t nq1d_ = 0;
     std::array<mesh::Vertex, 4> verts_{}; ///< element corners for map_at
 };
 

@@ -12,9 +12,10 @@ namespace nektar {
 
 namespace {
 
-/// Reverse Cuthill-McKee over the boundary dofs, adjacency given by shared
-/// elements (same algorithm as the full dof map, restricted to the Schur
-/// system).
+/// Reversed breadth-first numbering of the boundary dofs, adjacency given
+/// by shared elements.  Unlike the full dof map's RCM there is no degree
+/// sort: each dof's unvisited neighbours enter the queue in ascending id,
+/// and each component starts from its lowest unvisited id.
 std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
                               std::size_t n_dofs) {
     std::vector<std::vector<int>> dof_elems(n_dofs);

@@ -67,7 +67,8 @@ struct Fiber {
 
 struct Worker {
     ucontext_t ctx{};
-    std::deque<int> ready; ///< resumable fibers homed to this worker
+    std::deque<int> ready;     ///< resumable fibers homed to this worker
+    std::deque<int> unstarted; ///< never-run fibers placed on this worker
 #if defined(SIMMPI_TSAN)
     void* tsan = nullptr;
 #endif
@@ -91,7 +92,6 @@ struct TaskScheduler::Impl {
     std::condition_variable cv;
     std::vector<Fiber> fibers;
     std::vector<Worker> workers;
-    std::deque<int> unstarted; ///< never-run fibers, claimable by any worker
     int nrunning = 0;
     int nparked = 0;
     int nfinished = 0;
@@ -264,13 +264,27 @@ void TaskScheduler::Impl::worker_loop(int w) {
     std::unique_lock lk(m);
     while (nfinished < ntasks) {
         int f = -1;
+        bool any_ready = false;
+        for (const Worker& other : workers) any_ready |= !other.ready.empty();
         if (!wk.ready.empty()) {
             f = wk.ready.front();
             wk.ready.pop_front();
-        } else if (!unstarted.empty()) {
-            f = unstarted.front();
-            unstarted.pop_front();
+        } else if (!wk.unstarted.empty()) {
+            f = wk.unstarted.front();
+            wk.unstarted.pop_front();
             fibers[static_cast<std::size_t>(f)].home = w; // affinity fixed here
+        } else if (nrunning == 0 && !any_ready) {
+            // Nothing runs or waits to run anywhere, so the fibers still
+            // unstarted belong to workers that have not entered their loop
+            // (parallel_for ran the loops inline, or a thread is late).
+            // Start one here instead of waiting for its worker.
+            for (Worker& other : workers)
+                if (!other.unstarted.empty()) {
+                    f = other.unstarted.front();
+                    other.unstarted.pop_front();
+                    fibers[static_cast<std::size_t>(f)].home = w;
+                    break;
+                }
         }
         if (f >= 0) {
             fibers[static_cast<std::size_t>(f)].state = Fiber::State::Running;
@@ -285,9 +299,7 @@ void TaskScheduler::Impl::worker_loop(int w) {
         // Nothing runnable on this worker.  Every wake source is itself a
         // task, so "none running or ready anywhere, some parked" is a proven
         // deadlock — detected instantly, no timeout needed.
-        bool any_ready = false;
-        for (const Worker& other : workers) any_ready |= !other.ready.empty();
-        if (nrunning == 0 && nparked > 0 && unstarted.empty() && !any_ready) {
+        if (nrunning == 0 && nparked > 0 && !any_ready) {
             if (!stalled) {
                 stalled = true;
                 lk.unlock();
@@ -378,21 +390,22 @@ void TaskScheduler::run(const std::function<void(int)>& body) {
         throw std::logic_error("simmpi: nested TaskScheduler::run on one thread");
     im.body = &body;
     im.fibers.assign(static_cast<std::size_t>(im.ntasks), Fiber{});
-    im.unstarted.clear();
-    // All stacks and contexts are prepared up front so allocation failure
-    // throws cleanly here instead of mid-multiplex on a worker.
-    for (int f = 0; f < im.ntasks; ++f) {
-        im.prepare_fiber(f);
-        im.unstarted.push_back(f);
-    }
-    im.nrunning = im.nparked = im.nfinished = 0;
-    im.stalled = false;
     const unsigned pool_threads = parallel::pool().size();
     const int nworkers =
         static_cast<int>(pool_threads < 1 ? 1 : pool_threads) < im.ntasks
             ? static_cast<int>(pool_threads < 1 ? 1 : pool_threads)
             : im.ntasks;
     im.workers.assign(static_cast<std::size_t>(nworkers), Worker{});
+    // All stacks and contexts are prepared up front so allocation failure
+    // throws cleanly here instead of mid-multiplex on a worker.  Task t is
+    // placed on worker t mod nworkers, so every run spreads the tasks the
+    // same way whatever the threads' timing.
+    for (int f = 0; f < im.ntasks; ++f) {
+        im.prepare_fiber(f);
+        im.workers[static_cast<std::size_t>(f % nworkers)].unstarted.push_back(f);
+    }
+    im.nrunning = im.nparked = im.nfinished = 0;
+    im.stalled = false;
     parallel::pool().parallel_for(static_cast<std::size_t>(nworkers),
                                   [&im](std::size_t b, std::size_t e) {
                                       for (std::size_t w = b; w < e; ++w)

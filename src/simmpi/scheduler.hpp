@@ -42,9 +42,14 @@ public:
     TaskScheduler& operator=(const TaskScheduler&) = delete;
 
     /// Runs `body(task)` for every task to completion, multiplexed over the
-    /// parallel::pool() workers (the calling thread is worker 0).  `body`
-    /// must not let exceptions escape.  Not reentrant: tasks must not start
-    /// a nested run() on the same scheduler.
+    /// parallel::pool() workers (the calling thread is worker 0).  Task t
+    /// starts on worker t mod W, W = min(pool size, ntasks), so host timing
+    /// does not change how many tasks share a thread; a worker starts
+    /// another worker's task only when no task runs or is ready anywhere
+    /// (that worker has not entered the run yet, or never will because
+    /// parallel_for ran the workers inline).  `body` must not let exceptions
+    /// escape.  Not reentrant: tasks must not start a nested run() on the
+    /// same scheduler.
     void run(const std::function<void(int)>& body);
 
     /// True when the calling code is executing inside one of this

@@ -13,6 +13,31 @@
 
 namespace spectral {
 
+namespace {
+
+/// Barycentric Lagrange differentiation matrix on the given nodes.
+la::DenseMatrix diff_matrix(const std::vector<double>& x) {
+    const std::size_t n = x.size();
+    std::vector<double> w(n, 1.0);
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t k = 0; k < n; ++k)
+            if (k != j) w[j] *= (x[j] - x[k]);
+    for (auto& v : w) v = 1.0 / v;
+    la::DenseMatrix d(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double diag = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (i == j) continue;
+            d(i, j) = (w[j] / w[i]) / (x[i] - x[j]);
+            diag -= d(i, j);
+        }
+        d(i, i) = diag;
+    }
+    return d;
+}
+
+} // namespace
+
 std::array<std::size_t, 2> Expansion::edge_vertices(std::size_t e) const noexcept {
     if (shape_ == Shape::Quad) {
         constexpr std::array<std::array<std::size_t, 2>, 4> edges = {
@@ -58,6 +83,7 @@ QuadExpansion::QuadExpansion(std::size_t order, std::size_t nq1d)
     tb_.d1 = la::DenseMatrix(nq1d, P + 1);
     tb_.pq = pq;
     tb_.w1d = rule.weights;
+    tb_.colloc = diff_matrix(rule.points);
     for (std::size_t qi = 0; qi < nq1d; ++qi) {
         for (std::size_t p = 0; p <= P; ++p) {
             tb_.b1(qi, p) = modal_basis(p, P, rule.points[qi]);

@@ -36,6 +36,9 @@ struct TensorBasis {
     std::vector<std::array<std::size_t, 2>> pq;
     /// 1-D quadrature weights (2-D weight = w1d[qi] * w1d[qj]).
     std::vector<double> w1d;
+    /// colloc(i, k) = l_k'(z_i): the Lagrange (collocation) differentiation
+    /// matrix on the 1-D quadrature points, nq1d-by-nq1d row-major.
+    la::DenseMatrix colloc;
 };
 
 class Expansion {

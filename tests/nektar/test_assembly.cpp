@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
+#include "blaslite/counters.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/discretization.hpp"
 
@@ -100,6 +104,144 @@ TEST(ElementOps, CollocationGradientExactForPolynomials) {
         EXPECT_NEAR(dx[q], ex[q], 1e-9);
         EXPECT_NEAR(dy[q], ey[q], 1e-9);
     }
+}
+
+/// The scalar i-j-q triple loop the elemental matrices were first built
+/// with, kept as the bit-identity reference for the vectorised build.
+nektar::ElemMatrices reference_matrices(const spectral::Expansion& exp,
+                                        const nektar::ElemGeometry& geom) {
+    const std::size_t nq = exp.num_quad();
+    const std::size_t nm = exp.num_modes();
+    const la::DenseMatrix& B = exp.basis();
+    const la::DenseMatrix& D1 = exp.dbasis_dxi1();
+    const la::DenseMatrix& D2 = exp.dbasis_dxi2();
+    la::DenseMatrix dx(nq, nm), dy(nq, nm), bw(nq, nm), dxw(nq, nm), dyw(nq, nm);
+    for (std::size_t q = 0; q < nq; ++q) {
+        for (std::size_t m = 0; m < nm; ++m) {
+            dx(q, m) = geom.rx[q] * D1(q, m) + geom.sx[q] * D2(q, m);
+            dy(q, m) = geom.ry[q] * D1(q, m) + geom.sy[q] * D2(q, m);
+            bw(q, m) = geom.wj[q] * B(q, m);
+            dxw(q, m) = geom.wj[q] * dx(q, m);
+            dyw(q, m) = geom.wj[q] * dy(q, m);
+        }
+    }
+    nektar::ElemMatrices mats;
+    mats.mass = la::DenseMatrix(nm, nm);
+    mats.lap = la::DenseMatrix(nm, nm);
+    for (std::size_t i = 0; i < nm; ++i) {
+        for (std::size_t j = 0; j < nm; ++j) {
+            double mij = 0.0, lij = 0.0;
+            for (std::size_t q = 0; q < nq; ++q) {
+                mij += bw(q, i) * B(q, j);
+                lij += dxw(q, i) * dx(q, j) + dyw(q, i) * dy(q, j);
+            }
+            mats.mass(i, j) = mij;
+            mats.lap(i, j) = lij;
+        }
+    }
+    mats.mass_chol = mats.mass;
+    EXPECT_TRUE(la::cholesky_factor(mats.mass_chol));
+    return mats;
+}
+
+bool same_bits(const la::DenseMatrix& a, const la::DenseMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+/// A rectangle of quads, a skewed (non-affine) quad and two triangles.
+mesh::Mesh skewed_mixed_mesh() {
+    std::vector<mesh::Vertex> v = {{0.0, 0.0}, {1.0, 0.0}, {2.3, -0.2}, {3.0, 0.1},
+                                   {0.0, 1.0}, {1.0, 1.0}, {1.9, 1.4},  {3.2, 0.9}};
+    std::vector<mesh::Element> e(4);
+    e[0] = {spectral::Shape::Quad, {0, 1, 5, 4}};
+    e[1] = {spectral::Shape::Quad, {1, 2, 6, 5}}; // skewed: its Jacobian varies
+    e[2] = {spectral::Shape::Triangle, {2, 3, 7, -1}};
+    e[3] = {spectral::Shape::Triangle, {2, 7, 6, -1}};
+    return mesh::Mesh(std::move(v), std::move(e));
+}
+
+TEST(ElementOps, MatricesAreBitwiseTheScalarTripleLoop) {
+    const auto m = std::make_shared<mesh::Mesh>(skewed_mixed_mesh());
+    for (std::size_t order = 1; order <= 8; ++order) {
+        const blaslite::CountScope scope;
+        const nektar::Discretization disc(m, order);
+        // The build charges no blaslite counters, so no priced model moves.
+        EXPECT_EQ(scope.delta().calls, 0u);
+        EXPECT_EQ(scope.delta().flops, 0u);
+        for (std::size_t e = 0; e < disc.num_elements(); ++e) {
+            const nektar::ElementOps& ops = disc.ops(e);
+            const nektar::ElemMatrices ref = reference_matrices(ops.expansion(), ops.geometry());
+            EXPECT_TRUE(same_bits(ops.mass(), ref.mass)) << "order " << order << " elem " << e;
+            EXPECT_TRUE(same_bits(ops.laplacian(), ref.lap)) << "order " << order << " elem " << e;
+            EXPECT_TRUE(same_bits(ops.mass_cholesky(), ref.mass_chol))
+                << "order " << order << " elem " << e;
+        }
+    }
+}
+
+/// Hash of every element map (global ids and signs), the dof count and the
+/// bandwidth.
+std::uint64_t dofmap_fingerprint(const mesh::Mesh& m, std::size_t order, bool renumber) {
+    const nektar::DofMap dm(m, order, renumber);
+    ckpt::Fingerprint fp;
+    fp.add(static_cast<std::uint64_t>(dm.num_global()));
+    fp.add(static_cast<std::uint64_t>(dm.bandwidth()));
+    for (std::size_t e = 0; e < m.num_elements(); ++e)
+        for (const nektar::LocalDof& ld : dm.element_map(e))
+            fp.add(static_cast<std::uint64_t>(ld.global)).add(ld.sign);
+    return fp.value();
+}
+
+TEST(DofMap, RcmNumberingIsPinned) {
+    // Table 1's mesh at order 6, Table 2's at order 4, the ALE mesh
+    // without renumbering and a triangle mesh; the hashes pin every map bit
+    // for bit.
+    mesh::BluffBodyParams t1;
+    t1.n_upstream = 6;
+    t1.n_wake = 10;
+    t1.n_body = 3;
+    t1.n_side = 4;
+    mesh::BluffBodyParams t2;
+    t2.n_upstream = 4;
+    t2.n_wake = 6;
+    t2.n_body = 2;
+    t2.n_side = 3;
+    const mesh::Mesh m1 = mesh::bluff_body_mesh(t1);
+    const mesh::Mesh m2 = mesh::bluff_body_mesh(t2);
+    EXPECT_EQ(nektar::DofMap(m1, 6).bandwidth(), 815u);
+    EXPECT_EQ(nektar::DofMap(m2, 4).bandwidth(), 267u);
+    EXPECT_EQ(dofmap_fingerprint(m1, 6, true), 0x32e9db111aedd90eull);
+    EXPECT_EQ(dofmap_fingerprint(m2, 4, true), 0x8808458736c57a21ull);
+    EXPECT_EQ(dofmap_fingerprint(mesh::flapping_body_mesh(2), 4, false), 0x53e7ea3cf40d6c34ull);
+    // Triangles: here the order in which equal-degree neighbours reach the
+    // degree sort matters.
+    EXPECT_EQ(dofmap_fingerprint(mesh::rectangle_tris(6, 5, 0, 1, 0, 1), 4, true),
+              0x21accd3640b3a7baull);
+}
+
+TEST(DofMap, DirichletValuesArePinnedAndRepeatable) {
+    mesh::BluffBodyParams p;
+    p.n_upstream = 4;
+    p.n_wake = 6;
+    p.n_body = 2;
+    p.n_side = 3;
+    const mesh::Mesh m = mesh::bluff_body_mesh(p);
+    const nektar::DofMap dm(m, 5);
+    const auto pred = [](mesh::BoundaryTag t) {
+        return t == mesh::BoundaryTag::Inflow || t == mesh::BoundaryTag::Body;
+    };
+    const auto g = [](double x, double y) { return std::sin(x) * std::cos(2.0 * y) + 0.5; };
+    const auto first = dm.dirichlet_values(pred, g);
+    const auto second = dm.dirichlet_values(pred, g);
+    ASSERT_EQ(first.size(), second.size());
+    ckpt::Fingerprint fp;
+    for (std::size_t i = 0; i < first.size(); ++i) {
+        EXPECT_EQ(first[i].first, second[i].first);
+        EXPECT_EQ(std::memcmp(&first[i].second, &second[i].second, sizeof(double)), 0);
+        fp.add(static_cast<std::uint64_t>(first[i].first)).add(first[i].second);
+    }
+    EXPECT_EQ(fp.value(), 0x7b201d5cdb097ba1ull);
 }
 
 TEST(DofMap, CountsAndContinuity) {

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
+
+#include "parallel/thread_pool.hpp"
 
 /// The Engine::Tasks fiber scheduler: bit-identity against the classic
 /// one-thread-per-rank engine, determinism at rank counts no thread engine
@@ -105,6 +111,60 @@ TEST(TaskScheduler, TwoHundredFiftySixRanksAreDeterministic) {
     EXPECT_EQ(run_digest(a), run_digest(b));
     for (int r = 0; r < 256; ++r)
         EXPECT_EQ(a[static_cast<std::size_t>(r)].log, b[static_cast<std::size_t>(r)].log);
+}
+
+/// Sets the global pool's size for one scope.
+struct PoolThreads {
+    explicit PoolThreads(unsigned n) : before(parallel::num_threads()) {
+        parallel::set_num_threads(n);
+    }
+    ~PoolThreads() { parallel::set_num_threads(before); }
+    unsigned before;
+};
+
+TEST(TaskScheduler, TaskTStartsOnWorkerTModW) {
+    // Eight ranks over four workers: two per thread, ranks r and r + 4
+    // together, whatever the threads' timing.  Ranks 0-3 hold their worker
+    // (no park) until all four have started, so no worker can be idle with
+    // another's task still unstarted.
+    const PoolThreads pool(4);
+    constexpr int kRanks = 8;
+    std::atomic<int> started{0};
+    std::vector<std::thread::id> first(kRanks), last(kRanks);
+    simmpi::World world(kRanks, test_net(), simmpi::Engine::Tasks);
+    world.run([&](simmpi::Comm& c) {
+        const auto r = static_cast<std::size_t>(c.rank());
+        first[r] = std::this_thread::get_id();
+        started.fetch_add(1);
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (c.rank() < 4 && started.load() < 4 && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        mixed_program(c);
+        last[r] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(first[0], std::this_thread::get_id()); // the caller is worker 0
+    EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.begin() + 4).size(), 4u);
+    for (int r = 0; r < kRanks; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_EQ(first[i], first[i % 4]) << "rank " << r;
+        EXPECT_EQ(last[i], first[i]) << "rank " << r; // continuation affinity
+    }
+}
+
+TEST(TaskScheduler, CompletesWhenThePoolRunsTheWorkersInline) {
+    // A run started inside a parallel_for body gets its worker loops run
+    // one after another on the calling thread: worker 0 must start the
+    // other workers' tasks itself, and the clocks must not change.
+    const auto reference = run_mixed(8, simmpi::Engine::Tasks);
+    const PoolThreads pool(4);
+    std::vector<simmpi::RankReport> inline_run;
+    parallel::pool().parallel_for(2, [&](std::size_t b, std::size_t) {
+        if (b == 0) inline_run = run_mixed(8, simmpi::Engine::Tasks);
+    });
+    ASSERT_EQ(inline_run.size(), reference.size());
+    EXPECT_EQ(run_digest(inline_run), run_digest(reference));
+    for (std::size_t r = 0; r < reference.size(); ++r)
+        EXPECT_EQ(inline_run[r].log, reference[r].log) << "rank " << r;
 }
 
 TEST(TaskScheduler, QuiescenceDetectsMissingSendExactly) {
