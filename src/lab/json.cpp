@@ -18,7 +18,7 @@ public:
     explicit Parser(const std::string& text) : s_(text) {}
 
     Json run() {
-        Json v = value();
+        Json v = value(0);
         skip_ws();
         if (pos_ != s_.size()) fail("trailing garbage after JSON value", pos_);
         return v;
@@ -52,9 +52,12 @@ private:
         return true;
     }
 
-    Json value() {
+    /// One value inside `depth` open arrays and objects.
+    Json value(std::size_t depth) {
         skip_ws();
         const char c = peek();
+        if ((c == '{' || c == '[') && depth == Json::kMaxDepth)
+            fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels", pos_);
         Json v;
         switch (c) {
         case '{': {
@@ -68,7 +71,7 @@ private:
                 const std::string key = string_body();
                 skip_ws();
                 expect(':');
-                if (!v.obj_->emplace(key, value()).second)
+                if (!v.obj_->emplace(key, value(depth + 1)).second)
                     throw ParseError("duplicate object key \"" + key + "\"");
                 skip_ws();
                 if (peek() == ',') { ++pos_; continue; }
@@ -83,7 +86,7 @@ private:
             skip_ws();
             if (peek() == ']') { ++pos_; return v; }
             for (;;) {
-                v.arr_->push_back(value());
+                v.arr_->push_back(value(depth + 1));
                 skip_ws();
                 if (peek() == ',') { ++pos_; continue; }
                 expect(']');

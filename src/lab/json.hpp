@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -32,6 +33,10 @@ using JsonArray = std::vector<Json>;
 class Json {
 public:
     enum class Kind { Null, Bool, Number, String, Array, Object };
+
+    /// Deepest nest of arrays and objects parse() accepts: it recurses per
+    /// level, and a 64 MiB lab frame of '[' must not overflow the stack.
+    static constexpr std::size_t kMaxDepth = 256;
 
     Json() = default;
     static Json parse(const std::string& text); ///< throws ParseError

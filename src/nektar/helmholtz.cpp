@@ -227,75 +227,160 @@ void helmholtz_apply(const Discretization& disc,
 // PCG path
 // ---------------------------------------------------------------------------
 
+DofAssembly::DofAssembly(std::size_t n, simmpi::Comm* comm, std::unique_ptr<gs::GatherScatter> gs)
+    : comm_(comm), gs_(std::move(gs)), weights_(n, 1.0) {
+    if (!gs_) return;
+    std::vector<double> mult(n, 1.0);
+    sum(mult);
+    for (std::size_t i = 0; i < n; ++i) weights_[i] = 1.0 / mult[i];
+}
+
+double DofAssembly::dot(std::span<const double> a, std::span<const double> b) const {
+    double s = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) s += weights_[i] * a[i] * b[i];
+    blaslite::detail::charge(3 * a.size(), 3 * a.size() * sizeof(double), 0);
+    return comm_ ? comm_->allreduce_sum(s) : s;
+}
+
 HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double lambda,
-                           HelmholtzBC bc, la::CgOptions opts)
-    : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)), opts_(opts) {
-    is_dirichlet_.assign(disc_->dofmap().num_global(), 0);
-    for (int d : constrained_dofs(*disc_, bc_)) is_dirichlet_[static_cast<std::size_t>(d)] = 1;
-    // Assembled diagonal for the Jacobi preconditioner.
+                           HelmholtzBC bc, la::CgOptions opts, System system,
+                           const DofAssembly* assembly)
+    : disc_(std::move(disc)),
+      lambda_(lambda),
+      bc_(std::move(bc)),
+      opts_(opts),
+      system_(system),
+      assembly_(assembly) {
+    if (bc_.pin_first_dof && assembly_ && assembly_->ranks() > 1)
+        throw std::invalid_argument("HelmholtzPCG: pin_first_dof on " +
+                                    std::to_string(assembly_->ranks()) +
+                                    " ranks would pin every rank's element 0");
     const DofMap& dm = disc_->dofmap();
-    std::vector<double> diag(dm.num_global(), 0.0);
+    mask_.assign(dm.num_global(), 0);
+    for (int d : constrained_dofs(*disc_, bc_)) mask_[static_cast<std::size_t>(d)] = 1;
+
+    // The condensed unknowns are the leading global dofs: every dof but the
+    // elements' interiors, which the non-renumbered map numbers last.
+    n_ = dm.num_global();
+    if (system_ == System::Condensed)
+        for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+            const spectral::Expansion& exp = disc_->ops(e).expansion();
+            n_ -= exp.num_modes() - exp.num_boundary_modes();
+        }
+
+    // Assembled diagonal for the Jacobi preconditioner.
+    std::vector<double> diag(n_, 0.0);
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const ElementOps& ops = disc_->ops(e);
         const auto& map = dm.element_map(e);
-        for (std::size_t i = 0; i < ops.num_modes(); ++i)
-            diag[static_cast<std::size_t>(map[i].global)] +=
-                ops.laplacian()(i, i) + lambda_ * ops.mass()(i, i);
-    }
-    inv_diag_.resize(diag.size());
-    for (std::size_t i = 0; i < diag.size(); ++i)
-        inv_diag_[i] = is_dirichlet_[i] ? 1.0 : 1.0 / diag[i];
-
-    // Fuse L + lambda*M once per matrix class: the per-CG-iteration apply
-    // then runs one matrix product per congruent-element run instead of two
-    // dgemvs per element.
-    for (const ElemGroup& g : disc_->groups()) {
-        for (const ElemGroup::MatrixRun& run : g.runs) {
-            if (fused_.count(run.mats)) continue;
-            la::DenseMatrix h = run.mats->lap;
-            const la::DenseMatrix& mass = run.mats->mass;
-            for (std::size_t i = 0; i < h.rows() * h.cols(); ++i)
-                h.data()[i] += lambda_ * mass.data()[i];
-            fused_.emplace(run.mats, std::move(h));
+        if (system_ == System::Full) {
+            for (std::size_t i = 0; i < ops.num_modes(); ++i)
+                diag[static_cast<std::size_t>(map[i].global)] +=
+                    ops.laplacian()(i, i) + lambda_ * ops.mass()(i, i);
+            continue;
         }
+        const ElemMatrices* mats = ops.matrix_identity();
+        const std::size_t nbe = ops.expansion().num_boundary_modes();
+        assert(nbe == ops.num_modes() || static_cast<std::size_t>(map[nbe].global) >= n_);
+        auto it = blocks_.find(mats);
+        if (it == blocks_.end()) it = blocks_.emplace(mats, condense(*mats, lambda_, nbe)).first;
+        const la::DenseMatrix& s = it->second.schur;
+        for (std::size_t i = 0; i < s.rows(); ++i)
+            diag[static_cast<std::size_t>(map[i].global)] += s(i, i);
     }
+    if (assembly_) assembly_->sum(diag);
+    inv_diag_.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) inv_diag_[i] = mask_[i] ? 1.0 : 1.0 / diag[i];
 }
 
 void HelmholtzPCG::apply(std::span<const double> x, std::span<double> y,
-                         std::span<const char> mask) const {
+                         std::span<const char> mask, bool assemble) const {
+    // L and lambda M stay separate terms; a Schur complement has lambda
+    // folded in.
+    const bool full = system_ == System::Full;
+    std::function<void(std::span<double>)> sum;
+    if (assemble && assembly_) sum = [this](std::span<double> v) { assembly_->sum(v); };
     helmholtz_apply(
         *disc_,
-        [this](const ElemMatrices& m) -> const la::DenseMatrix& { return fused_.at(&m); },
-        0.0, x, y, mask);
+        [this, full](const ElemMatrices& m) -> const la::DenseMatrix& {
+            return full ? m.lap : blocks_.at(&m).schur;
+        },
+        full ? lambda_ : 0.0, x, y, mask, sum);
 }
 
 std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
                                         const std::function<double(double, double)>& g) const {
-    const std::size_t n = disc_->dofmap().num_global();
     std::vector<double> rhs = weak_rhs(*disc_, f_quad);
-    std::vector<double> x = dirichlet_data(*disc_, bc_, g);
-    // Lift: rhs <- rhs - H x0 on free dofs, then solve for the correction
-    // with homogeneous constraints.
-    std::vector<double> hx(n);
-    apply(x, hx);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = is_dirichlet_[i] ? 0.0 : rhs[i] - hx[i];
-
-    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        apply(in, out, is_dirichlet_);
-    };
-    std::vector<double> dx(n, 0.0);
-    const la::CgResult res = la::pcg(masked_apply, inv_diag_, rhs, dx, opts_);
-    last_iters_ = res.iterations;
-    if (!res.converged())
-        throw std::runtime_error(std::string("HelmholtzPCG: CG stopped (") +
-                                 la::to_string(res.status) + ") after " +
-                                 std::to_string(res.iterations) + " iterations at residual " +
-                                 std::to_string(res.residual_norm));
-    blaslite::daxpy(1.0, dx, x);
-
+    if (assembly_) assembly_->sum(rhs);
+    const std::vector<double> x = solve_global(rhs, dirichlet_vector(g));
     std::vector<double> modal(disc_->modal_size());
     disc_->scatter(x, modal);
     return modal;
+}
+
+std::vector<double> HelmholtzPCG::solve_global(std::span<const double> rhs,
+                                               std::vector<double> x,
+                                               std::string_view what) const {
+    assert(rhs.size() == x.size() && x.size() == mask_.size());
+    const std::span<double> xs(x.data(), n_);
+    const DofMap& dm = disc_->dofmap();
+    // Lift: r = f - H x0 on free rows.  The condensed system also moves the
+    // interiors' forcing onto the boundary, f_b - sum_e D K^T f_i, and
+    // parks w = H_ii^-1 f_i in x_i for the back-solve (x0 is zero there).
+    std::vector<double> y(n_), cb;
+    apply(xs, y, {}, false);
+    if (system_ == System::Condensed) {
+        for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+            const SchurBlocks& sb = blocks(e);
+            const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
+            if (ni == 0) continue;
+            const auto& map = dm.element_map(e);
+            const auto i0 = static_cast<std::size_t>(map[nbe].global);
+            blaslite::dgemv(1.0, sb.hii_inv.data(), ni, ni, ni, rhs.data() + i0, 0.0,
+                            x.data() + i0);
+            cb.resize(nbe);
+            blaslite::dgemv_t(1.0, sb.k.data(), nbe, ni, nbe, rhs.data() + i0, 0.0, cb.data());
+            for (std::size_t i = 0; i < nbe; ++i)
+                y[static_cast<std::size_t>(map[i].global)] += map[i].sign * cb[i];
+        }
+    }
+    if (assembly_) assembly_->sum(y);
+    std::vector<double> r(n_);
+    for (std::size_t i = 0; i < n_; ++i) r[i] = mask_[i] ? 0.0 : rhs[i] - y[i];
+
+    // With the interiors eliminated exactly, the Schur residual is the full
+    // system's boundary residual: the tolerance keeps its meaning.
+    const std::span<const char> mask(mask_.data(), n_);
+    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
+        apply(in, out, mask);
+    };
+    la::DotFn dot; // la::pcg's local ddot without an assembly
+    if (assembly_) dot = [this](auto a, auto b) { return assembly_->dot(a, b); };
+    std::vector<double> dx(n_, 0.0);
+    const la::CgResult res = la::pcg(masked_apply, inv_diag_, r, dx, opts_, dot);
+    last_iters_ = res.iterations;
+    if (!res.converged())
+        throw std::runtime_error(std::string(what) + " stopped (" + la::to_string(res.status) +
+                                 ") after " + std::to_string(res.iterations) +
+                                 " iterations at residual " + std::to_string(res.residual_norm));
+    blaslite::daxpy(1.0, dx, xs);
+
+    // Interior back-solve: x_i = w - K D x_b, element by element.
+    if (system_ == System::Condensed) {
+        std::vector<double> ub;
+        for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+            const SchurBlocks& sb = blocks(e);
+            const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
+            if (ni == 0) continue;
+            const auto& map = dm.element_map(e);
+            ub.resize(nbe);
+            for (std::size_t i = 0; i < nbe; ++i)
+                ub[i] = map[i].sign * x[static_cast<std::size_t>(map[i].global)];
+            blaslite::dgemv(-1.0, sb.k.data(), nbe, ni, nbe, ub.data(), 1.0,
+                            x.data() + static_cast<std::size_t>(map[nbe].global));
+        }
+    }
+    return x;
 }
 
 } // namespace nektar

@@ -5,9 +5,11 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
+#include "gs/gather_scatter.hpp"
 #include "la/banded.hpp"
 #include "la/cg.hpp"
 #include "nektar/discretization.hpp"
@@ -15,7 +17,7 @@
 /// \file helmholtz.hpp
 /// Global Helmholtz/Poisson solvers:  (grad u, grad v) + lambda (u, v) = (f, v).
 ///
-/// Each solver has one role:
+/// One direct solver per use and one iterative solver:
 ///  * CondensedHelmholtz (static_condensation.hpp) — SerialNS2d's direct
 ///    solver for stages 5 and 7 (Figure 12): the interior modes are
 ///    eliminated element by element and the boundary Schur system is
@@ -23,9 +25,11 @@
 ///  * HelmholtzDirect — the full assembled band factored once by Cholesky
 ///    (the LAPACK dpbtrf/dpbtrs path): NekTar-F's per-Fourier-mode solver,
 ///    and the reference the condensed solver is tested against.
-///  * HelmholtzPCG — matrix-free diagonally preconditioned conjugate
-///    gradient over the elemental matrices (the NekTar-ALE path, which also
-///    runs distributed with gather-scatter assembly).
+///  * HelmholtzPCG — the only iterative solver: matrix-free diagonally
+///    preconditioned conjugate gradient, on the full system or on its
+///    boundary Schur complement, serial or distributed through a
+///    DofAssembly.  It runs all four NekTar-ALE solves (AleNS2d: mesh
+///    velocity, pressure, u and v), bit for bit as the code it replaced.
 namespace nektar {
 
 /// Which boundary tags get Dirichlet treatment; everything else is natural
@@ -120,6 +124,23 @@ private:
     la::BandedCholesky chol_;
 };
 
+/// One matrix class's condensed blocks of H = L + lambda M, in the element's
+/// own (unsigned) mode orientation: the leading nb modes are the vertex and
+/// edge (boundary) modes, the trailing ni the interior bubbles.  Both
+/// condensed solvers build them: CondensedHelmholtz and the condensed
+/// system of HelmholtzPCG.
+struct SchurBlocks {
+    la::DenseMatrix schur;   ///< S = H_bb - H_bi H_ii^-1 H_ib   (nb x nb)
+    la::DenseMatrix k;       ///< K = H_ii^-1 H_ib               (ni x nb)
+    la::DenseMatrix hii_inv; ///< H_ii^-1, through its Cholesky factor (ni x ni)
+};
+
+/// Condenses the interior modes out of one element's L + lambda M
+/// (static_condensation.cpp).  Every flop is charged to the blaslite
+/// counters (la::spd_inverse, dgemm, and the symmetrisation of S).  Throws
+/// if H_ii is not SPD.
+[[nodiscard]] SchurBlocks condense(const ElemMatrices& mats, double lambda, std::size_t nb);
+
 /// Matrix-free global apply y = (S + lambda M) x, with the elemental S of
 /// each matrix class given by `stiff_of` and M its ElemMatrices::mass (both
 /// symmetric, so their row-major buffers double as the column-major left
@@ -137,43 +158,106 @@ private:
 ///
 /// An S with fewer rows than the expansion has modes acts on each
 /// element's leading S.rows() modes only (lambda must then be 0): the
-/// boundary Schur complements of the condensed ALE velocity solve, whose
-/// x and y hold just the leading (vertex and edge) global dofs.
+/// boundary Schur complements of HelmholtzPCG's condensed system, whose x
+/// and y hold just the leading (vertex and edge) global dofs.
 void helmholtz_apply(const Discretization& disc,
                      const std::function<const la::DenseMatrix&(const ElemMatrices&)>& stiff_of,
                      double lambda, std::span<const double> x, std::span<double> y,
                      std::span<const char> mask = {},
                      const std::function<void(std::span<double>)>& assemble = {});
 
+/// One rank's share of a distributed dof vector: the gather-scatter sum over
+/// the ranks sharing interface dofs, and 1/multiplicity dot weights so a
+/// shared dof counts once.  Without a gather-scatter the sum does nothing
+/// and the weights are 1; with a comm the dot is still allreduced.
+class DofAssembly {
+public:
+    /// Collective when `gs` is set: the multiplicities are one gather-scatter
+    /// sum of ones over the `n` local dofs.
+    DofAssembly(std::size_t n, simmpi::Comm* comm = nullptr,
+                std::unique_ptr<gs::GatherScatter> gs = nullptr);
+
+    /// In-place assembly over the ranks (the leading dofs of a shorter
+    /// vector: interior dofs are rank-private).
+    void sum(std::span<double> v) const {
+        if (gs_) gs_->sum(*comm_, v);
+    }
+    /// sum_i w_i a_i b_i over all ranks; charged as 3 flops per entry.
+    [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b) const;
+    [[nodiscard]] int ranks() const noexcept { return comm_ ? comm_->size() : 1; }
+
+private:
+    simmpi::Comm* comm_;
+    std::unique_ptr<gs::GatherScatter> gs_;
+    std::vector<double> weights_;
+};
+
+/// Jacobi (diagonally) preconditioned CG, "predominantly used" by NekTar-ALE
+/// (paper §4.2.2).  The constructor builds the constrained-dof mask, the
+/// condensed blocks (System::Condensed) and the assembled diagonal.  A solve
+/// lifts the Dirichlet data, r = (masked ? 0 : f - H x0), and runs la::pcg
+/// on the masked operator (L and lambda M as separate terms) with the
+/// assembly's weighted dot.  System::Condensed runs CG on the boundary Schur
+/// complement instead: r_b = f_b - sum_e D K^T f_i - S x0_b, then the
+/// interiors are back-solved per element, x_i = H_ii^-1 f_i - K D x_b.  It
+/// needs the boundary dofs numbered first (renumber = false), which keeps
+/// the interiors rank-private: one assembly serves both systems.
 class HelmholtzPCG {
 public:
-    HelmholtzPCG(std::shared_ptr<const Discretization> disc, double lambda, HelmholtzBC bc,
-                 la::CgOptions opts = {.max_iterations = 2000, .tolerance = 1e-10});
+    enum class System { Full, Condensed };
 
-    /// Same contract as HelmholtzDirect::solve.
+    /// Collective when `assembly` spans several ranks (the diagonal's sum).
+    /// `assembly` must outlive the solver.  Throws std::invalid_argument for
+    /// bc.pin_first_dof on more than one rank: every rank would pin its own
+    /// element 0.
+    HelmholtzPCG(std::shared_ptr<const Discretization> disc, double lambda, HelmholtzBC bc,
+                 la::CgOptions opts = {.max_iterations = 2000, .tolerance = 1e-10},
+                 System system = System::Full, const DofAssembly* assembly = nullptr);
+
+    /// Same contract as HelmholtzDirect::solve; with an assembly the weak
+    /// right-hand side is summed over the ranks first.
     [[nodiscard]] std::vector<double> solve(
         std::span<const double> f_quad,
         const std::function<double(double, double)>& g = {}) const;
 
+    /// The global solution from an assembled weak right-hand side and
+    /// global-length Dirichlet data x (dirichlet_vector).  An unconverged CG
+    /// throws std::runtime_error "<what> stopped (<status>) after <n>
+    /// iterations at residual <r>".
+    [[nodiscard]] std::vector<double> solve_global(std::span<const double> rhs,
+                                                   std::vector<double> x,
+                                                   std::string_view what = "HelmholtzPCG: CG") const;
+
     /// Number of CG iterations of the most recent solve.
     [[nodiscard]] std::size_t last_iterations() const noexcept { return last_iters_; }
+    [[nodiscard]] double lambda() const noexcept { return lambda_; }
+    /// dirichlet_data for this solver's boundary conditions.
+    [[nodiscard]] std::vector<double> dirichlet_vector(
+        const std::function<double(double, double)>& g) const {
+        return dirichlet_data(*disc_, bc_, g);
+    }
 
-    /// Global matrix-vector product y = H x (assembled through the dof map):
-    /// helmholtz_apply over the fused per-class operators.  With a mask,
-    /// masked dofs of x read as 0 and masked rows of y are set to x.
+    /// y = H x for this system (helmholtz_apply with L and lambda M, or with
+    /// the Schur complements), summed over the ranks when `assemble` is set.
+    /// With a mask, masked dofs of x read as 0 and masked rows of y are x.
     void apply(std::span<const double> x, std::span<double> y,
-               std::span<const char> mask = {}) const;
+               std::span<const char> mask = {}, bool assemble = true) const;
 
 private:
+    [[nodiscard]] const SchurBlocks& blocks(std::size_t e) const {
+        return blocks_.at(disc_->ops(e).matrix_identity());
+    }
+
     std::shared_ptr<const Discretization> disc_;
     double lambda_;
     HelmholtzBC bc_;
-    std::vector<char> is_dirichlet_;
-    std::vector<double> inv_diag_;
     la::CgOptions opts_;
-    /// Fused elemental operator H = L + lambda*M per matrix class: the
-    /// stiffness term of helmholtz_apply, which then runs with lambda = 0.
-    std::map<const ElemMatrices*, la::DenseMatrix> fused_;
+    System system_;
+    const DofAssembly* assembly_;
+    std::size_t n_; ///< unknowns: every dof, or the leading (boundary) ones
+    std::map<const ElemMatrices*, SchurBlocks> blocks_; ///< System::Condensed
+    std::vector<char> mask_;        ///< constrained dofs
+    std::vector<double> inv_diag_;  ///< 1 on constrained rows
     mutable std::size_t last_iters_ = 0;
 };
 

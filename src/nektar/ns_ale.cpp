@@ -96,6 +96,7 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
 
     // Global dof ids for gather-scatter: derived from a dof map of the full
     // mesh (identical on every rank).
+    std::unique_ptr<gs::GatherScatter> plan;
     if (comm_ && comm_->size() > 1) {
         const DofMap full_dm(full_mesh, order_, /*renumber=*/false);
         std::vector<std::int64_t> gids(disc_->dofmap().num_global(), -1);
@@ -107,33 +108,13 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
                 assert(fmap[i].sign == lmap[i].sign && "orientation must be preserved");
             }
         }
-        gs_ = std::make_unique<gs::GatherScatter>(*comm_, gids, gs::GatherScatter::Strategy::Auto,
-                                                  opts_.overlap_gs
-                                                      ? gs::GatherScatter::Exchange::Nonblocking
-                                                      : gs::GatherScatter::Exchange::Blocking);
+        plan = std::make_unique<gs::GatherScatter>(*comm_, gids, gs::GatherScatter::Strategy::Auto,
+                                                 opts_.overlap_gs
+                                                     ? gs::GatherScatter::Exchange::Nonblocking
+                                                     : gs::GatherScatter::Exchange::Blocking);
     }
-
-    // Dot-product weights: 1 / multiplicity so shared dofs count once.
-    dot_weights_.assign(disc_->dofmap().num_global(), 1.0);
-    if (gs_) {
-        std::vector<double> mult(dot_weights_.size(), 1.0);
-        gs_->sum(*comm_, mult);
-        for (std::size_t i = 0; i < mult.size(); ++i) dot_weights_[i] = 1.0 / mult[i];
-    }
-
-    const auto mask_for = [&](const HelmholtzBC& bc) {
-        std::vector<char> mask(disc_->dofmap().num_global(), 0);
-        for (int d : disc_->dofmap().boundary_dofs(
-                 [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); }))
-            mask[static_cast<std::size_t>(d)] = 1;
-        return mask;
-    };
-    vel_dirichlet_ = mask_for(opts_.velocity_bc);
-    p_dirichlet_ = mask_for(opts_.pressure_bc);
-    HelmholtzBC mesh_bc{.dirichlet = {mesh::BoundaryTag::Inflow, mesh::BoundaryTag::Outflow,
-                                      mesh::BoundaryTag::Side, mesh::BoundaryTag::Wall,
-                                      mesh::BoundaryTag::Body}};
-    mesh_dirichlet_ = mask_for(mesh_bc);
+    assembly_ = std::make_unique<const DofAssembly>(disc_->dofmap().num_global(), comm_,
+                                                    std::move(plan));
 
     const std::size_t nm = disc_->modal_size();
     const std::size_t nq = disc_->quad_size();
@@ -162,7 +143,7 @@ void AleNS2d::rebuild_discretization() {
     // built with backend_ resolves Auto call sites to it.
     disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false,
                                              backend_);
-    condensed_.reset();
+    velocity_pcg_.reset();
 }
 
 std::uint64_t AleNS2d::options_fingerprint() const {
@@ -235,186 +216,39 @@ void AleNS2d::restore_state(const ckpt::Checkpoint& c) {
     }
 }
 
-void AleNS2d::gs_assemble(std::span<double> global) const {
-    if (gs_) gs_->sum(*comm_, global);
-}
-
-double AleNS2d::global_dot(std::span<const double> a, std::span<const double> b) const {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += dot_weights_[i] * a[i] * b[i];
-    blaslite::detail::charge(3 * a.size(), 3 * a.size() * sizeof(double), 0);
-    return comm_ ? comm_->allreduce_sum(s) : s;
-}
-
-std::vector<double> AleNS2d::weak_rhs(std::span<const double> quad) const {
-    std::vector<double> local(disc_->modal_size(), 0.0);
-    disc_->weak_inner(quad, local);
-    std::vector<double> rhs(disc_->dofmap().num_global(), 0.0);
-    disc_->gather_add(local, rhs);
-    gs_assemble(rhs);
-    return rhs;
-}
-
-std::vector<double> AleNS2d::dirichlet_x(const HelmholtzBC& bc,
-                                         const std::function<double(double, double)>& g) const {
-    std::vector<double> x(disc_->dofmap().num_global(), 0.0);
-    const auto vals = disc_->dofmap().dirichlet_values(
-        [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); }, g);
-    for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
+std::vector<double> AleNS2d::solve(const HelmholtzPCG& pcg, AleSolve which,
+                                   std::span<const double> rhs, std::vector<double> x) const {
+    static constexpr std::array<const char*, 4> kName = {"mesh", "pressure", "u", "v"};
+    const auto w = static_cast<std::size_t>(which);
+    try {
+        x = pcg.solve_global(rhs, std::move(x),
+                             std::string("AleNS2d: ") + kName[w] + " PCG solve of step " +
+                                 std::to_string(steps_taken()));
+    } catch (const std::runtime_error&) {
+        last_iters_[w] = pcg.last_iterations(); // an unconverged solve's count too
+        throw;
+    }
+    last_iters_[w] = pcg.last_iterations();
     return x;
 }
 
-void AleNS2d::check(AleSolve which, const la::CgResult& res) const {
-    last_iters_[static_cast<std::size_t>(which)] = res.iterations;
-    if (res.converged()) return;
-    static constexpr std::array<const char*, 4> kName = {"mesh", "pressure", "u", "v"};
-    throw std::runtime_error(
-        std::string("AleNS2d: ") + kName[static_cast<std::size_t>(which)] +
-        " PCG solve of step " + std::to_string(steps_taken()) + " stopped (" +
-        la::to_string(res.status) + ") after " + std::to_string(res.iterations) +
-        " iterations at residual " + std::to_string(res.residual_norm));
-}
-
-void AleNS2d::pcg_solve(AleSolve which, double lambda, const std::vector<char>& dirichlet,
-                        std::span<const double> rhs, std::span<double> x) const {
-    const std::size_t n = x.size();
-    // Assembled diagonal for the Jacobi preconditioner.
-    std::vector<double> diag(n, 0.0);
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
-        const auto& map = disc_->dofmap().element_map(e);
-        for (std::size_t i = 0; i < ops.num_modes(); ++i)
-            diag[static_cast<std::size_t>(map[i].global)] +=
-                ops.laplacian()(i, i) + lambda * ops.mass()(i, i);
-    }
-    gs_assemble(diag);
-    std::vector<double> inv_diag(n);
-    for (std::size_t i = 0; i < n; ++i) inv_diag[i] = dirichlet[i] ? 1.0 : 1.0 / diag[i];
-
-    // Elemental L and lambda M stay separate terms: lambda varies between
-    // solves here (ALE rebuilds each step).  Interface dofs accumulate the
-    // neighbour ranks' element contributions before the masked rows are set.
-    const std::function<const la::DenseMatrix&(const ElemMatrices&)> lap =
-        [](const ElemMatrices& m) -> const la::DenseMatrix& { return m.lap; };
-    const std::function<void(std::span<double>)> assemble = [this](std::span<double> y) {
-        gs_assemble(y);
-    };
-    std::vector<double> hx(n);
-    helmholtz_apply(*disc_, lap, lambda, x, hx, {}, assemble);
-    std::vector<double> r(n);
-    for (std::size_t i = 0; i < n; ++i) r[i] = dirichlet[i] ? 0.0 : rhs[i] - hx[i];
-
-    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        helmholtz_apply(*disc_, lap, lambda, in, out, dirichlet, assemble);
-    };
-    const auto dot = [&](std::span<const double> a, std::span<const double> b) {
-        return global_dot(a, b);
-    };
-    std::vector<double> dx(n, 0.0);
-    check(which, la::pcg(masked_apply, inv_diag, r, dx, opts_.cg, dot));
-    blaslite::daxpy(1.0, dx, x);
-}
-
-const AleNS2d::CondensedVelocity& AleNS2d::condensed(double lambda) const {
-    if (condensed_ && condensed_->lambda == lambda) return *condensed_;
-    CondensedVelocity cv;
-    cv.lambda = lambda;
-    cv.nb = local_mesh_->num_vertices() + local_mesh_->num_edges() * (order_ - 1);
-    std::vector<double> diag(cv.nb, 0.0);
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElemMatrices* mats = disc_->ops(e).matrix_identity();
-        const std::size_t nbe = disc_->ops(e).expansion().num_boundary_modes();
-        auto it = cv.blocks.find(mats);
-        if (it == cv.blocks.end()) it = cv.blocks.emplace(mats, condense(*mats, lambda, nbe)).first;
-        const la::DenseMatrix& s = it->second.schur;
-        const auto& map = disc_->dofmap().element_map(e);
-        for (std::size_t i = 0; i < s.rows(); ++i) {
-            assert(static_cast<std::size_t>(map[i].global) < cv.nb);
-            diag[static_cast<std::size_t>(map[i].global)] += s(i, i);
-        }
-    }
-    gs_assemble(diag);
-    cv.inv_diag.resize(cv.nb);
-    for (std::size_t i = 0; i < cv.nb; ++i)
-        cv.inv_diag[i] = vel_dirichlet_[i] ? 1.0 : 1.0 / diag[i];
-    condensed_ = std::move(cv);
-    return *condensed_;
-}
-
-void AleNS2d::condensed_solve(AleSolve which, double lambda, std::span<const double> rhs,
-                              std::span<double> x) const {
-    const CondensedVelocity& cv = condensed(lambda);
-    const std::size_t nb = cv.nb;
-    const std::function<const la::DenseMatrix&(const ElemMatrices&)> schur_of =
-        [&cv](const ElemMatrices& m) -> const la::DenseMatrix& { return cv.blocks.at(&m).schur; };
-    const std::function<void(std::span<double>)> assemble = [this](std::span<double> y) {
-        gs_assemble(y);
-    };
-    // The non-renumbered dof map puts an element's interiors after every
-    // vertex and edge dof, consecutively in mode order.
-    const auto interior_begin = [&](std::size_t e, std::size_t nbe) {
-        return static_cast<std::size_t>(disc_->dofmap().element_map(e)[nbe].global);
-    };
-
-    // Condensed residual r_b = f_b - sum_e K^T f_i - S x0 (H_bi H_ii^-1 is
-    // K^T; x0 is the Dirichlet data, zero on the interiors), and x_i keeps
-    // w = H_ii^-1 f_i for the back-solve.
-    std::vector<double> y(nb), cb;
-    helmholtz_apply(*disc_, schur_of, 0.0, x.first(nb), y);
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const SchurBlocks& sb = cv.blocks.at(disc_->ops(e).matrix_identity());
-        const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
-        if (ni == 0) continue;
-        const auto& map = disc_->dofmap().element_map(e);
-        const std::size_t i0 = interior_begin(e, nbe);
-        blaslite::dgemv(1.0, sb.hii_inv.data(), ni, ni, ni, rhs.data() + i0, 0.0, x.data() + i0);
-        cb.resize(nbe);
-        blaslite::dgemv_t(1.0, sb.k.data(), nbe, ni, nbe, rhs.data() + i0, 0.0, cb.data());
-        for (std::size_t i = 0; i < nbe; ++i)
-            y[static_cast<std::size_t>(map[i].global)] += map[i].sign * cb[i];
-    }
-    gs_assemble(y);
-    std::vector<double> r(nb);
-    for (std::size_t i = 0; i < nb; ++i) r[i] = vel_dirichlet_[i] ? 0.0 : rhs[i] - y[i];
-
-    // With the interiors eliminated exactly, the Schur residual is the full
-    // system's boundary residual: the tolerance keeps its meaning.
-    const std::span<const char> mask(vel_dirichlet_.data(), nb);
-    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        helmholtz_apply(*disc_, schur_of, 0.0, in, out, mask, assemble);
-    };
-    const auto dot = [&](std::span<const double> a, std::span<const double> b) {
-        return global_dot(a, b);
-    };
-    std::vector<double> dx(nb, 0.0);
-    check(which, la::pcg(masked_apply, cv.inv_diag, r, dx, opts_.cg, dot));
-    blaslite::daxpy(1.0, dx, x.first(nb));
-
-    // Interior back-solve: x_i = w - K x_b, element by element.
-    std::vector<double> ub;
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const SchurBlocks& sb = cv.blocks.at(disc_->ops(e).matrix_identity());
-        const std::size_t nbe = sb.k.cols(), ni = sb.k.rows();
-        if (ni == 0) continue;
-        const auto& map = disc_->dofmap().element_map(e);
-        ub.resize(nbe);
-        for (std::size_t i = 0; i < nbe; ++i)
-            ub[i] = map[i].sign * x[static_cast<std::size_t>(map[i].global)];
-        blaslite::dgemv(-1.0, sb.k.data(), nbe, ni, nbe, ub.data(), 1.0,
-                        x.data() + interior_begin(e, nbe));
-    }
+const HelmholtzPCG& AleNS2d::condensed_velocity(double lambda) const {
+    if (!velocity_pcg_ || velocity_pcg_->lambda() != lambda)
+        velocity_pcg_.emplace(disc_, lambda, opts_.velocity_bc, opts_.cg,
+                              HelmholtzPCG::System::Condensed, assembly_.get());
+    return *velocity_pcg_;
 }
 
 std::vector<double> AleNS2d::velocity_helmholtz(double lambda, std::span<const double> f_quad,
                                                 const std::function<double(double, double)>& g,
                                                 Path path) const {
-    const std::vector<double> rhs = weak_rhs(f_quad);
-    std::vector<double> x = dirichlet_x(opts_.velocity_bc, g);
-    if (path == Path::Condensed)
-        condensed_solve(AleSolve::U, lambda, rhs, x);
-    else
-        pcg_solve(AleSolve::U, lambda, vel_dirichlet_, rhs, x);
-    return x;
+    std::vector<double> rhs = weak_rhs(*disc_, f_quad);
+    assembly_->sum(rhs);
+    std::vector<double> x = dirichlet_data(*disc_, opts_.velocity_bc, g);
+    if (path == Path::Condensed) return solve(condensed_velocity(lambda), AleSolve::U, rhs, x);
+    const HelmholtzPCG full(disc_, lambda, opts_.velocity_bc, opts_.cg,
+                            HelmholtzPCG::System::Full, assembly_.get());
+    return solve(full, AleSolve::U, rhs, std::move(x));
 }
 
 void AleNS2d::load_state(const std::function<double(double, double)>& u0,
@@ -454,21 +288,22 @@ void AleNS2d::set_initial_exact(const VelocityBC& u, const VelocityBC& v) {
 void AleNS2d::begin_step(const StepContext& ctx) {
     // --- Extra Helmholtz solve of step 7: the mesh velocity (Laplacian
     // smoothing of the prescribed boundary motion).
-    std::vector<double> wglob(disc_->dofmap().num_global(), 0.0);
+    const std::size_t n = disc_->dofmap().num_global();
+    std::vector<double> wglob;
     {
         perf::StageScope scope(breakdown(), 7);
         const double vb = opts_.body_velocity(time());
         // Body edges move at vb; the outer boundary stays put.  The L2 edge
         // projection of the constant vb puts vb on the vertex dofs and zero
         // on the edge bubbles.
-        std::vector<double> x(disc_->dofmap().num_global(), 0.0);
-        const auto vals = disc_->dofmap().dirichlet_values(
-            [&](mesh::BoundaryTag t) { return t == mesh::BoundaryTag::Body; },
-            [&](double, double) { return vb; });
-        for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
-        std::vector<double> zero_rhs(disc_->dofmap().num_global(), 0.0);
-        pcg_solve(AleSolve::Mesh, 0.0, mesh_dirichlet_, zero_rhs, x);
-        wglob = std::move(x);
+        std::vector<double> x = dirichlet_data(*disc_, {.dirichlet = {mesh::BoundaryTag::Body}},
+                                               [vb](double, double) { return vb; });
+        const HelmholtzPCG pcg(disc_, 0.0,
+                               {.dirichlet = {mesh::BoundaryTag::Inflow,
+                                              mesh::BoundaryTag::Outflow, mesh::BoundaryTag::Side,
+                                              mesh::BoundaryTag::Wall, mesh::BoundaryTag::Body}},
+                               opts_.cg, HelmholtzPCG::System::Full, assembly_.get());
+        wglob = solve(pcg, AleSolve::Mesh, std::vector<double>(n, 0.0), std::move(x));
     }
 
     // --- Step 2 extra: update the vertex positions with the mesh velocity
@@ -533,14 +368,17 @@ void AleNS2d::stage_pressure_rhs(const StepContext& ctx,
                                        disc_->quad_block(std::span<double>(dy), e));
     blaslite::daxpy(1.0, dy, div);
     blaslite::dscal(-1.0 / ctx.dt, div);
-    prhs_ = weak_rhs(div);
+    prhs_ = weak_rhs(*disc_, div);
+    assembly_->sum(prhs_);
 }
 
 // Stage 5: pressure PCG solve.
 void AleNS2d::stage_pressure_solve(const StepContext&) {
-    std::vector<double> pglob(disc_->dofmap().num_global(), 0.0);
     if (comm_) comm_->set_stage(5);
-    pcg_solve(AleSolve::Pressure, 0.0, p_dirichlet_, prhs_, pglob);
+    const HelmholtzPCG pcg(disc_, 0.0, opts_.pressure_bc, opts_.cg, HelmholtzPCG::System::Full,
+                           assembly_.get());
+    const std::vector<double> pglob =
+        solve(pcg, AleSolve::Pressure, prhs_, pcg.dirichlet_vector({}));
     if (comm_) comm_->set_stage(-1);
     disc_->scatter(pglob, p_modal_);
 }
@@ -562,8 +400,10 @@ void AleNS2d::stage_viscous_rhs(const StepContext& ctx,
     const double scale = 1.0 / (opts_.viscosity * ctx.dt);
     blaslite::dscal(scale, uhat);
     blaslite::dscal(scale, vhat);
-    urhs_ = weak_rhs(uhat);
-    vrhs_ = weak_rhs(vhat);
+    urhs_ = weak_rhs(*disc_, uhat);
+    assembly_->sum(urhs_);
+    vrhs_ = weak_rhs(*disc_, vhat);
+    assembly_->sum(vrhs_);
 }
 
 // Stage 7: condensed velocity PCG solves with lambda from the step's
@@ -574,12 +414,13 @@ void AleNS2d::stage_viscous_solve(const StepContext& ctx) {
     if (comm_) comm_->set_stage(7);
     const double lambda = ctx.scheme.gamma0 / (opts_.viscosity * ctx.dt);
     record_velocity_lambda(lambda);
-    auto xu = dirichlet_x(opts_.velocity_bc,
-                          [&](double x, double y) { return opts_.u_bc(x, y, tn1); });
-    auto xv = dirichlet_x(opts_.velocity_bc,
-                          [&](double x, double y) { return opts_.v_bc(x, y, tn1); });
-    condensed_solve(AleSolve::U, lambda, urhs_, xu);
-    condensed_solve(AleSolve::V, lambda, vrhs_, xv);
+    auto xu = dirichlet_data(*disc_, opts_.velocity_bc,
+                             [&](double x, double y) { return opts_.u_bc(x, y, tn1); });
+    auto xv = dirichlet_data(*disc_, opts_.velocity_bc,
+                             [&](double x, double y) { return opts_.v_bc(x, y, tn1); });
+    const HelmholtzPCG& pcg = condensed_velocity(lambda);
+    xu = solve(pcg, AleSolve::U, urhs_, std::move(xu));
+    xv = solve(pcg, AleSolve::V, vrhs_, std::move(xv));
     if (comm_) comm_->set_stage(-1);
     disc_->scatter(xu, u_modal_);
     disc_->scatter(xv, v_modal_);

@@ -3,17 +3,14 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "gs/gather_scatter.hpp"
 #include "nektar/discretization.hpp"
 #include "nektar/helmholtz.hpp"
 #include "nektar/ns_serial.hpp"
 #include "nektar/splitting.hpp"
-#include "nektar/static_condensation.hpp"
 
 /// \file ns_ale.hpp
 /// NekTar-ALE: the arbitrary Lagrangian-Eulerian Navier-Stokes solver on a
@@ -37,11 +34,13 @@
 /// owns a contiguous sub-discretization and shares interface dofs through
 /// gather-scatter assembly inside PCG.
 ///
-/// The two lambda-shifted velocity solves of stage 7 run statically
-/// condensed: the interior modes are eliminated element by element and the
-/// same Jacobi PCG runs on the boundary Schur system, whose gather-scatter
-/// is the full system's (interior dofs are rank-private).  The pressure and
-/// mesh-velocity (lambda = 0) solves run Jacobi PCG on the full system.
+/// All four solves are HelmholtzPCG over one DofAssembly (the rank's
+/// gather-scatter and dot weights, built once).  The two lambda-shifted
+/// velocity solves of stage 7 run its condensed system: the interior modes
+/// are eliminated element by element and Jacobi PCG runs on the boundary
+/// Schur system, whose gather-scatter is the full system's (interior dofs
+/// are rank-private).  The pressure and mesh-velocity (lambda = 0) solves
+/// run Jacobi PCG on the full system.
 namespace nektar {
 
 // AleOptions (the SolverOptions extension for this solver) lives in
@@ -125,33 +124,13 @@ private:
                     const std::function<double(double, double)>& v0);
     /// ALE nonlinear terms with advecting velocity (u, v - w_mesh).
     void nonlinear(std::vector<std::vector<double>>& nl) const;
-    /// Distributed (or serial) diagonally preconditioned CG solve of
-    /// (L + lambda M) x = rhs with Dirichlet data already in x.
-    void pcg_solve(AleSolve which, double lambda, const std::vector<char>& dirichlet,
-                   std::span<const double> rhs, std::span<double> x) const;
-    /// The same solve, statically condensed, for the velocity boundary
-    /// conditions: condense rhs onto the boundary dofs, Jacobi PCG on the
-    /// Schur system, back-solve the interiors element by element.
-    void condensed_solve(AleSolve which, double lambda, std::span<const double> rhs,
-                         std::span<double> x) const;
-    /// Records a solve's iterations; throws if it did not converge.
-    void check(AleSolve which, const la::CgResult& res) const;
-
-    /// Stage 7's condensed operator for one (discretization, lambda): the
-    /// per-matrix-class blocks and the Jacobi preconditioner on the
-    /// assembled diag(S).  rebuild_discretization() drops it.
-    struct CondensedVelocity {
-        double lambda = 0.0;
-        std::size_t nb = 0; ///< vertex + edge dofs: the leading local global ids
-        std::map<const ElemMatrices*, SchurBlocks> blocks;
-        std::vector<double> inv_diag; ///< 1 on Dirichlet rows
-    };
-    const CondensedVelocity& condensed(double lambda) const;
-    [[nodiscard]] double global_dot(std::span<const double> a, std::span<const double> b) const;
-    std::vector<double> weak_rhs(std::span<const double> quad) const;
-    void gs_assemble(std::span<double> global) const;
-    [[nodiscard]] std::vector<double> dirichlet_x(
-        const HelmholtzBC& bc, const std::function<double(double, double)>& g) const;
+    /// A HelmholtzPCG solve recorded as `which`; an unconverged one throws
+    /// naming the solve and the step.
+    std::vector<double> solve(const HelmholtzPCG& pcg, AleSolve which,
+                              std::span<const double> rhs, std::vector<double> x) const;
+    /// Stage 7's condensed solver at `lambda` on the current mesh, kept for
+    /// u and v; rebuild_discretization() drops it.
+    const HelmholtzPCG& condensed_velocity(double lambda) const;
 
     AleOptions opts_;
     /// Resolved compute backend (opts_.backend, Auto -> disc default);
@@ -163,15 +142,13 @@ private:
     // Local piece of the mesh (vertices move every step).
     std::shared_ptr<mesh::Mesh> local_mesh_;
     std::shared_ptr<const Discretization> disc_;
-    std::unique_ptr<gs::GatherScatter> gs_;
-    std::vector<double> dot_weights_;      ///< 1/multiplicity per local dof
-    std::vector<char> vel_dirichlet_, p_dirichlet_, mesh_dirichlet_;
+    std::unique_ptr<const DofAssembly> assembly_;
 
     std::vector<double> u_modal_, v_modal_, p_modal_;
     std::vector<double> uq_, vq_, wq_;
     // Inter-stage scratch of the current step (RHS vectors in global dofs).
     std::vector<double> prhs_, urhs_, vrhs_;
-    mutable std::optional<CondensedVelocity> condensed_;
+    mutable std::optional<HelmholtzPCG> velocity_pcg_;
     mutable std::array<std::size_t, 4> last_iters_{};
 };
 

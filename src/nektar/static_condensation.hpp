@@ -23,19 +23,8 @@
 /// independent per-element back-solves for the interiors.
 namespace nektar {
 
-/// One matrix class's condensed blocks of H = L + lambda M, in the element's
-/// own (unsigned) mode orientation: the leading nb modes are the vertex and
-/// edge (boundary) modes, the trailing ni the interior bubbles.
-struct SchurBlocks {
-    la::DenseMatrix schur;   ///< S = H_bb - H_bi H_ii^-1 H_ib   (nb x nb)
-    la::DenseMatrix k;       ///< K = H_ii^-1 H_ib               (ni x nb)
-    la::DenseMatrix hii_inv; ///< H_ii^-1, through its Cholesky factor (ni x ni)
-};
-
-/// Condenses the interior modes out of one element's L + lambda M.  Every
-/// flop is charged to the blaslite counters (la::spd_inverse, dgemm, and
-/// the symmetrisation of S).  Throws if H_ii is not SPD.
-[[nodiscard]] SchurBlocks condense(const ElemMatrices& mats, double lambda, std::size_t nb);
+// SchurBlocks and condense(), which this solver shares with HelmholtzPCG's
+// condensed system, are declared in helmholtz.hpp.
 
 /// SerialNS2d's direct Helmholtz solver: HelmholtzDirect's contract, with
 /// the interiors eliminated.  The constructor condenses every matrix class,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lab/fault_profiles.hpp"
 #include "lab/json.hpp"
 #include "lab/scenario.hpp"
@@ -11,6 +13,36 @@ namespace {
 
 using lab::ParseError;
 using lab::ScenarioRequest;
+
+TEST(JsonParse, DeepNestingIsAParseErrorNotAStackOverflow) {
+    // A frame's worth of '[' used to recurse until the stack ran out.
+    try {
+        (void)lab::Json::parse(std::string(100000, '['));
+        FAIL() << "100000 nested arrays parsed";
+    } catch (const ParseError& e) {
+        const std::string what = e.what();
+        const std::string limit = std::to_string(lab::Json::kMaxDepth);
+        EXPECT_NE(what.find("deeper than " + limit), std::string::npos) << what;
+        EXPECT_NE(what.find("at byte " + limit), std::string::npos) << what;
+    }
+    // One level past the limit through objects fails the same way.
+    std::string objects;
+    for (std::size_t i = 0; i <= lab::Json::kMaxDepth; ++i) objects += "{\"k\":";
+    EXPECT_THROW((void)lab::Json::parse(objects + "1"), ParseError);
+}
+
+TEST(JsonParse, NestingAtTheLimitParses) {
+    const std::size_t depth = lab::Json::kMaxDepth;
+    const lab::Json nest =
+        lab::Json::parse(std::string(depth - 1, '[') + "[1]" + std::string(depth - 1, ']'));
+    const lab::Json* v = &nest;
+    for (std::size_t i = 0; i < depth; ++i) {
+        ASSERT_TRUE(v->is_array()) << "level " << i;
+        ASSERT_EQ(v->as_array().size(), 1u);
+        v = &v->as_array().front();
+    }
+    EXPECT_EQ(v->as_number(), 1.0);
+}
 
 TEST(ScenarioCanonical, FieldOrderDoesNotChangeTheFingerprint) {
     const auto a = ScenarioRequest::parse(

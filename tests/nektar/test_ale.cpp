@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "blaslite/multiversion.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
 #include "partition/partition.hpp"
 
@@ -291,6 +297,130 @@ TEST(AleNS, UnconvergedSolveThrowsNamingSolveAndStep) {
         const std::string what = e.what();
         EXPECT_NE(what.find("PCG solve of step 0"), std::string::npos) << what;
         EXPECT_NE(what.find("max-iterations"), std::string::npos) << what;
+    }
+}
+
+/// One rank's bits after a run: the public fields, the four solves'
+/// iterations, every stage's blaslite counts and, on a comm, the per-stage
+/// log of comm events and the virtual clock (which move if a gather-scatter
+/// or allreduce is added, dropped or moved to another stage).
+std::uint64_t run_fingerprint(AleNS2d& ns, const simmpi::Comm* c) {
+    ckpt::Fingerprint fp;
+    for (const auto* field : {&ns.u_quad(), &ns.v_quad(), &ns.mesh_velocity_quad()})
+        for (double x : *field) fp.add(x);
+    for (auto s : {nektar::AleSolve::Mesh, nektar::AleSolve::Pressure, nektar::AleSolve::U,
+                   nektar::AleSolve::V})
+        fp.add(static_cast<std::uint64_t>(ns.last_iterations(s)));
+    for (const blaslite::OpCounts& k : ns.breakdown().counts)
+        fp.add(k.flops).add(k.bytes_read).add(k.bytes_written).add(k.calls);
+    if (c == nullptr) return fp.value();
+    for (const auto& [stage, events] : c->log())
+        for (const auto& [key, count] : events)
+            fp.add(static_cast<std::uint64_t>(stage + 1))
+                .add(static_cast<std::uint64_t>(key.kind))
+                .add(static_cast<std::uint64_t>(key.bytes))
+                .add(static_cast<std::uint64_t>(key.overlapped))
+                .add(count);
+    return fp.add(c->wall_time()).value();
+}
+
+TEST(AleNS, SolvesArePinned) {
+    // perfbench's ale_flap_p4 set-up for four steps (two ramp, two steady),
+    // serial and on four ranks.  Any change to the four PCG solves that
+    // moves a bit, an iteration, a charged operation or a collective shows.
+    // The bits are the host's: the x86-64-v3/v4 clones of the blaslite
+    // kernels fuse multiply-adds that the baseline build (and every
+    // sanitizer build) leaves as two roundings.  Which ones fuse is the
+    // compiler's choice; the FMA bits were recorded with GCC, the baseline
+    // bits need none.
+    struct Pins {
+        std::uint64_t serial, ranks;
+        std::array<std::size_t, 4> serial_iters, rank_iters; ///< mesh, pressure, u, v
+    };
+    const bool fma = blaslite::isa_level() != blaslite::IsaLevel::base;
+#if defined(__clang__) || !defined(__GNUC__)
+    if (fma) GTEST_SKIP() << "FMA-host bits are recorded for GCC's contraction";
+#endif
+    const Pins pins = fma ? Pins{0xd6895f8ef0182894ull, 0x64bc77e1297e4e8dull,
+                                 {83, 176, 109, 104}, {83, 176, 109, 104}}
+                          : Pins{0x8a542cab423f1911ull, 0x1aa46f6bcc486fdcull,
+                                 {83, 176, 109, 104}, {83, 173, 109, 104}};
+    const auto m = mesh::flapping_body_mesh(2);
+    AleOptions opts = flap_options(0.01);
+    opts.cg.tolerance = 1e-8;
+    const auto run = [](AleNS2d& ns) {
+        ns.set_initial([](double, double) { return 1.0; },
+                       [](double x, double y) { return 0.1 * std::sin(x + 2.0 * y); });
+        ns.breakdown() = {};
+        for (int s = 0; s < 4; ++s) ns.step();
+        std::array<std::size_t, 4> iters{};
+        for (std::size_t s = 0; s < 4; ++s)
+            iters[s] = ns.last_iterations(static_cast<nektar::AleSolve>(s));
+        return iters;
+    };
+
+    AleNS2d serial(m, 4, opts);
+    EXPECT_EQ(run(serial), pins.serial_iters);
+    EXPECT_EQ(run_fingerprint(serial, nullptr), pins.serial);
+
+    partition::Graph gr;
+    m.dual_graph(gr.xadj, gr.adjncy);
+    const auto part = partition::partition_graph(gr, 4);
+    std::vector<std::uint64_t> ranks(4);
+    std::vector<std::array<std::size_t, 4>> iters(4);
+    simmpi::World world(4, test_net());
+    world.run([&](simmpi::Comm& c) {
+        AleNS2d ns(m, 4, opts, &c, &part);
+        const auto r = static_cast<std::size_t>(c.rank());
+        iters[r] = run(ns);
+        ranks[r] = run_fingerprint(ns, &c);
+    });
+    ckpt::Fingerprint all;
+    for (std::size_t r = 0; r < 4; ++r) {
+        EXPECT_EQ(iters[r], pins.rank_iters) << "rank " << r;
+        all.add(ranks[r]);
+    }
+    EXPECT_EQ(all.value(), pins.ranks);
+}
+
+TEST(AleNS, SerialSolveHonoursPinFirstDof) {
+    // All-Neumann Poisson: only the pinned vertex makes it nonsingular.
+    AleOptions opts = flap_options(0.05);
+    opts.velocity_bc = {.dirichlet = {}, .pin_first_dof = true};
+    opts.cg.tolerance = 1e-12;
+    AleNS2d ns(flap_mesh(), 3, opts);
+    const std::vector<int> pinned = nektar::constrained_dofs(ns.disc(), opts.velocity_bc);
+    ASSERT_EQ(pinned.size(), 1u);
+    std::vector<double> f(ns.disc().quad_size());
+    ns.disc().eval_at_quad([](double x, double y) { return std::sin(x) * std::cos(2.0 * y); }, f);
+    for (auto path : {AleNS2d::Path::FullSystem, AleNS2d::Path::Condensed}) {
+        const auto x = ns.velocity_helmholtz(0.0, f, {}, path);
+        EXPECT_EQ(x[static_cast<std::size_t>(pinned[0])], 0.0);
+        double norm = 0.0;
+        for (double v : x) norm = std::max(norm, std::abs(v));
+        EXPECT_GT(norm, 1e-3);
+    }
+}
+
+TEST(AleNS, PinFirstDofOnSeveralRanksThrows) {
+    // Each rank would pin its own element 0: an over-constrained system.
+    const auto m = flap_mesh();
+    AleOptions opts = flap_options(0.05);
+    opts.pressure_bc = {.dirichlet = {}, .pin_first_dof = true};
+    partition::Graph gr;
+    m.dual_graph(gr.xadj, gr.adjncy);
+    const auto part = partition::partition_graph(gr, 2);
+    simmpi::World world(2, test_net());
+    try {
+        world.run([&](simmpi::Comm& c) {
+            AleNS2d ns(m, 3, opts, &c, &part);
+            ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+            ns.step();
+        });
+        FAIL() << "pin_first_dof on two ranks did not throw";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("pin_first_dof"), std::string::npos) << what;
     }
 }
 
