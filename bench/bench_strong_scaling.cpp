@@ -8,10 +8,10 @@
 /// pencil wins even though it ships the data twice.
 ///
 /// Strong scaling: the global problem (NQ quadrature points x TP Fourier
-/// planes) is fixed and P grows, so every rank count actually runs under
-/// Engine::Tasks (the fiber scheduler) — subcommunicator events pin their
-/// group size, so a pencil log cannot be re-priced across P the way world
-/// logs can.  Each run is then re-priced on every machine x network model.
+/// planes) is fixed and P grows, so every rank count actually runs, each rank
+/// a simmpi fiber task — subcommunicator events pin their group size, so a
+/// pencil log cannot be re-priced across P the way world logs can.  Each run
+/// is then re-priced on every machine x network model.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -63,7 +63,7 @@ RunData run_transpose(int nprocs, bool pencil, std::size_t nq, std::size_t tp, i
     RunData data;
     data.steps = steps;
     const std::size_t nplanes = tp / static_cast<std::size_t>(nprocs);
-    simmpi::World world(nprocs, probe_net(), simmpi::Engine::Tasks);
+    simmpi::World world(nprocs, probe_net());
     world.set_max_tasks(nprocs);
     std::vector<std::uint64_t> digests(static_cast<std::size_t>(nprocs), 0);
     const auto reports = world.run([&](simmpi::Comm& c) {

@@ -107,8 +107,16 @@ int main(int argc, char** argv) {
             disc->project(ns.v_quad(), vm);
             const auto f = nektar::body_force(*disc, um, vm, ns.p_modal(), opts.viscosity,
                                               mesh::BoundaryTag::Body);
-            std::printf("%8d %10.3f %14.4f %12.4f %12.4f %12.3e\n", s, ns.time(),
-                        probe_wake(), f.fx, f.fy, ns.divergence_norm());
+            const double probe = probe_wake();
+            const double div = ns.divergence_norm();
+            std::printf("%8d %10.3f %14.4f %12.4f %12.4f %12.3e\n", s, ns.time(), probe,
+                        f.fx, f.fy, div);
+            if (!std::isfinite(probe) || !std::isfinite(f.fx) || !std::isfinite(f.fy) ||
+                !std::isfinite(div)) {
+                std::fprintf(stderr, "cylinder_wake: non-finite field at step %d (t = %.3f)\n",
+                             s, ns.time());
+                return 1;
+            }
         }
     }
 

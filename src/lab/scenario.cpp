@@ -1,5 +1,6 @@
 #include "lab/scenario.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
@@ -55,13 +56,21 @@ void kv_f64(std::string& out, const char* key, double v) {
     out += ',';
 }
 
+/// Exclusive upper bounds for as_count: an int field, and a uint64 one.
+constexpr double kIntLimit = static_cast<double>(INT_MAX) + 1.0;
+constexpr double kU64Limit = 18446744073709551616.0; // 2^64
+
 /// Reads a non-negative integer field that our writers emit as a bare
-/// integer token (doubles representing them exactly up to 2^53).
-std::uint64_t as_count(const Json& v, const char* field) {
+/// integer token (doubles representing them exactly up to 2^53).  A value
+/// at or above `limit` (+inf included) is rejected: the cast would wrap it
+/// or be undefined.
+std::uint64_t as_count(const Json& v, const char* field, double limit) {
     const double d = v.as_number();
     if (d < 0.0 || d != std::floor(d))
         throw ParseError(std::string("field \"") + field +
                          "\" must be a non-negative integer");
+    if (!(d < limit))
+        throw ParseError(std::string("field \"") + field + "\" is out of range");
     return static_cast<std::uint64_t>(d);
 }
 
@@ -113,7 +122,7 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
     ScenarioRequest req;
     for (const auto& [key, value] : doc.as_object()) {
         if (key == "schema") {
-            if (as_count(value, "schema") != static_cast<std::uint64_t>(kSchemaVersion))
+            if (as_count(value, "schema", kU64Limit) != static_cast<std::uint64_t>(kSchemaVersion))
                 throw ParseError("unsupported ScenarioRequest schema " +
                                  std::to_string(value.as_number()) + " (this build speaks " +
                                  std::to_string(kSchemaVersion) + ")");
@@ -124,9 +133,9 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
         } else if (key == "net") {
             req.net = value.as_string();
         } else if (key == "ranks") {
-            req.ranks = static_cast<int>(as_count(value, "ranks"));
+            req.ranks = static_cast<int>(as_count(value, "ranks", kIntLimit));
         } else if (key == "seed") {
-            req.seed = as_count(value, "seed");
+            req.seed = as_count(value, "seed", kU64Limit);
         } else if (key == "smoke") {
             req.smoke = value.as_bool();
         } else if (key == "solver") {
@@ -142,7 +151,7 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
         } else if (key == "dof_per_rank") {
             req.dof_per_rank = value.as_number();
         } else if (key == "steps") {
-            req.steps = static_cast<int>(as_count(value, "steps"));
+            req.steps = static_cast<int>(as_count(value, "steps", kIntLimit));
         } else {
             throw ParseError("unknown ScenarioRequest field \"" + key + "\"");
         }

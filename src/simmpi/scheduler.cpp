@@ -332,8 +332,6 @@ TaskScheduler::~TaskScheduler() {
     delete impl_;
 }
 
-bool TaskScheduler::inside_task() noexcept { return tls_impl != nullptr && tls_fiber >= 0; }
-
 int TaskScheduler::current_task() noexcept { return tls_fiber; }
 
 void TaskScheduler::set_stall_handler(std::function<void()> handler) {

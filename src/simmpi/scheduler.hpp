@@ -52,10 +52,7 @@ public:
     /// same scheduler.
     void run(const std::function<void(int)>& body);
 
-    /// True when the calling code is executing inside one of this
-    /// scheduler's fibers.
-    [[nodiscard]] static bool inside_task() noexcept;
-    /// The fiber id of the calling task (valid only inside_task()).
+    /// The fiber id of the calling task (-1 outside every task).
     [[nodiscard]] static int current_task() noexcept;
 
     /// Parks the calling task until unpark().  `lk` (the caller's own

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "simmpi/scheduler.hpp"
@@ -766,10 +764,9 @@ void Comm::barrier() {
 // World
 // ---------------------------------------------------------------------------
 
-World::World(int nprocs, netsim::NetworkModel net, Engine engine)
+World::World(int nprocs, netsim::NetworkModel net)
     : nprocs_(nprocs),
       net_(std::move(net)),
-      engine_(engine),
       mailboxes_(static_cast<std::size_t>(nprocs)),
       world_group_(std::make_shared<detail::GroupState>()) {
     if (nprocs < 1) throw std::invalid_argument("simmpi: need at least one rank");
@@ -782,24 +779,14 @@ void World::deliver(int dest, Message msg) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
     std::lock_guard lk(box.mtx);
     box.queue.push_back(std::move(msg));
-    // Tasks engine: the receiver parked on its mailbox; hand it back to its
-    // home worker.  (Lock order box.mtx -> scheduler mutex matches park().)
-    if (box.waiting_task >= 0 && sched_ != nullptr) sched_->unpark(box.waiting_task);
-    box.cv.notify_all();
+    // The receiver parked on its mailbox: hand it back to its home worker.
+    // (Lock order box.mtx -> scheduler mutex matches park().)
+    if (box.waiting_task >= 0) sched_->unpark(box.waiting_task);
 }
 
 void World::abort_world() {
     aborted_.store(true);
-    if (sched_ != nullptr) sched_->unpark_all();
-    world_group_->cv.notify_all();
-    {
-        std::lock_guard lk(groups_mtx_);
-        for (auto& [ctx, g] : groups_) {
-            (void)ctx;
-            g->cv.notify_all();
-        }
-    }
-    for (auto& box : mailboxes_) box.cv.notify_all();
+    sched_->unpark_all();
 }
 
 World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
@@ -808,25 +795,6 @@ World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
     const auto match = [&](const Message& m) {
         return m.src == src && m.ctx == ctx && m.tag == tag;
     };
-    if (engine_ == Engine::Tasks) {
-        for (;;) {
-            const auto it = std::find_if(box.queue.begin(), box.queue.end(), match);
-            if (it != box.queue.end()) {
-                Message msg = std::move(*it);
-                box.queue.erase(it);
-                return msg;
-            }
-            if (aborted_.load()) throw Aborted{};
-            // Park this rank's fiber until a delivery (or an abort) wakes it.
-            // A missing send is caught by the scheduler's exact quiescence
-            // detection, not a timeout.
-            box.waiting_task = detail::TaskScheduler::current_task();
-            sched_->park(lk);
-            box.waiting_task = -1;
-        }
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(watchdog_seconds_);
     for (;;) {
         const auto it = std::find_if(box.queue.begin(), box.queue.end(), match);
         if (it != box.queue.end()) {
@@ -835,13 +803,12 @@ World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
             return msg;
         }
         if (aborted_.load()) throw Aborted{};
-        if (box.cv.wait_until(lk, deadline) == std::cv_status::timeout) {
-            lk.unlock();
-            throw DeadlockError("simmpi: rank " + std::to_string(self) +
-                                " waited > watchdog for a message from rank " +
-                                std::to_string(src) + " tag " + std::to_string(tag) +
-                                " (missing send or wrong tag)");
-        }
+        // Park this rank's fiber until a delivery (or an abort) wakes it.
+        // A missing send is caught by the scheduler's exact quiescence
+        // detection, not a timeout.
+        box.waiting_task = detail::TaskScheduler::current_task();
+        sched_->park(lk);
+        box.waiting_task = -1;
     }
 }
 
@@ -859,31 +826,14 @@ double World::rendezvous_max(detail::GroupState& g, double wall) {
         const double result = g.max_wall;
         g.max_wall = 0.0;
         g.result = result;
-        if (engine_ == Engine::Tasks) {
-            for (const int t : g.parked) sched_->unpark(t);
-            g.parked.clear();
-        }
-        g.cv.notify_all();
+        for (const int t : g.parked) sched_->unpark(t);
+        g.parked.clear();
         return result;
     }
-    if (engine_ == Engine::Tasks) {
-        while (g.generation == gen) {
-            if (aborted_.load()) throw Aborted{};
-            g.parked.push_back(detail::TaskScheduler::current_task());
-            sched_->park(lk);
-        }
-        return g.result;
-    }
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(watchdog_seconds_);
     while (g.generation == gen) {
         if (aborted_.load()) throw Aborted{};
-        if (g.cv.wait_until(lk, deadline) == std::cv_status::timeout && g.generation == gen) {
-            lk.unlock();
-            throw DeadlockError(
-                "simmpi: collective rendezvous waited > watchdog "
-                "(some rank never entered the collective)");
-        }
+        g.parked.push_back(detail::TaskScheduler::current_task());
+        sched_->park(lk);
     }
     return g.result;
 }
@@ -907,17 +857,12 @@ std::shared_ptr<detail::GroupState> World::intern_group(std::uint64_t ctx,
 }
 
 std::vector<RankReport> World::run(const std::function<void(Comm&)>& fn) {
-    if (engine_ == Engine::Tasks && nprocs_ > max_tasks_)
+    if (nprocs_ > max_tasks_)
         throw OversubscriptionError(
             "simmpi: " + std::to_string(nprocs_) +
             " ranks exceed the task scheduler's configured limit of " +
             std::to_string(max_tasks_) +
             " tasks; raise it with World::set_max_tasks() or shrink the world");
-    constexpr int kMaxThreadRanks = 1024;
-    if (engine_ == Engine::Threads && nprocs_ > kMaxThreadRanks)
-        throw OversubscriptionError("simmpi: " + std::to_string(nprocs_) + " ranks exceed the " +
-                                    std::to_string(kMaxThreadRanks) +
-                                    "-thread ceiling of Engine::Threads; use Engine::Tasks");
 
     std::vector<detail::RankState> states(static_cast<std::size_t>(nprocs_));
     std::vector<RankReport> reports(static_cast<std::size_t>(nprocs_));
@@ -935,9 +880,8 @@ std::vector<RankReport> World::run(const std::function<void(Comm&)>& fn) {
             // Woken by another rank's failure; unwind quietly.
         } catch (const RankKilledError&) {
             // A fault-model node death.  Keep it separate from the generic
-            // first_error slot: under host-scheduling races a peer's
-            // DeadlockError can land first, but the kill is the root cause
-            // and is what run() must surface.
+            // first_error slot: whatever else fails in the same run, the kill
+            // is what run() must surface to a recovery harness.
             {
                 std::lock_guard lk(err_mtx);
                 if (!kill_error) kill_error = std::current_exception();
@@ -961,32 +905,27 @@ std::vector<RankReport> World::run(const std::function<void(Comm&)>& fn) {
         rep.overlap_log = comm.overlap_log();
     };
 
-    if (engine_ == Engine::Tasks) {
-        detail::TaskScheduler sched(nprocs_, stack_bytes_);
-        sched.set_stall_handler([&] {
-            // Exact quiescence: no rank runnable, some still parked.  Flag
-            // it and abort; the scheduler then wakes every parked rank so it
-            // observes the abort and unwinds.
-            {
-                std::lock_guard lk(err_mtx);
-                deadlocked = true;
-            }
-            abort_world();
-        });
-        sched_ = &sched;
-        try {
-            sched.run(body);
-        } catch (...) {
-            sched_ = nullptr;
-            throw;
+    // Fiber stacks are MAP_NORESERVE, so mostly-idle ranks stay cheap.
+    constexpr std::size_t kTaskStackBytes = std::size_t{2} << 20;
+    detail::TaskScheduler sched(nprocs_, kTaskStackBytes);
+    sched.set_stall_handler([&] {
+        // Exact quiescence: no rank runnable, some still parked.  Flag it
+        // and abort; the scheduler then wakes every parked rank so it
+        // observes the abort and unwinds.
+        {
+            std::lock_guard lk(err_mtx);
+            deadlocked = true;
         }
+        abort_world();
+    });
+    sched_ = &sched;
+    try {
+        sched.run(body);
+    } catch (...) {
         sched_ = nullptr;
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(nprocs_));
-        for (int r = 0; r < nprocs_; ++r) threads.emplace_back([&body, r] { body(r); });
-        for (auto& t : threads) t.join();
+        throw;
     }
+    sched_ = nullptr;
 
     if (kill_error || first_error || deadlocked) {
         // Scrub the half-finished run so the world is reusable: drop stale

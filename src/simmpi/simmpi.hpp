@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -21,10 +20,9 @@
 /// \file simmpi.hpp
 /// A simulated MPI: the message-passing runtime the parallel solvers run on.
 ///
-/// Ranks are run-to-completion tasks multiplexed over the deterministic host
-/// thread pool (Engine::Tasks, the default — thousands of simulated ranks
-/// cost fiber stacks, not OS threads), or classic one-thread-per-rank
-/// (Engine::Threads, kept as the A/B reference).  Point-to-point messages
+/// Ranks are run-to-completion fiber tasks multiplexed over the deterministic
+/// host thread pool, so thousands of simulated ranks cost fiber stacks, not
+/// OS threads (see scheduler.hpp).  Point-to-point messages
 /// really move through per-rank mailboxes (wrong tags or mismatched sizes
 /// fail loudly, and a missing send is a detected deadlock — the semantics
 /// are honest), while a virtual clock per rank models what the transfer
@@ -131,31 +129,17 @@ struct FaultStageStats {
 /// stage id -> fault accounting (same stage keys as CommLog).
 using FaultLog = std::map<int, FaultStageStats>;
 
-/// How World::run executes ranks on the host.
-enum class Engine : std::uint8_t {
-    /// One OS thread per rank.  Simple, but caps the simulable rank count at
-    /// what the host comfortably schedules; kept as the A/B determinism
-    /// reference for the task engine.
-    Threads,
-    /// Ranks are run-to-completion fiber tasks multiplexed over the
-    /// parallel::pool() workers, parking at comm points and resuming when
-    /// the virtual-clock event that unblocks them fires.  Bit-identical
-    /// results to Threads; scales to thousands of ranks.
-    Tasks,
-};
-
 /// Thrown by World::run when a rank waits on a comm event that can never
 /// arrive: a missing send, a mismatched tag, or a collective some rank never
-/// enters.  Under Engine::Tasks this is detected exactly (no runnable task,
-/// some still parked); under Engine::Threads a host-time watchdog bounds the
-/// wait.  Without it these bugs would hang the test harness forever.
+/// enters.  It is detected exactly, not by a timeout: no rank is runnable and
+/// some are still parked.  Without it these bugs would hang the harness.
 class DeadlockError : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
 
 /// Thrown by World::run (before any rank starts) when the requested rank
-/// count exceeds the engine's configured task/thread limit — a clear
+/// count exceeds the scheduler's configured task limit — a clear
 /// diagnostic instead of an OOM or a scheduler hang.
 class OversubscriptionError : public std::runtime_error {
 public:
@@ -164,10 +148,9 @@ public:
 
 /// Thrown inside a rank when the fault model's kill event fires: the "node"
 /// dies at a deterministic position of its comm-event stream.  World::run
-/// rethrows it in preference over the DeadlockErrors the dead rank's
-/// now-abandoned peers may hit first (deadlock detection is the backstop
-/// when the death itself is silent), so a recovery harness can catch one
-/// exception type, roll back to the last checkpoint and replay.
+/// rethrows it in preference over any other rank's error and over a detected
+/// deadlock, so a recovery harness can catch one exception type, roll back to
+/// the last checkpoint and replay.
 class RankKilledError : public std::runtime_error {
 public:
     RankKilledError(int rank, std::uint64_t msg_index, double wall_seconds)
@@ -245,12 +228,11 @@ struct GroupState {
 
     /// Reusable sense-reversing rendezvous with a max-reduction slot.
     std::mutex mtx;
-    std::condition_variable cv; ///< Engine::Threads waiters
     int waiting = 0;
     std::uint64_t generation = 0;
     double max_wall = 0.0;
     double result = 0.0; ///< snapshot of max_wall for the completed generation
-    std::vector<int> parked; ///< Engine::Tasks: task ids parked in this rendezvous
+    std::vector<int> parked; ///< task ids parked in this rendezvous
 
     std::mutex exch_mtx;
     std::vector<double> exchange; ///< collective staging area
@@ -534,34 +516,21 @@ private:
 /// A simulated cluster: N ranks over one interconnect model.
 class World {
 public:
-    World(int nprocs, netsim::NetworkModel net, Engine engine = Engine::Tasks);
+    World(int nprocs, netsim::NetworkModel net);
 
-    /// Runs `fn(comm)` on every rank (fiber tasks or threads, per the
-    /// engine) and returns the per-rank reports.  Any exception thrown by a
+    /// Runs `fn(comm)` on every rank, each a fiber task of the scheduler,
+    /// and returns the per-rank reports.  Any exception thrown by a
     /// rank is rethrown here; the remaining ranks are woken and unwound
     /// instead of blocking forever.
     std::vector<RankReport> run(const std::function<void(Comm&)>& fn);
 
     [[nodiscard]] int size() const noexcept { return nprocs_; }
     [[nodiscard]] const netsim::NetworkModel& network() const noexcept { return net_; }
-    [[nodiscard]] Engine engine() const noexcept { return engine_; }
 
-    /// Engine::Tasks rank ceiling (default 8192).  run() refuses more ranks
-    /// with OversubscriptionError instead of silently exhausting memory.
+    /// Rank ceiling (default 8192).  run() refuses more ranks with
+    /// OversubscriptionError instead of silently exhausting memory.
     void set_max_tasks(int n) noexcept { max_tasks_ = n; }
     [[nodiscard]] int max_tasks() const noexcept { return max_tasks_; }
-
-    /// Per-task fiber stack size for Engine::Tasks (default 2 MiB; the
-    /// mapping is MAP_NORESERVE, so mostly-idle ranks stay cheap).
-    void set_task_stack_bytes(std::size_t bytes) noexcept { stack_bytes_ = bytes; }
-
-    /// Host-time bound on any single blocking wait under Engine::Threads
-    /// (recv matching, collective rendezvous).  A wait exceeding it aborts
-    /// the world and World::run throws DeadlockError instead of hanging the
-    /// harness.  Engine::Tasks detects deadlock exactly (quiescence) and
-    /// does not need the timeout.
-    void set_watchdog_seconds(double s) noexcept { watchdog_seconds_ = s; }
-    [[nodiscard]] double watchdog_seconds() const noexcept { return watchdog_seconds_; }
 
     /// Clears an armed fault-model kill event: the failed node has been
     /// "replaced by a spare" ahead of a recovery replay.  The fault model's
@@ -577,9 +546,8 @@ private:
 
     struct Mailbox {
         std::mutex mtx;
-        std::condition_variable cv; ///< Engine::Threads waiter
         std::deque<Message> queue;
-        int waiting_task = -1; ///< Engine::Tasks: task parked on this mailbox
+        int waiting_task = -1; ///< task parked on this mailbox
     };
 
     /// Internal unwind signal for ranks woken by an abort; never escapes run().
@@ -602,16 +570,13 @@ private:
 
     int nprocs_;
     netsim::NetworkModel net_;
-    Engine engine_;
-    double watchdog_seconds_ = 30.0;
     int max_tasks_ = 8192;
-    std::size_t stack_bytes_ = std::size_t{2} << 20;
     std::atomic<bool> aborted_{false};
     std::vector<Mailbox> mailboxes_;
     std::shared_ptr<detail::GroupState> world_group_;
     std::mutex groups_mtx_;
     std::map<std::uint64_t, std::shared_ptr<detail::GroupState>> groups_;
-    detail::TaskScheduler* sched_ = nullptr; ///< live only inside a Tasks run
+    detail::TaskScheduler* sched_ = nullptr; ///< live only inside run()
 };
 
 } // namespace simmpi

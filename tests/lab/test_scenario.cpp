@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lab/fault_profiles.hpp"
 #include "lab/json.hpp"
@@ -118,6 +123,25 @@ TEST(ScenarioParse, RejectsWrongTypesAndBadEnums) {
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"schema":99})"), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse("[1,2]"), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"ranks":1,"ranks":2})"), ParseError);
+    // Counts past the field's range used to wrap in the integer casts
+    // (4294967300 ranks parsed as 4) or convert undefinedly (1e300, inf).
+    for (const auto& [doc, field] : std::initializer_list<std::pair<const char*, const char*>>{
+             {R"({"ranks":4294967300})", "ranks"},
+             {R"({"ranks":2147483648})", "ranks"},
+             {R"({"steps":4294967297})", "steps"},
+             {R"({"ranks":1e300})", "ranks"},
+             {R"({"ranks":1e999})", "ranks"},
+             {R"({"seed":1e300})", "seed"},
+             {R"({"seed":18446744073709551616})", "seed"},
+             {R"({"schema":1e999})", "schema"}}) {
+        try {
+            (void)ScenarioRequest::parse(doc);
+            ADD_FAILURE() << doc << " parsed";
+        } catch (const ParseError& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+        }
+    }
+    EXPECT_EQ(ScenarioRequest::parse(R"({"ranks":2147483647})").ranks, 2147483647);
 }
 
 TEST(ScenarioSweep, SelectorsAndRankSweepMirrorTheOldCliSemantics) {
@@ -137,6 +161,114 @@ TEST(ScenarioFaults, RosterProfilesResolveAndRequestSeedWins) {
     const auto seeded = lab::fault_by_name("commodity-eth", 42);
     EXPECT_EQ(seeded.seed, 42u);
     EXPECT_THROW((void)lab::fault_by_name("token-ring"), ParseError);
+}
+
+/// Splitmix64: a fixed, platform-independent stream for the fuzz cases.
+struct Rng {
+    std::uint64_t state;
+    std::uint64_t next() {
+        std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+    std::size_t below(std::size_t n) { return static_cast<std::size_t>(next() % n); }
+};
+
+/// One random edit of `s`: a bit flip, a truncation, an inserted JSON
+/// fragment, or a number token replaced by an edge-case literal.
+void mutate(std::string& s, Rng& rng) {
+    static const char* const kFragments[] = {"\"", "{", "}", "[", "]", ",", ":", "\\",
+                                             "\\u", "\\u00e9", "\\ud800", "-", "null",
+                                             "true", "\"k\":", " ", "\x01", "\xff"};
+    static const char* const kNumbers[] = {
+        "-1",  "-0",  "0.5", "1e300", "1e999", "-1e999", "1e-400", "4294967300",
+        "2147483647", "2147483648", "9007199254740993", "18446744073709551615",
+        "18446744073709551616", "1.", ".5", "1e", "--1", "0e0", "007", "1E+2"};
+    switch (rng.below(4)) {
+    case 0:
+        if (!s.empty()) s[rng.below(s.size())] ^= static_cast<char>(1u << rng.below(8));
+        break;
+    case 1: s.resize(rng.below(s.size() + 1)); break;
+    case 2: s.insert(rng.below(s.size() + 1), kFragments[rng.below(std::size(kFragments))]); break;
+    default: {
+        // Replace the digit run at or after a random position.
+        std::size_t b = s.find_first_of("0123456789", rng.below(s.size() + 1));
+        if (b == std::string::npos) b = s.find_first_of("0123456789");
+        if (b == std::string::npos) break;
+        std::size_t e = b;
+        while (e < s.size() && ((s[e] >= '0' && s[e] <= '9') || s[e] == '.')) ++e;
+        s.replace(b, e - b, kNumbers[rng.below(std::size(kNumbers))]);
+    }
+    }
+}
+
+std::string printable(const std::string& s) {
+    std::string out;
+    for (const char c : s) {
+        if (c >= 0x20 && c < 0x7f) {
+            out += c;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\x%02x", static_cast<unsigned char>(c));
+            out += buf;
+        }
+    }
+    return out;
+}
+
+/// Runs `fn`; true if it returned, false on lab::ParseError.  Any other
+/// exception is a test failure naming the input.
+template <class F>
+bool parses(const std::string& text, F&& fn) {
+    try {
+        fn();
+        return true;
+    } catch (const ParseError&) {
+        return false;
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-ParseError \"" << e.what() << "\" on: " << printable(text);
+    } catch (...) {
+        ADD_FAILURE() << "non-std exception on: " << printable(text);
+    }
+    return false;
+}
+
+TEST(ScenarioFuzz, MutatedRequestsParseOrThrowParseErrorAndRoundTrip) {
+    ScenarioRequest full;
+    full.bench = "table2_nektar_f \"q\"\t\\";
+    full.machine = "pentium-ii-450";
+    full.net = "fast-ethernet";
+    full.ranks = 16;
+    full.seed = 1999;
+    full.smoke = true;
+    full.solver = "fourier";
+    full.fidelity = "measured";
+    full.backend = "sumfact";
+    full.fault = "commodity-eth";
+    full.transpose = "pencil";
+    full.dof_per_rank = 461000.5;
+    full.steps = 40;
+    const std::vector<std::string> seeds = {ScenarioRequest{}.canonical_json(),
+                                            full.canonical_json()};
+    Rng rng{20260415};
+    int accepted = 0;
+    constexpr int kCases = 4000;
+    for (int i = 0; i < kCases; ++i) {
+        std::string text = seeds[static_cast<std::size_t>(i) % seeds.size()];
+        for (std::size_t m = 1 + rng.below(3); m > 0; --m) mutate(text, rng);
+        (void)parses(text, [&] { (void)lab::Json::parse(text); });
+        ScenarioRequest req;
+        if (!parses(text, [&] { req = ScenarioRequest::parse(text); })) continue;
+        ++accepted;
+        const std::string canon = req.canonical_json();
+        ScenarioRequest again;
+        ASSERT_TRUE(parses(canon, [&] { again = ScenarioRequest::parse(canon); }))
+            << printable(text);
+        EXPECT_EQ(again.canonical_json(), canon) << printable(text);
+    }
+    // The stream must reach the accepting paths, not only the rejections.
+    EXPECT_GT(accepted, kCases / 20);
 }
 
 } // namespace

@@ -8,15 +8,16 @@
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
 
-/// The Engine::Tasks fiber scheduler: bit-identity against the classic
-/// one-thread-per-rank engine, determinism at rank counts no thread engine
-/// could host, exact quiescence deadlock detection, and the oversubscription
-/// diagnostics.
+/// The fiber scheduler every simmpi rank runs on: virtual clocks and logs
+/// pinned to recorded digests, determinism at hundreds and thousands of
+/// ranks, exact quiescence deadlock detection, the abort path that unwinds
+/// parked ranks, and the oversubscription diagnostics.
 namespace {
 
 netsim::NetworkModel test_net() {
@@ -56,57 +57,90 @@ void mixed_program(simmpi::Comm& c) {
     c.advance_compute(1e-9 * std::accumulate(recv.begin(), recv.end(), 0.0));
 }
 
-std::vector<simmpi::RankReport> run_mixed(int p, simmpi::Engine engine) {
-    simmpi::World world(p, test_net(), engine);
+std::vector<simmpi::RankReport> run_mixed(int p) {
+    simmpi::World world(p, test_net());
     return world.run(mixed_program);
 }
 
-TEST(TaskScheduler, TasksIsTheDefaultEngine) {
-    simmpi::World world(4, test_net());
-    EXPECT_EQ(world.engine(), simmpi::Engine::Tasks);
-}
-
-TEST(TaskScheduler, TasksMatchesThreadsBitForBit) {
-    for (const int p : {2, 4, 6, 16}) {
-        const auto tasks = run_mixed(p, simmpi::Engine::Tasks);
-        const auto threads = run_mixed(p, simmpi::Engine::Threads);
-        ASSERT_EQ(tasks.size(), threads.size());
-        for (int r = 0; r < p; ++r) {
-            const auto& a = tasks[static_cast<std::size_t>(r)];
-            const auto& b = threads[static_cast<std::size_t>(r)];
-            EXPECT_EQ(a.cpu_seconds, b.cpu_seconds) << "p=" << p << " rank " << r;
-            EXPECT_EQ(a.wall_seconds, b.wall_seconds) << "p=" << p << " rank " << r;
-            EXPECT_EQ(a.log, b.log) << "p=" << p << " rank " << r;
-            EXPECT_EQ(a.overlap_log, b.overlap_log) << "p=" << p << " rank " << r;
+/// FNV-1a over little-endian bytes.
+struct Fnv {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    void bytes(std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
         }
     }
-}
-
-/// FNV-1a over the bit patterns of every rank's clocks: one word capturing
-/// the full virtual timing of a run.
-std::uint64_t run_digest(const std::vector<simmpi::RankReport>& reports) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&](double v) {
+    void real(double v) {
         std::uint64_t bits;
         static_assert(sizeof(bits) == sizeof(v));
         std::memcpy(&bits, &v, sizeof(bits));
-        for (int i = 0; i < 8; ++i) {
-            h ^= (bits >> (8 * i)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    for (const auto& r : reports) {
-        mix(r.cpu_seconds);
-        mix(r.wall_seconds);
+        bytes(bits, 8);
     }
-    return h;
+    void stage(int s) { bytes(static_cast<std::uint64_t>(static_cast<std::int64_t>(s)), 8); }
+};
+
+/// The bit patterns of every rank's clocks: one word capturing the full
+/// virtual timing of a run.
+std::uint64_t run_digest(const std::vector<simmpi::RankReport>& reports) {
+    Fnv f;
+    for (const auto& r : reports) {
+        f.real(r.cpu_seconds);
+        f.real(r.wall_seconds);
+    }
+    return f.h;
+}
+
+/// run_digest plus every rank's CommLog and OverlapLog, field by field.
+std::uint64_t report_digest(const std::vector<simmpi::RankReport>& reports) {
+    Fnv f;
+    for (const auto& r : reports) {
+        f.real(r.cpu_seconds);
+        f.real(r.wall_seconds);
+        for (const auto& [stage, events] : r.log) {
+            f.stage(stage);
+            for (const auto& [key, count] : events) {
+                f.bytes(static_cast<std::uint64_t>(key.kind), 1);
+                f.bytes(key.bytes, 8);
+                f.bytes(key.overlapped ? 1u : 0u, 1);
+                f.bytes(key.group, 4);
+                f.bytes(key.groups, 4);
+                f.bytes(count, 8);
+            }
+        }
+        for (const auto& [stage, seconds] : r.overlap_log) {
+            f.stage(stage);
+            f.real(seconds);
+        }
+    }
+    return f.h;
+}
+
+TEST(TaskScheduler, MixedProgramMatchesPinnedDigests) {
+    // Recorded when simmpi still had a one-OS-thread-per-rank engine next to
+    // the fiber scheduler; both engines produced exactly these values, so
+    // the scheduler's virtual clocks and logs are pinned to that reference.
+    struct Pin {
+        int p;
+        std::uint64_t clocks;
+        std::uint64_t full;
+    };
+    for (const Pin& pin : {Pin{2, 0x6aa3b132159a24fdull, 0x02b1d07617874b6dull},
+                           Pin{4, 0xa982062c64cce39dull, 0x7c481e4cf5cf3b6dull},
+                           Pin{6, 0xa9779d0e4db01a41ull, 0x35b8d31029990c41ull},
+                           Pin{16, 0xc1c7ed8b38a3db65ull, 0x1231ddb3129d4b25ull}}) {
+        const auto reports = run_mixed(pin.p);
+        ASSERT_EQ(reports.size(), static_cast<std::size_t>(pin.p));
+        EXPECT_EQ(run_digest(reports), pin.clocks) << "p=" << pin.p;
+        EXPECT_EQ(report_digest(reports), pin.full) << "p=" << pin.p;
+    }
 }
 
 TEST(TaskScheduler, TwoHundredFiftySixRanksAreDeterministic) {
-    // A rank count the thread engine refuses outright on most hosts; the
-    // task engine must both complete it and reproduce it bit-for-bit.
-    const auto a = run_mixed(256, simmpi::Engine::Tasks);
-    const auto b = run_mixed(256, simmpi::Engine::Tasks);
+    // A rank count one OS thread per rank would strain on most hosts; the
+    // scheduler must both complete it and reproduce it bit-for-bit.
+    const auto a = run_mixed(256);
+    const auto b = run_mixed(256);
     ASSERT_EQ(a.size(), 256u);
     EXPECT_EQ(run_digest(a), run_digest(b));
     for (int r = 0; r < 256; ++r)
@@ -122,6 +156,14 @@ struct PoolThreads {
     unsigned before;
 };
 
+/// Spins the calling rank's worker (yielding) until `done()`, or 30 s of
+/// host time as a backstop.
+template <class Pred>
+void spin_until(Pred done) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done() && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+}
+
 TEST(TaskScheduler, TaskTStartsOnWorkerTModW) {
     // Eight ranks over four workers: two per thread, ranks r and r + 4
     // together, whatever the threads' timing.  Ranks 0-3 hold their worker
@@ -131,14 +173,12 @@ TEST(TaskScheduler, TaskTStartsOnWorkerTModW) {
     constexpr int kRanks = 8;
     std::atomic<int> started{0};
     std::vector<std::thread::id> first(kRanks), last(kRanks);
-    simmpi::World world(kRanks, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(kRanks, test_net());
     world.run([&](simmpi::Comm& c) {
         const auto r = static_cast<std::size_t>(c.rank());
         first[r] = std::this_thread::get_id();
         started.fetch_add(1);
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        while (c.rank() < 4 && started.load() < 4 && std::chrono::steady_clock::now() < deadline)
-            std::this_thread::yield();
+        if (c.rank() < 4) spin_until([&] { return started.load() >= 4; });
         mixed_program(c);
         last[r] = std::this_thread::get_id();
     });
@@ -155,11 +195,11 @@ TEST(TaskScheduler, CompletesWhenThePoolRunsTheWorkersInline) {
     // A run started inside a parallel_for body gets its worker loops run
     // one after another on the calling thread: worker 0 must start the
     // other workers' tasks itself, and the clocks must not change.
-    const auto reference = run_mixed(8, simmpi::Engine::Tasks);
+    const auto reference = run_mixed(8);
     const PoolThreads pool(4);
     std::vector<simmpi::RankReport> inline_run;
     parallel::pool().parallel_for(2, [&](std::size_t b, std::size_t) {
-        if (b == 0) inline_run = run_mixed(8, simmpi::Engine::Tasks);
+        if (b == 0) inline_run = run_mixed(8);
     });
     ASSERT_EQ(inline_run.size(), reference.size());
     EXPECT_EQ(run_digest(inline_run), run_digest(reference));
@@ -168,10 +208,10 @@ TEST(TaskScheduler, CompletesWhenThePoolRunsTheWorkersInline) {
 }
 
 TEST(TaskScheduler, QuiescenceDetectsMissingSendExactly) {
-    // Rank 1 waits for a message nobody sends.  Under Engine::Tasks this is
-    // caught by the scheduler's exact quiescence check (no runnable task,
-    // one parked), not a timeout, so it fires immediately.
-    simmpi::World world(2, test_net(), simmpi::Engine::Tasks);
+    // Rank 1 waits for a message nobody sends.  This is caught by the
+    // scheduler's exact quiescence check (no runnable task, one parked), not
+    // a timeout, so it fires immediately.
+    simmpi::World world(2, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
         if (c.rank() == 1) {
             std::vector<double> buf(1);
@@ -181,8 +221,33 @@ TEST(TaskScheduler, QuiescenceDetectsMissingSendExactly) {
                  simmpi::DeadlockError);
 }
 
+TEST(TaskScheduler, WrongTagFailsLoudlyInsteadOfHanging) {
+    simmpi::World world(2, test_net());
+    EXPECT_THROW(world.run([](simmpi::Comm& c) {
+        std::vector<double> buf(1, 1.0);
+        if (c.rank() == 0) {
+            c.send(1, 100, buf);
+        } else {
+            c.recv(0, 200, buf); // tag mismatch: never matches
+        }
+    }),
+                 simmpi::DeadlockError);
+}
+
+TEST(TaskScheduler, QuiescenceDetectsANeverCompletedWait) {
+    simmpi::World world(2, test_net());
+    EXPECT_THROW(world.run([](simmpi::Comm& c) {
+        if (c.rank() == 1) {
+            std::vector<double> buf(4);
+            simmpi::Request r = c.irecv(0, 7, buf);
+            c.wait(r); // rank 0 never isends
+        }
+    }),
+                 simmpi::DeadlockError);
+}
+
 TEST(TaskScheduler, QuiescenceDetectsAbandonedCollective) {
-    simmpi::World world(3, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(3, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
         if (c.rank() != 0) c.barrier(); // rank 0 never enters
     }),
@@ -190,7 +255,7 @@ TEST(TaskScheduler, QuiescenceDetectsAbandonedCollective) {
 }
 
 TEST(TaskScheduler, WorldIsReusableAfterADetectedDeadlock) {
-    simmpi::World world(2, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(2, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
         if (c.rank() == 0) {
             std::vector<double> buf(1);
@@ -206,8 +271,77 @@ TEST(TaskScheduler, WorldIsReusableAfterADetectedDeadlock) {
     EXPECT_EQ(reports.size(), 2u);
 }
 
+TEST(TaskScheduler, RankExceptionReleasesBlockedPeers) {
+    // A rank that throws must wake peers blocked in recv/collectives: the
+    // original error propagates instead of the run hanging.
+    simmpi::World world(4, test_net());
+    try {
+        world.run([](simmpi::Comm& c) {
+            if (c.rank() == 0) throw std::runtime_error("boom");
+            std::vector<double> buf(1);
+            if (c.rank() == 1) c.recv(0, 1, buf); // blocked in the mailbox
+            if (c.rank() > 1) c.barrier();        // blocked in the rendezvous
+        });
+        FAIL() << "expected an exception";
+    } catch (const simmpi::DeadlockError&) {
+        FAIL() << "the original error must win, not a detected deadlock";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "boom");
+    }
+}
+
+TEST(TaskScheduler, AbortUnwindsRanksParkedInWaitAndInASubcommunicator) {
+    // Six ranks, one worker each.  Rank 0 throws once the others are about
+    // to park: rank 1 in wait() on a receive nobody sends, ranks 2-5 in the
+    // barrier of their split() subcommunicator (rank 0's and rank 1's
+    // halves never complete it).  The abort must wake and unwind them all;
+    // run() must rethrow the original error, not a DeadlockError, and the
+    // same World must run again, twice over, then healthily.
+    const PoolThreads pool(6);
+    simmpi::World world(6, test_net());
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        std::atomic<int> started{0};
+        std::atomic<int> parking{0};
+        try {
+            world.run([&](simmpi::Comm& c) {
+                // Hold every worker until all six ranks run, so no worker
+                // adopts another's unstarted rank and rank 0 cannot starve
+                // the others of a thread while it spins.
+                started.fetch_add(1);
+                spin_until([&] { return started.load() == 6; });
+                simmpi::Comm half = c.split(c.rank() % 2, c.rank());
+                if (c.rank() == 0) {
+                    spin_until([&] { return parking.load() == 5; });
+                    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                    throw std::runtime_error("boom");
+                }
+                if (c.rank() == 1) {
+                    std::vector<double> buf(1);
+                    simmpi::Request r = c.irecv(0, 5, buf);
+                    parking.fetch_add(1);
+                    c.wait(r);
+                } else {
+                    parking.fetch_add(1);
+                    half.barrier();
+                }
+            });
+            FAIL() << "attempt " << attempt << ": expected an exception";
+        } catch (const simmpi::DeadlockError&) {
+            FAIL() << "attempt " << attempt << ": the original error must win";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "boom") << "attempt " << attempt;
+        }
+    }
+    const auto reports = world.run([](simmpi::Comm& c) {
+        simmpi::Comm half = c.split(c.rank() % 2, c.rank());
+        EXPECT_EQ(half.allreduce_sum(1.0), 3.0);
+        c.barrier();
+    });
+    EXPECT_EQ(reports.size(), 6u);
+}
+
 TEST(Oversubscription, TasksOverTheConfiguredLimitIsDiagnosed) {
-    simmpi::World world(64, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(64, test_net());
     world.set_max_tasks(16);
     try {
         world.run([](simmpi::Comm&) {});
@@ -220,30 +354,17 @@ TEST(Oversubscription, TasksOverTheConfiguredLimitIsDiagnosed) {
 }
 
 TEST(Oversubscription, RaisingTheLimitUnblocksTheSameWorld) {
-    simmpi::World world(64, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(64, test_net());
     world.set_max_tasks(16);
     EXPECT_THROW(world.run([](simmpi::Comm&) {}), simmpi::OversubscriptionError);
     world.set_max_tasks(64);
     EXPECT_EQ(world.run([](simmpi::Comm&) {}).size(), 64u);
 }
 
-TEST(Oversubscription, ThreadEngineRefusesThousandsOfRanks) {
-    // The thread engine's ceiling is a hard constant: past it the guidance
-    // is to use Engine::Tasks, and the error must say so before any OS
-    // thread is spawned.
-    simmpi::World world(4096, test_net(), simmpi::Engine::Threads);
-    try {
-        world.run([](simmpi::Comm&) {});
-        FAIL() << "expected OversubscriptionError";
-    } catch (const simmpi::OversubscriptionError& e) {
-        EXPECT_NE(std::string(e.what()).find("Tasks"), std::string::npos) << e.what();
-    }
-}
-
 TEST(TaskScheduler, ThousandsOfMostlyIdleRanksComplete) {
     // 4096 fiber ranks with a light program: the MAP_NORESERVE stacks keep
     // this cheap, and every rank's collective must still rendezvous.
-    simmpi::World world(4096, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(4096, test_net());
     const auto reports = world.run([](simmpi::Comm& c) {
         const double sum = c.allreduce_sum(1.0);
         EXPECT_EQ(sum, 4096.0);
