@@ -28,7 +28,7 @@
 #include "bench_util.hpp"
 #include "ckpt/recovery.hpp"
 #include "mesh/generators.hpp"
-#include "nektar/ns_fourier.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
 
@@ -58,14 +58,9 @@ FaultRun run_fourier(int nprocs, const netsim::NetworkModel& net) {
         opts.dt = 2e-3;
         opts.viscosity = 0.01;
         opts.num_modes = static_cast<std::size_t>(c.size()); // 2 planes per proc
-        opts.u_bc = [](double x, double y, double) {
-            const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-            return body ? 0.0 : 1.0;
-        };
+        opts.u_bc = nektar::workloads::inflow_u;
         nektar::FourierNS ns(disc, opts, &c);
-        ns.set_initial([](double, double, double z) { return 1.0 + 0.05 * std::sin(z); },
-                       [](double, double, double) { return 0.0; },
-                       [](double, double, double z) { return 0.05 * std::cos(z); });
+        nektar::workloads::start_perturbed(ns);
         for (int s = 0; s < bootstrap; ++s) ns.step();
         ns.breakdown() = {};
         for (int s = 0; s < steady; ++s) ns.step();
@@ -155,10 +150,7 @@ RecoveryRun run_recoverable(int nprocs, const netsim::NetworkModel& net, int cad
     opts.viscosity = 0.01;
     opts.num_modes = static_cast<std::size_t>(nprocs); // 2 planes per proc
     opts.checkpoint_every = cadence;
-    opts.u_bc = [](double x, double y, double) {
-        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-        return body ? 0.0 : 1.0;
-    };
+    opts.u_bc = nektar::workloads::inflow_u;
 
     simmpi::World world(nprocs, net);
     ckpt::Store store;
@@ -174,9 +166,7 @@ RecoveryRun run_recoverable(int nprocs, const netsim::NetworkModel& net, int cad
         if (from >= 0)
             ns.restore(store.load(c.rank(), from));
         else
-            ns.set_initial([](double, double, double z) { return 1.0 + 0.05 * std::sin(z); },
-                           [](double, double, double) { return 0.0; },
-                           [](double, double, double z) { return 0.05 * std::cos(z); });
+            nektar::workloads::start_perturbed(ns);
         out.events_after_step[r].clear();
         while (ns.steps_taken() < nsteps) {
             ns.step();

@@ -24,16 +24,9 @@
 #include "machine/accelerator_model.hpp"
 #include "machine/machine_model.hpp"
 #include "nektar/transpose.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
-
-netsim::NetworkModel probe_net() {
-    netsim::NetworkModel probe; // any model; timings are re-priced later
-    probe.name = "probe";
-    probe.latency_us = 10.0;
-    probe.bandwidth_mbps = 100.0;
-    return probe;
-}
 
 /// One strong-scaling case: the comm log of rank 0 plus the digest of every
 /// rank's line-layout data (for the slab/pencil bit-identity check).
@@ -63,7 +56,7 @@ RunData run_transpose(int nprocs, bool pencil, std::size_t nq, std::size_t tp, i
     RunData data;
     data.steps = steps;
     const std::size_t nplanes = tp / static_cast<std::size_t>(nprocs);
-    simmpi::World world(nprocs, probe_net());
+    simmpi::World world(nprocs, nektar::workloads::probe_net());
     world.set_max_tasks(nprocs);
     std::vector<std::uint64_t> digests(static_cast<std::size_t>(nprocs), 0);
     const auto reports = world.run([&](simmpi::Comm& c) {

@@ -5,66 +5,21 @@
 /// creates a bottleneck in communications, which is apparent in the PC
 /// clusters, where step 2 takes as much as 60% of the time" (ethernet), and
 /// nearly identical CPU/wall pies on the polling networks.
-#include <cmath>
 #include <cstdio>
-#include <memory>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
-#include "mesh/generators.hpp"
-#include "nektar/ns_fourier.hpp"
+#include "nektar/workloads.hpp"
 
 int main(int argc, char** argv) {
+    namespace workloads = nektar::workloads;
     const benchutil::Cli cli = benchutil::Cli::parse("fig13_14_f_stages", argc, argv);
     const int nprocs = cli.request.ranks > 0 ? cli.request.ranks : 4;
-    mesh::BluffBodyParams p;
-    p.n_upstream = 4;
-    p.n_wake = 6;
-    p.n_body = 2;
-    p.n_side = 3;
-    const auto base_mesh = std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p));
-    netsim::NetworkModel probe;
-    probe.name = "probe";
-    probe.latency_us = 10.0;
-    probe.bandwidth_mbps = 100.0;
-
-    perf::StageBreakdown bd;
-    simmpi::CommLog log;
-    std::size_t field_bytes = 0, solver_bytes = 0;
-    simmpi::World world(nprocs, probe);
-    const int bootstrap = 1, steady = 2;
-    const auto reports = world.run([&](simmpi::Comm& c) {
-        const auto disc = std::make_shared<nektar::Discretization>(base_mesh, 4);
-        nektar::FourierNsOptions opts;
-        opts.dt = 2e-3;
-        opts.viscosity = 0.01;
-        opts.num_modes = static_cast<std::size_t>(nprocs);
-        opts.trace = cli.trace;
-        opts.u_bc = [](double x, double y, double) {
-            const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-            return body ? 0.0 : 1.0;
-        };
-        nektar::FourierNS ns(disc, opts, &c);
-        ns.set_initial([](double, double, double z) { return 1.0 + 0.05 * std::sin(z); },
-                       [](double, double, double) { return 0.0; },
-                       [](double, double, double z) { return 0.05 * std::cos(z); });
-        for (int s = 0; s < bootstrap; ++s) ns.step();
-        ns.breakdown() = {};
-        for (int s = 0; s < steady; ++s) ns.step();
-        if (c.rank() == 0) {
-            bd = ns.breakdown();
-            field_bytes = 2 * disc->quad_size() * sizeof(double);
-            solver_bytes = disc->dofmap().num_global() * (disc->dofmap().bandwidth() + 1) *
-                           sizeof(double);
-        }
-    });
-    log = reports[0].log;
-    // The solver defaults to the pipelined transpose: fold the hidden comm
-    // seconds (priced on the probe network) into the stage breakdown.
-    for (const auto& [stage, hidden] : reports[0].overlap_log)
-        bd.add_comm_overlap(static_cast<std::size_t>(stage), hidden);
-    const double comm_groups = static_cast<double>(1 + bootstrap + steady);
-    const auto shapes = app_model::solver_shapes(field_bytes, solver_bytes);
+    // The solver defaults to the pipelined transpose; run.bd carries the
+    // hidden comm seconds (priced on the probe network).
+    const workloads::Run run =
+        workloads::table2_fourier(nprocs, /*overlap_transpose=*/true, cli.trace);
+    const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
 
     const std::vector<app_model::Platform> plats = {
         {"NCSA", "NCSA", "NCSA"},
@@ -77,24 +32,25 @@ int main(int argc, char** argv) {
                 "RR-myr 55%%.\n\n");
     // Per-stage hidden fraction on the probe network: how much of each
     // stage's overlapped comm the schedule actually covered with compute.
-    const auto probe_splits = app_model::comm_stage_splits(log, probe, nprocs);
+    const auto probe_splits =
+        app_model::comm_stage_splits(run.log, workloads::probe_net(), nprocs);
     std::array<double, perf::kNumStages + 1> rho{};
     for (std::size_t s = 1; s <= perf::kNumStages; ++s)
-        rho[s] = app_model::overlap_efficiency(bd.overlap_seconds[s],
+        rho[s] = app_model::overlap_efficiency(run.bd.overlap_seconds[s],
                                                probe_splits[s].overlapped);
 
-    perf::RunReport rep = perf::report("fig13_14_f_stages", &bd);
+    perf::RunReport rep = perf::report("fig13_14_f_stages", &run.bd);
     rep.meta["nprocs"] = std::to_string(nprocs);
     for (const auto& pl : plats) {
         if (!cli.machine_selected(pl.machine) || !cli.net_selected(pl.network)) continue;
         const auto& m = machine::by_name(pl.machine);
         const auto& net = netsim::by_name(pl.network);
-        const auto comp = app_model::compute_stage_seconds(bd, m, shapes);
-        const auto splits = app_model::comm_stage_splits(log, net, nprocs);
+        const auto comp = app_model::compute_stage_seconds(run.bd, m, shapes);
+        const auto splits = app_model::comm_stage_splits(run.log, net, nprocs);
         double cpu_total = 0.0, wall_total = 0.0, recov_total = 0.0;
         std::array<double, perf::kNumStages + 1> cpu{}, wall{}, ovl{}, recov{};
         for (std::size_t s = 1; s <= perf::kNumStages; ++s) {
-            const double scale = static_cast<double>(bd.steps) / comm_groups;
+            const double scale = static_cast<double>(run.bd.steps) / run.comm_groups;
             const double per_step_comm = splits[s].total() * scale;
             ovl[s] = splits[s].overlapped * scale;
             recov[s] = app_model::recovered_seconds(rho[s], ovl[s], net.cpu_poll_fraction);
@@ -112,7 +68,7 @@ int main(int argc, char** argv) {
                              benchutil::fmt(100.0 * cpu[s] / cpu_total, "%.0f"),
                              benchutil::fmt(100.0 * wall[s] / wall_total, "%.0f"),
                              benchutil::fmt(100.0 * ovl[s] / wall_total, "%.0f"),
-                             benchutil::fmt(1e3 * recov[s] / bd.steps, "%.1f")});
+                             benchutil::fmt(1e3 * recov[s] / run.bd.steps, "%.1f")});
             perf::Case kase;
             kase.labels["platform"] = pl.label;
             kase.labels["stage_name"] = perf::stage_short_name(s);
@@ -120,11 +76,11 @@ int main(int argc, char** argv) {
             kase.values["cpu_percent"] = 100.0 * cpu[s] / cpu_total;
             kase.values["wall_percent"] = 100.0 * wall[s] / wall_total;
             kase.values["overlapped_comm_percent"] = 100.0 * ovl[s] / wall_total;
-            kase.values["recovered_ms_per_step"] = 1e3 * recov[s] / bd.steps;
+            kase.values["recovered_ms_per_step"] = 1e3 * recov[s] / run.bd.steps;
             rep.cases.push_back(std::move(kase));
         }
         std::printf("wall time recovered by overlap: %.1f ms/step\n\n",
-                    1e3 * recov_total / bd.steps);
+                    1e3 * recov_total / run.bd.steps);
     }
     cli.finish(std::move(rep));
     return 0;

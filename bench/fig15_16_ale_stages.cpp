@@ -6,25 +6,15 @@
 /// Shape to reproduce: a ~6-9%, b ~40-42%, c ~50-55%, and CPU/wall pies
 /// nearly identical (the GS library's pairwise/tree exchanges are cheap next
 /// to the solves).
-#include <cmath>
 #include <cstdio>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
-#include "mesh/generators.hpp"
-#include "nektar/ns_ale.hpp"
-#include "partition/partition.hpp"
+#include "nektar/workloads.hpp"
 
 int main(int argc, char** argv) {
+    namespace workloads = nektar::workloads;
     const benchutil::Cli cli = benchutil::Cli::parse("fig15_16_ale_stages", argc, argv);
-    const auto m = mesh::flapping_body_mesh(3);
-    partition::Graph g;
-    m.dual_graph(g.xadj, g.adjncy);
-
-    netsim::NetworkModel probe;
-    probe.name = "probe";
-    probe.latency_us = 10.0;
-    probe.bandwidth_mbps = 100.0;
 
     std::printf("Figures 15-16: NekTar-ALE stage percentages (a / b / c).\n");
     std::printf("Paper: 16 procs NCSA 9/41/50, RR-myr 6/42/53;  64 procs NCSA 8/40/52, "
@@ -34,54 +24,17 @@ int main(int argc, char** argv) {
     perf::StageBreakdown last_bd;
     bool traced = false; // --trace records the first (smallest-P) run only
     for (int nprocs : cli.rank_sweep({4, 16})) {
-        const auto part = partition::partition_graph(g, nprocs);
-        perf::StageBreakdown bd;
-        simmpi::CommLog log;
-        std::size_t field_bytes = 0, solver_bytes = 0;
-        simmpi::World world(nprocs, probe);
-        const auto reports = world.run([&](simmpi::Comm& c) {
-            nektar::AleOptions opts;
-            opts.dt = 2e-3;
-            opts.viscosity = 0.01;
-            opts.cg.tolerance = 1e-8;
-            opts.trace = cli.trace && !traced;
-            opts.body_velocity = [](double t) { return 0.3 * std::sin(4.0 * t); };
-            opts.u_bc = [](double x, double y, double) {
-                const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-                return body ? 0.0 : 1.0;
-            };
-            opts.v_bc = [&opts](double x, double y, double t) {
-                const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-                return body ? opts.body_velocity(t) : 0.0;
-            };
-            nektar::AleNS2d ns(m, 4, opts, &c, &part);
-            ns.set_initial([](double, double) { return 1.0; },
-                           [](double, double) { return 0.0; });
-            ns.step();
-            ns.breakdown() = {};
-            ns.step();
-            ns.step();
-            if (c.rank() == 0) {
-                bd = ns.breakdown();
-                field_bytes = ns.disc().quad_size() * sizeof(double);
-                std::size_t mat_bytes = 0;
-                for (std::size_t e = 0; e < ns.disc().num_elements(); ++e) {
-                    const std::size_t nm = ns.disc().ops(e).num_modes();
-                    mat_bytes += 2 * nm * nm * sizeof(double);
-                }
-                solver_bytes = mat_bytes;
-            }
-        });
-        log = reports[0].log;
+        // The solver defaults to the nonblocking GS exchange; run.bd carries
+        // the hidden comm seconds (priced on the probe network).
+        const workloads::Run run =
+            workloads::table3_ale(nprocs, /*overlap_gs=*/true, cli.trace && !traced);
         if (cli.trace && !traced) obs::tracer().disable(); // one traced run only
         traced = true;
-        last_bd = bd;
-        // The solver defaults to the nonblocking GS exchange: fold the hidden
-        // comm seconds (priced on the probe network) into the breakdown.
-        for (const auto& [stage, hidden] : reports[0].overlap_log)
-            bd.add_comm_overlap(static_cast<std::size_t>(stage), hidden);
-        const auto shapes = app_model::solver_shapes(field_bytes, solver_bytes);
-        const auto probe_splits = app_model::comm_stage_splits(log, probe, nprocs);
+        // The stage rows show the breakdown as the solver recorded it.
+        last_bd = run.rank_bds[0];
+        const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
+        const auto probe_splits =
+            app_model::comm_stage_splits(run.log, workloads::probe_net(), nprocs);
 
         for (const auto& pl : std::vector<app_model::Platform>{
                  {"NCSA", "NCSA", "NCSA"},
@@ -90,8 +43,8 @@ int main(int argc, char** argv) {
                 continue;
             const auto& mm = machine::by_name(pl.machine);
             const auto& net = netsim::by_name(pl.network);
-            const auto comp = app_model::compute_stage_seconds(bd, mm, shapes);
-            const auto splits = app_model::comm_stage_splits(log, net, nprocs);
+            const auto comp = app_model::compute_stage_seconds(run.bd, mm, shapes);
+            const auto splits = app_model::comm_stage_splits(run.log, net, nprocs);
             // Per-stage wall: comp + comm - recovered, where the nonblocking
             // GS exchanges earn back the hidden fraction of their overlapped
             // price on networks that free the CPU during transfers.
@@ -99,7 +52,7 @@ int main(int argc, char** argv) {
             double recov_total = 0.0;
             for (std::size_t s = 1; s <= perf::kNumStages; ++s) {
                 const double rho = app_model::overlap_efficiency(
-                    bd.overlap_seconds[s], probe_splits[s].overlapped);
+                    run.bd.overlap_seconds[s], probe_splits[s].overlapped);
                 recov_s[s] = app_model::recovered_seconds(rho, splits[s].overlapped,
                                                           net.cpu_poll_fraction);
                 cpu_s[s] = comp[s] + splits[s].total() * net.cpu_poll_fraction;
@@ -129,7 +82,7 @@ int main(int argc, char** argv) {
                         "overlap recovers %.1f ms/step\n",
                         nprocs, pl.label.c_str(), 100.0 * a_cpu / tc, 100.0 * b_cpu / tc,
                         100.0 * c_cpu / tc, 100.0 * a_wall / tw, 100.0 * b_wall / tw,
-                        100.0 * c_wall / tw, 1e3 * recov_total / bd.steps);
+                        100.0 * c_wall / tw, 1e3 * recov_total / run.bd.steps);
             perf::Case kase;
             kase.labels["platform"] = pl.label;
             kase.values["nprocs"] = static_cast<double>(nprocs);
@@ -139,7 +92,7 @@ int main(int argc, char** argv) {
             kase.values["wall_percent.setup"] = 100.0 * a_wall / tw;
             kase.values["wall_percent.pressure"] = 100.0 * b_wall / tw;
             kase.values["wall_percent.viscous"] = 100.0 * c_wall / tw;
-            kase.values["recovered_ms_per_step"] = 1e3 * recov_total / bd.steps;
+            kase.values["recovered_ms_per_step"] = 1e3 * recov_total / run.bd.steps;
             rep.cases.push_back(std::move(kase));
         }
         std::printf("\n");

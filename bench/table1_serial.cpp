@@ -6,47 +6,23 @@
 /// T3E being just as fast."
 #include <cstdio>
 #include <map>
-#include <memory>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
-#include "mesh/generators.hpp"
-#include "nektar/ns_serial.hpp"
+#include "nektar/workloads.hpp"
 
 int main(int argc, char** argv) {
+    namespace workloads = nektar::workloads;
     const benchutil::Cli cli = benchutil::Cli::parse("table1_serial", argc, argv);
     // Reduced bluff-body workload (the paper's full 230k-dof problem at the
     // same physics); the relative machine ordering is scale-independent.
-    mesh::BluffBodyParams p;
-    p.n_upstream = 6;
-    p.n_wake = 10;
-    p.n_body = 3;
-    p.n_side = 4;
-    const auto disc = std::make_shared<nektar::Discretization>(
-        std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p)), 6);
-
-    nektar::SerialNsOptions opts;
-    opts.dt = 2e-3;
-    opts.viscosity = 0.01;
-    opts.trace = cli.trace;
-    opts.u_bc = [](double x, double y, double) {
-        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-        return body ? 0.0 : 1.0;
-    };
-    nektar::SerialNS2d ns(disc, opts);
-    ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
-    ns.step(); // first (bootstrap) step excluded, as in steady-state timing
-    ns.breakdown() = {};
-    for (int s = 0; s < 3; ++s) ns.step();
+    const workloads::Run run = workloads::table1_serial(cli.trace);
 
     std::printf("Table 1: serial bluff-body simulation, CPU seconds / time step\n");
     std::printf("(run here: %s, order %zu, %zu dof; paper: 902 elements, order 8, 230k dof)\n\n",
-                disc->mesh().summary().c_str(), disc->order(), disc->dofmap().num_global());
+                workloads::table1_mesh().summary().c_str(), workloads::kTable1Order, run.dof);
 
-    const std::size_t field_bytes = disc->quad_size() * sizeof(double);
-    const std::size_t solver_bytes =
-        disc->dofmap().num_global() * (disc->dofmap().bandwidth() + 1) * sizeof(double);
-    const auto shapes = app_model::solver_shapes(field_bytes, solver_bytes);
+    const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
 
     // Paper's reported values for the shape comparison.
     const std::map<std::string, double> paper = {
@@ -60,11 +36,11 @@ int main(int argc, char** argv) {
 
     benchutil::Table table({"Machine", "s/step", "vs PC", "paper s/step", "paper vs PC"}, 22);
     table.print_header();
-    perf::RunReport rep = perf::report("table1_serial", &ns.breakdown());
-    const auto pc = app_model::price_run(ns.breakdown(), {}, {"", "Muses", ""}, 1, shapes);
+    perf::RunReport rep = perf::report("table1_serial", &run.bd);
+    const auto pc = app_model::price_run(run.bd, {}, {"", "Muses", ""}, 1, shapes);
     for (const auto& [label, key] : rows) {
         if (!cli.machine_selected(key)) continue;
-        const auto t = app_model::price_run(ns.breakdown(), {}, {"", key, ""}, 1, shapes);
+        const auto t = app_model::price_run(run.bd, {}, {"", key, ""}, 1, shapes);
         table.print_row({label, benchutil::fmt(t.cpu, "%.3f"),
                          benchutil::fmt(t.cpu / pc.cpu, "%.2f"),
                          benchutil::fmt(paper.at(key), "%.2f"),
@@ -78,7 +54,7 @@ int main(int argc, char** argv) {
         rep.cases.push_back(std::move(kase));
     }
     std::printf("\nHost-measured time on this machine: %.3f s/step\n",
-                ns.breakdown().total_host_seconds() / ns.breakdown().steps);
+                run.bd.total_host_seconds() / run.bd.steps);
     cli.finish(std::move(rep));
     return 0;
 }

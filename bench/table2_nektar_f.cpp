@@ -7,81 +7,14 @@
 /// (wall-clock diverging from CPU), Myrinet stays competitive to ~64, and
 /// the vendor networks stay flat.
 #include <cstdio>
-#include <map>
-#include <memory>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
-#include "mesh/generators.hpp"
-#include "nektar/ns_fourier.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
 
-struct RunData {
-    perf::StageBreakdown bd;       ///< steady-state steps only
-    simmpi::CommLog log;           ///< cumulative (normalised separately)
-    double comm_groups = 1.0;      ///< nonlinear evaluations covered by log
-    double hidden_seconds = 0.0;   ///< probe-priced comm hidden behind compute
-    std::size_t field_bytes = 0;
-    std::size_t solver_bytes = 0;
-};
-
-netsim::NetworkModel probe_net() {
-    netsim::NetworkModel probe; // any model; timings are re-priced later
-    probe.name = "probe";
-    probe.latency_us = 10.0;
-    probe.bandwidth_mbps = 100.0;
-    return probe;
-}
-
-RunData run_fourier(int nprocs, bool overlap, bool trace = false) {
-    mesh::BluffBodyParams p;
-    p.n_upstream = 4;
-    p.n_wake = 6;
-    p.n_body = 2;
-    p.n_side = 3;
-    const auto base_mesh = std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p));
-
-    RunData data;
-    const int bootstrap = 1, steady = 2;
-    simmpi::World world(nprocs, probe_net());
-    std::vector<perf::StageBreakdown> bds(static_cast<std::size_t>(nprocs));
-    const auto reports = world.run([&](simmpi::Comm& c) {
-        const auto disc = std::make_shared<nektar::Discretization>(base_mesh, 4);
-        nektar::FourierNsOptions opts;
-        opts.dt = 2e-3;
-        opts.viscosity = 0.01;
-        opts.num_modes = static_cast<std::size_t>(c.size()); // 2 planes per proc
-        opts.overlap_transpose = overlap;
-        opts.trace = trace;
-        opts.u_bc = [](double x, double y, double) {
-            const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-            return body ? 0.0 : 1.0;
-        };
-        nektar::FourierNS ns(disc, opts, &c);
-        ns.set_initial([](double, double, double z) { return 1.0 + 0.05 * std::sin(z); },
-                       [](double, double, double) { return 0.0; },
-                       [](double, double, double z) { return 0.05 * std::cos(z); });
-        for (int s = 0; s < bootstrap; ++s) ns.step();
-        ns.breakdown() = {};
-        for (int s = 0; s < steady; ++s) ns.step();
-        bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
-        if (c.rank() == 0) {
-            data.field_bytes = 2 * disc->quad_size() * sizeof(double);
-            data.solver_bytes = disc->dofmap().num_global() *
-                                (disc->dofmap().bandwidth() + 1) * sizeof(double);
-        }
-    });
-    data.bd = bds[0];
-    data.log = reports[0].log;
-    for (const auto& [stage, hidden] : reports[0].overlap_log) {
-        data.bd.add_comm_overlap(static_cast<std::size_t>(stage), hidden);
-        data.hidden_seconds += hidden;
-    }
-    // The log covers set_initial's nonlinear evaluation plus every step.
-    data.comm_groups = static_cast<double>(1 + bootstrap + steady);
-    return data;
-}
+namespace workloads = nektar::workloads;
 
 const std::vector<app_model::Platform>& platforms() {
     static const std::vector<app_model::Platform> p = {
@@ -125,20 +58,18 @@ int main(int argc, char** argv) {
     table.print_header();
 
     perf::RunReport rep = perf::report("table2_nektar_f");
-    perf::StageBreakdown last_bd;
-    std::size_t last_field_bytes = 0, last_solver_bytes = 0;
+    workloads::Run last;
     bool traced = false; // --trace records the first (smallest-P) run only
     for (int nprocs : cli.rank_sweep({2, 4, 8, 16, 32, 64})) {
         const bool trace_this = cli.trace && !traced;
-        const RunData data = run_fourier(nprocs, /*overlap=*/false, trace_this);
-        last_field_bytes = data.field_bytes;
-        last_solver_bytes = data.solver_bytes;
+        const workloads::Run data =
+            workloads::table2_fourier(nprocs, /*overlap_transpose=*/false, trace_this);
         // Stop recording after the dedicated traced run so the Perfetto file
         // holds exactly one clean sweep (the comm-layer spans are gated only
         // by the global tracer, not per-run).
         if (trace_this) obs::tracer().disable();
         traced = true;
-        last_bd = data.bd;
+        last = data;
         const auto shapes = app_model::solver_shapes(data.field_bytes, data.solver_bytes);
         std::vector<std::string> row = {std::to_string(nprocs)};
         for (const auto& pl : selected) {
@@ -180,12 +111,12 @@ int main(int argc, char** argv) {
                 "device = fields resident in HBM, resident = +2 field crossings/step,\n"
                 "staged = +2 crossings per stage over the host link)\n\n");
     {
-        const auto shapes = app_model::solver_shapes(last_field_bytes, last_solver_bytes);
+        const auto shapes = app_model::solver_shapes(last.field_bytes, last.solver_bytes);
         benchutil::Table at({"accelerator", "device", "resident", "staged"}, 14);
         at.print_header();
         for (const auto& acc : machine::accelerator_roster()) {
             const auto proj =
-                app_model::project_accelerated(last_bd, acc, shapes, last_field_bytes);
+                app_model::project_accelerated(last.bd, acc, shapes, last.field_bytes);
             at.print_row({acc.name, benchutil::fmt(proj.device, "%.3g"),
                           benchutil::fmt(proj.resident, "%.3g"),
                           benchutil::fmt(proj.staged, "%.3g")});
@@ -206,12 +137,13 @@ int main(int argc, char** argv) {
     std::printf("(blocking vs overlapped CPU/wall s per step; 'recov' = wall seconds\n"
                 "recovered per step = hidden fraction x comm price x (1 - poll))\n\n");
     for (int nprocs : {4, 16}) {
-        const RunData blk = run_fourier(nprocs, /*overlap=*/false);
-        const RunData ovl = run_fourier(nprocs, /*overlap=*/true);
+        const workloads::Run blk =
+            workloads::table2_fourier(nprocs, /*overlap_transpose=*/false);
+        const workloads::Run ovl = workloads::table2_fourier(nprocs);
         const auto shapes = app_model::solver_shapes(ovl.field_bytes, ovl.solver_bytes);
         const double rho = app_model::overlap_efficiency(
             ovl.hidden_seconds,
-            simmpi::price_log_split(ovl.log, probe_net(), nprocs).overlapped);
+            simmpi::price_log_split(ovl.log, workloads::probe_net(), nprocs).overlapped);
         std::printf("P = %d  (hidden fraction of overlapped comm: %.0f%%)\n", nprocs,
                     100.0 * rho);
         benchutil::Table table2({"network", "blocking", "overlapped", "recov"}, 16);
@@ -253,7 +185,7 @@ int main(int argc, char** argv) {
     }
     // Stage rows come from the last Table-2 sweep run; the cases collected
     // above carry the per-platform numbers.
-    perf::RunReport out = perf::report("table2_nektar_f", &last_bd);
+    perf::RunReport out = perf::report("table2_nektar_f", &last.bd);
     out.cases = std::move(rep.cases);
     cli.finish(std::move(out));
     return 0;

@@ -22,6 +22,7 @@
 #include "mesh/generators.hpp"
 #include "nektar/forces.hpp"
 #include "nektar/ns_serial.hpp"
+#include "nektar/workloads.hpp"
 
 int main(int argc, char** argv) {
     std::string ckpt_path, resume_path;
@@ -54,13 +55,10 @@ int main(int argc, char** argv) {
     opts.dt = 4e-3;
     opts.viscosity = 1.0 / 100.0; // Re = 100 on the body scale
     opts.time_order = 3;   // third-order stiffly-stable splitting (Je = 3)
-    opts.u_bc = [](double x, double y, double) {
-        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-        return body ? 0.0 : 1.0; // laminar inflow of 1 (paper's setup)
-    };
+    opts.u_bc = nektar::workloads::inflow_u; // laminar inflow of 1 (paper's setup)
     if (!ckpt_path.empty()) opts.checkpoint_every = 8;
     nektar::SerialNS2d ns(disc, opts);
-    ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+    nektar::workloads::start_free_stream(ns);
 
     if (!ckpt_path.empty())
         ns.set_checkpoint_sink([&](const ckpt::Checkpoint& c) {

@@ -1,18 +1,12 @@
 #include "lab/evaluator.hpp"
 
-#include <cmath>
-#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "compute/backend.hpp"
 #include "lab/fault_profiles.hpp"
 #include "lab/json.hpp"
 #include "lab/pricing.hpp"
 #include "machine/machine_model.hpp"
-#include "mesh/generators.hpp"
-#include "nektar/ns_fourier.hpp"
-#include "nektar/ns_serial.hpp"
 #include "nektar/transpose.hpp"
 #include "netsim/netmodel.hpp"
 
@@ -60,14 +54,6 @@ perf::RunReport base_report(const ScenarioRequest& req) {
     if (!req.fault.empty()) rep.meta["fault"] = req.fault;
     if (!req.solver.empty()) rep.meta["solver"] = req.solver;
     return rep;
-}
-
-netsim::NetworkModel probe_net() {
-    netsim::NetworkModel probe; // any model; timings are re-priced later
-    probe.name = "probe";
-    probe.latency_us = 10.0;
-    probe.bandwidth_mbps = 100.0;
-    return probe;
 }
 
 } // namespace
@@ -133,83 +119,22 @@ perf::RunReport Evaluator::evaluate_model(const ScenarioRequest& req) const {
     return rep;
 }
 
-const Evaluator::ProbeData& Evaluator::probe(const std::string& solver,
-                                             const std::string& backend, int nprocs,
-                                             int steady_steps) {
+const nektar::workloads::Run& Evaluator::probe(const std::string& solver,
+                                               const std::string& backend, int nprocs,
+                                               int steady_steps) {
     const std::string key = solver + "/" + (backend.empty() ? "auto" : backend) + "/" +
                             std::to_string(nprocs) + "/" + std::to_string(steady_steps);
     std::lock_guard<std::mutex> lock(probe_mu_);
     const auto hit = probes_.find(key);
     if (hit != probes_.end()) return hit->second;
 
-    ProbeData data;
-    if (solver == "serial") {
-        mesh::BluffBodyParams p;
-        p.n_upstream = 6;
-        p.n_wake = 10;
-        p.n_body = 3;
-        p.n_side = 4;
-        const auto disc = std::make_shared<nektar::Discretization>(
-            std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p)), 6);
-        nektar::SerialNsOptions opts;
-        opts.dt = 2e-3;
-        opts.viscosity = 0.01;
-        opts.backend = resolve_backend(backend);
-        opts.u_bc = [](double x, double y, double) {
-            const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-            return body ? 0.0 : 1.0;
-        };
-        nektar::SerialNS2d ns(disc, opts);
-        ns.set_initial([](double, double) { return 1.0; },
-                       [](double, double) { return 0.0; });
-        ns.step();
-        ns.breakdown() = {};
-        for (int s = 0; s < steady_steps; ++s) ns.step();
-        data.bd = ns.breakdown();
-        data.field_bytes = disc->quad_size() * sizeof(double);
-        data.solver_bytes = disc->dofmap().num_global() *
-                            (disc->dofmap().bandwidth() + 1) * sizeof(double);
-    } else { // "fourier": the Table-2 weak-scaling probe, 2 planes per proc
-        mesh::BluffBodyParams p;
-        p.n_upstream = 4;
-        p.n_wake = 6;
-        p.n_body = 2;
-        p.n_side = 3;
-        const auto base_mesh = std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p));
-        const int bootstrap = 1;
-        simmpi::World world(nprocs, probe_net());
-        std::vector<perf::StageBreakdown> bds(static_cast<std::size_t>(nprocs));
-        const auto reports = world.run([&](simmpi::Comm& c) {
-            const auto disc = std::make_shared<nektar::Discretization>(base_mesh, 4);
-            nektar::FourierNsOptions opts;
-            opts.dt = 2e-3;
-            opts.viscosity = 0.01;
-            opts.num_modes = static_cast<std::size_t>(c.size());
-            opts.backend = resolve_backend(backend);
-            opts.u_bc = [](double x, double y, double) {
-                const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
-                return body ? 0.0 : 1.0;
-            };
-            nektar::FourierNS ns(disc, opts, &c);
-            ns.set_initial(
-                [](double, double, double z) { return 1.0 + 0.05 * std::sin(z); },
-                [](double, double, double) { return 0.0; },
-                [](double, double, double z) { return 0.05 * std::cos(z); });
-            for (int s = 0; s < bootstrap; ++s) ns.step();
-            ns.breakdown() = {};
-            for (int s = 0; s < steady_steps; ++s) ns.step();
-            bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
-            if (c.rank() == 0) {
-                data.field_bytes = 2 * disc->quad_size() * sizeof(double);
-                data.solver_bytes = disc->dofmap().num_global() *
-                                    (disc->dofmap().bandwidth() + 1) * sizeof(double);
-            }
-        });
-        data.bd = bds[0];
-        data.log = reports[0].log;
-        // The log covers set_initial's nonlinear evaluation plus every step.
-        data.comm_groups = static_cast<double>(1 + bootstrap + steady_steps);
-    }
+    const compute::BackendKind kind = resolve_backend(backend);
+    // "fourier" is the Table-2 weak-scaling run, 2 planes per rank.
+    nektar::workloads::Run data =
+        solver == "serial"
+            ? nektar::workloads::table1_serial(/*trace=*/false, steady_steps, kind)
+            : nektar::workloads::table2_fourier(nprocs, /*overlap_transpose=*/true,
+                                                /*trace=*/false, steady_steps, kind);
     return probes_.emplace(key, std::move(data)).first->second;
 }
 
@@ -223,14 +148,19 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
         throw ParseError("measured fourier queries need a \"net\" to price the "
                          "transposes on");
     const int nprocs = parallel ? (req.ranks > 0 ? req.ranks : 4) : 1;
-    const int steady = req.steps > 0 ? req.steps : (parallel ? 2 : 3);
+    const int steady = req.steps > 0 ? req.steps
+                                     : (parallel ? nektar::workloads::kParallelSteadySteps
+                                                 : nektar::workloads::kSerialSteadySteps);
 
-    const ProbeData& data = probe(req.solver, req.backend, nprocs, steady);
+    const nektar::workloads::Run& data = probe(req.solver, req.backend, nprocs, steady);
+    // Rank 0's breakdown as recorded, without the hidden comm seconds folded
+    // in, so reports already in a store keep their bytes.
+    const perf::StageBreakdown& bd = data.rank_bds[0];
     const auto shapes = app_model::solver_shapes(data.field_bytes, data.solver_bytes);
-    const auto comp = app_model::compute_stage_seconds(data.bd, m, shapes);
+    const auto comp = app_model::compute_stage_seconds(bd, m, shapes);
     double cpu = 0.0;
     for (std::size_t s = 1; s <= perf::kNumStages; ++s) cpu += comp[s];
-    cpu /= data.bd.steps > 0 ? data.bd.steps : 1;
+    cpu /= bd.steps > 0 ? bd.steps : 1;
 
     double comm = 0.0, poll = 0.0;
     if (parallel) {
@@ -248,7 +178,7 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
     // masked by to_canonical_json, so the stored bytes stay deterministic);
     // the global metrics snapshot is deliberately left out.
     perf::RunReport probe_rep =
-        perf::report(rep.bench, &data.bd, nullptr, /*with_global_metrics=*/false);
+        perf::report(rep.bench, &bd, nullptr, /*with_global_metrics=*/false);
     rep.steps = probe_rep.steps;
     rep.stages = std::move(probe_rep.stages);
     rep.metrics = std::move(probe_rep.metrics);

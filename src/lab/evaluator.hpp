@@ -5,9 +5,8 @@
 #include <string>
 
 #include "lab/scenario.hpp"
+#include "nektar/workloads.hpp"
 #include "perf/report.hpp"
-#include "perf/stage_stats.hpp"
-#include "simmpi/simmpi.hpp"
 
 /// \file evaluator.hpp
 /// Turns a ScenarioRequest into its canonical RunReport.
@@ -47,26 +46,19 @@ public:
     [[nodiscard]] std::size_t probe_runs() const;
 
 private:
-    struct ProbeData {
-        perf::StageBreakdown bd;     ///< steady-state steps only
-        simmpi::CommLog log;         ///< cumulative comm events (fourier)
-        double comm_groups = 1.0;    ///< nonlinear evaluations covered by log
-        std::size_t field_bytes = 0;
-        std::size_t solver_bytes = 0;
-    };
-
     [[nodiscard]] perf::RunReport evaluate_model(const ScenarioRequest& req) const;
     [[nodiscard]] perf::RunReport evaluate_measured(const ScenarioRequest& req);
 
-    /// Memoised probe run.  Probe execution is serialised: the solvers are
-    /// internally parallel over parallel::pool() and share the congruent-
-    /// element MatrixCache, so one at a time is both safe and fast.
-    [[nodiscard]] const ProbeData& probe(const std::string& solver,
-                                         const std::string& backend, int nprocs,
-                                         int steady_steps);
+    /// Memoised probe run: Table 1's serial run or Table 2's Fourier run
+    /// (nektar/workloads.hpp).  Probe execution is serialised: the solvers
+    /// are internally parallel over parallel::pool() and share the
+    /// congruent-element MatrixCache, so one at a time is both safe and fast.
+    [[nodiscard]] const nektar::workloads::Run& probe(const std::string& solver,
+                                                      const std::string& backend, int nprocs,
+                                                      int steady_steps);
 
     mutable std::mutex probe_mu_;
-    std::map<std::string, ProbeData> probes_;
+    std::map<std::string, nektar::workloads::Run> probes_;
 };
 
 } // namespace lab

@@ -138,6 +138,15 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
     }
 }
 
+std::size_t AleNS2d::working_set_bytes() const noexcept {
+    std::size_t bytes = 0;
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const std::size_t nm = disc_->ops(e).num_modes();
+        bytes += 2 * nm * nm * sizeof(double);
+    }
+    return bytes;
+}
+
 void AleNS2d::rebuild_discretization() {
     // The per-step rebuild keeps the same compute backend: a Discretization
     // built with backend_ resolves Auto call sites to it.

@@ -75,6 +75,11 @@ public:
     /// Mesh velocity (vertical component) at quadrature points.
     [[nodiscard]] const std::vector<double>& mesh_velocity_quad() const noexcept { return wq_; }
 
+    /// Bytes of the elemental Laplacian and mass matrices every PCG
+    /// iteration streams on this rank: the priced working set of stages 5
+    /// and 7.
+    [[nodiscard]] std::size_t working_set_bytes() const noexcept;
+
     /// PCG iterations of the last solve of each kind (diagnostics).
     [[nodiscard]] std::size_t last_iterations(AleSolve s) const noexcept {
         return last_iters_[static_cast<std::size_t>(s)];

@@ -467,6 +467,10 @@ void FourierNS::stage_viscous_solve(const StepContext& ctx) {
 
 void FourierNS::end_step(const StepContext&) { transform_all_to_quad(); }
 
+std::size_t FourierNS::working_set_bytes() const noexcept {
+    return disc_->dofmap().num_global() * (disc_->dofmap().bandwidth() + 1) * sizeof(double);
+}
+
 double FourierNS::mode_energy(int c, std::size_t m) const {
     const std::size_t nq = disc_->quad_size();
     std::vector<double> sq(nq);

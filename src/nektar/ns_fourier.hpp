@@ -53,6 +53,11 @@ public:
     [[nodiscard]] std::size_t total_modes() const noexcept { return opts_.num_modes; }
     [[nodiscard]] const Discretization& disc() const noexcept { return *disc_; }
 
+    /// Bytes of the full-system band (every global dof, bandwidth + 1
+    /// diagonals) each mode's direct solves stream: the priced working set
+    /// of stages 5 and 7.
+    [[nodiscard]] std::size_t working_set_bytes() const noexcept;
+
     /// Quadrature values of local plane `p` (p = 2*local_mode + [0 re |1 im])
     /// of velocity component c (0 = u, 1 = v, 2 = w).
     [[nodiscard]] std::span<const double> plane_quad(int c, std::size_t p) const;

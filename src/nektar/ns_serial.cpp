@@ -211,6 +211,11 @@ std::vector<double> SerialNS2d::vorticity_quad() const {
     return w;
 }
 
+std::size_t SerialNS2d::working_set_bytes() const noexcept {
+    return pressure_solver_.boundary_dofs() * (pressure_solver_.bandwidth() + 1) *
+           sizeof(double);
+}
+
 double SerialNS2d::divergence_norm() const {
     const std::size_t nq = disc_->quad_size();
     std::vector<double> div(nq), dx(nq), dy(nq);

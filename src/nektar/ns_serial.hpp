@@ -54,6 +54,10 @@ public:
     /// L2 norm of the divergence of the current velocity.
     [[nodiscard]] double divergence_norm() const;
 
+    /// Bytes of the condensed (Schur) band each direct solve streams: the
+    /// priced working set of stages 5 and 7.
+    [[nodiscard]] std::size_t working_set_bytes() const noexcept;
+
     /// Vorticity omega = dv/dx - du/dy at quadrature points (the wake's
     /// primary observable).
     [[nodiscard]] std::vector<double> vorticity_quad() const;

@@ -1,0 +1,58 @@
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "lab/evaluator.hpp"
+#include "lab/pricing.hpp"
+#include "machine/machine_model.hpp"
+#include "nektar/workloads.hpp"
+
+// A measured lab query prices the very run the Table 1 and Table 2 benches
+// price: same workload, same working sets, same per-step formula.
+namespace {
+
+namespace workloads = nektar::workloads;
+
+perf::Case measured_case(lab::Evaluator& ev, const std::string& solver,
+                         const std::string& machine, const std::string& net, int ranks) {
+    lab::ScenarioRequest req;
+    req.fidelity = "measured";
+    req.solver = solver;
+    req.machine = machine;
+    req.net = net;
+    req.ranks = ranks;
+    return ev.evaluate(req).cases.at(0);
+}
+
+/// Compute seconds per step of `run` on `machine`, as the benches price it.
+double compute_per_step(const workloads::Run& run, const std::string& machine) {
+    const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
+    const auto comp =
+        app_model::compute_stage_seconds(run.bd, machine::by_name(machine), shapes);
+    double cpu = 0.0;
+    for (std::size_t s = 1; s <= perf::kNumStages; ++s) cpu += comp[s];
+    return cpu / run.bd.steps;
+}
+
+TEST(EvaluatorMeasured, SerialQueryPricesTableOnesRun) {
+    lab::Evaluator ev;
+    const perf::Case kase = measured_case(ev, "serial", "NCSA", "", 0);
+    const double bench = compute_per_step(workloads::table1_serial(), "NCSA");
+    EXPECT_DOUBLE_EQ(kase.values.at("cpu_seconds_per_step"), bench);
+    EXPECT_DOUBLE_EQ(kase.values.at("wall_seconds_per_step"), bench);
+}
+
+TEST(EvaluatorMeasured, FourierQueryPricesTableTwosRun) {
+    lab::Evaluator ev;
+    const perf::Case kase = measured_case(ev, "fourier", "NCSA", "NCSA", 4);
+    const workloads::Run run = workloads::table2_fourier(4);
+    const auto& net = netsim::by_name("NCSA");
+    const double cpu = compute_per_step(run, "NCSA");
+    const double comm = simmpi::price_log(run.log, net, 4) / run.comm_groups;
+    EXPECT_GT(comm, 0.0);
+    EXPECT_DOUBLE_EQ(kase.values.at("cpu_seconds_per_step"),
+                     cpu + comm * net.cpu_poll_fraction);
+    EXPECT_DOUBLE_EQ(kase.values.at("wall_seconds_per_step"), cpu + comm);
+}
+
+} // namespace

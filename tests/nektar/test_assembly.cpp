@@ -9,6 +9,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/discretization.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
 
@@ -197,22 +198,13 @@ TEST(DofMap, RcmNumberingIsPinned) {
     // Table 1's mesh at order 6, Table 2's at order 4, the ALE mesh
     // without renumbering and a triangle mesh; the hashes pin every map bit
     // for bit.
-    mesh::BluffBodyParams t1;
-    t1.n_upstream = 6;
-    t1.n_wake = 10;
-    t1.n_body = 3;
-    t1.n_side = 4;
-    mesh::BluffBodyParams t2;
-    t2.n_upstream = 4;
-    t2.n_wake = 6;
-    t2.n_body = 2;
-    t2.n_side = 3;
-    const mesh::Mesh m1 = mesh::bluff_body_mesh(t1);
-    const mesh::Mesh m2 = mesh::bluff_body_mesh(t2);
-    EXPECT_EQ(nektar::DofMap(m1, 6).bandwidth(), 815u);
-    EXPECT_EQ(nektar::DofMap(m2, 4).bandwidth(), 267u);
-    EXPECT_EQ(dofmap_fingerprint(m1, 6, true), 0x32e9db111aedd90eull);
-    EXPECT_EQ(dofmap_fingerprint(m2, 4, true), 0x8808458736c57a21ull);
+    namespace workloads = nektar::workloads;
+    const mesh::Mesh m1 = workloads::table1_mesh();
+    const mesh::Mesh m2 = workloads::table2_mesh();
+    EXPECT_EQ(nektar::DofMap(m1, workloads::kTable1Order).bandwidth(), 815u);
+    EXPECT_EQ(nektar::DofMap(m2, workloads::kTable2Order).bandwidth(), 267u);
+    EXPECT_EQ(dofmap_fingerprint(m1, workloads::kTable1Order, true), 0x32e9db111aedd90eull);
+    EXPECT_EQ(dofmap_fingerprint(m2, workloads::kTable2Order, true), 0x8808458736c57a21ull);
     EXPECT_EQ(dofmap_fingerprint(mesh::flapping_body_mesh(2), 4, false), 0x53e7ea3cf40d6c34ull);
     // Triangles: here the order in which equal-degree neighbours reach the
     // degree sort matters.
@@ -221,12 +213,7 @@ TEST(DofMap, RcmNumberingIsPinned) {
 }
 
 TEST(DofMap, DirichletValuesArePinnedAndRepeatable) {
-    mesh::BluffBodyParams p;
-    p.n_upstream = 4;
-    p.n_wake = 6;
-    p.n_body = 2;
-    p.n_side = 3;
-    const mesh::Mesh m = mesh::bluff_body_mesh(p);
+    const mesh::Mesh m = nektar::workloads::table2_mesh();
     const nektar::DofMap dm(m, 5);
     const auto pred = [](mesh::BoundaryTag t) {
         return t == mesh::BoundaryTag::Inflow || t == mesh::BoundaryTag::Body;

@@ -6,12 +6,14 @@
 #include <numbers>
 
 #include "mesh/generators.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
 
 using nektar::Discretization;
 using nektar::SerialNsOptions;
 using nektar::SerialNS2d;
+namespace workloads = nektar::workloads;
 
 /// Kovasznay flow: an exact steady Navier-Stokes solution.
 struct Kovasznay {
@@ -171,30 +173,24 @@ TEST(SerialNS, StageBreakdownRecordsAllSevenStages) {
     EXPECT_GT(bd.counts[5].flops + bd.counts[7].flops, total.flops / 4);
 }
 
+TEST(SerialNS, WorkingSetIsTheCondensedBand) {
+    // Table 1's mesh at order 6: a 2416-dof Schur system, 244 band diagonals.
+    const auto disc = std::make_shared<Discretization>(
+        std::make_shared<mesh::Mesh>(workloads::table1_mesh()), workloads::kTable1Order);
+    const SerialNS2d ns(disc, SerialNsOptions{});
+    EXPECT_EQ(ns.working_set_bytes(), 2416u * 244u * sizeof(double));
+}
+
 TEST(SerialNS, BluffBodyShortRunStaysFinite) {
     // A few steps of the actual paper workload (reduced resolution).
-    mesh::BluffBodyParams p;
-    p.n_upstream = 4;
-    p.n_wake = 6;
-    p.n_side = 3;
-    p.n_body = 2;
     const auto disc = std::make_shared<Discretization>(
-        std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p)), 4);
+        std::make_shared<mesh::Mesh>(workloads::table2_mesh()), workloads::kTable2Order);
     SerialNsOptions opts;
     opts.dt = 5e-3;
     opts.viscosity = 0.01;
-    opts.u_bc = [](double, double, double) { return 1.0; }; // inflow of 1
-    opts.v_bc = [](double, double, double) { return 0.0; };
-    // No-slip on the body, free inflow value u=1 elsewhere: handled by tags —
-    // the body edges are Dirichlet via velocity_bc and get u from u_bc, so
-    // distinguish: body must be 0.  Use a position-dependent bc.
-    opts.u_bc = [&](double x, double y, double) {
-        const double h = 0.5 + 1e-6;
-        const bool on_body = std::abs(x) <= h && std::abs(y) <= h;
-        return on_body ? 0.0 : 1.0;
-    };
+    opts.u_bc = workloads::inflow_u; // no-slip body, inflow of 1
     SerialNS2d ns(disc, opts);
-    ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+    workloads::start_free_stream(ns);
     for (int s = 0; s < 5; ++s) ns.step();
     for (double v : ns.u_quad()) ASSERT_TRUE(std::isfinite(v));
     const double maxu = *std::max_element(ns.u_quad().begin(), ns.u_quad().end());

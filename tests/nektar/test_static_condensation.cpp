@@ -7,6 +7,7 @@
 
 #include "mesh/generators.hpp"
 #include "nektar/solver_options.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
 
@@ -76,12 +77,8 @@ TEST(Condensed, MatchesFullDirectOnTheTableOneMesh) {
     // call at lambda = gamma0/(nu dt) with nonzero Dirichlet data, the
     // pressure at lambda = 0 with Outflow Dirichlet, and a pinned
     // all-Neumann Poisson problem.
-    mesh::BluffBodyParams bp;
-    bp.n_upstream = 6;
-    bp.n_wake = 10;
-    bp.n_body = 3;
-    bp.n_side = 4;
-    const auto disc = disc_for(mesh::bluff_body_mesh(bp), 6);
+    const auto disc =
+        disc_for(nektar::workloads::table1_mesh(), nektar::workloads::kTable1Order);
     const nektar::SolverOptions opts;
     std::vector<double> fu(disc->quad_size()), fv(disc->quad_size());
     disc->eval_at_quad([](double x, double y) { return std::exp(-0.1 * x) * (1.0 + y); }, fu);
@@ -94,9 +91,8 @@ TEST(Condensed, MatchesFullDirectOnTheTableOneMesh) {
     const CondensedHelmholtz cond(disc, lambda, opts.velocity_bc);
     EXPECT_EQ(cond.boundary_dofs(), 2416u);
     EXPECT_EQ(cond.bandwidth(), 243u);
-    const auto du = full.dirichlet_vector([](double x, double y) {
-        return std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6 ? 0.0 : 1.0;
-    });
+    const auto du = full.dirichlet_vector(
+        [](double x, double y) { return nektar::workloads::inflow_u(x, y, 0.0); });
     const auto dv = full.dirichlet_vector([](double x, double y) { return 0.1 * x * y; });
     const auto uf = full.solve_global(rhs, {du, dv});
     const auto uc = cond.solve_global(rhs, {du, dv});
