@@ -14,6 +14,7 @@
 #include "blaslite/multiversion.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
+#include "nektar/workloads.hpp"
 #include "partition/partition.hpp"
 
 namespace {
@@ -133,6 +134,35 @@ TEST_P(AleRanks, ParallelMatchesSerialEnergy) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, AleRanks, ::testing::Values(2, 4));
+
+TEST(AleNS, HeavingBodyKeepsNoSlipOnEveryBodyVertex) {
+    // Table 3's run: the body heaves in y, so after a few steps its top edge
+    // sits above y = 0.5.  Every Body vertex must still get the body's
+    // no-slip data, not the inflow's.
+    namespace workloads = nektar::workloads;
+    const AleOptions opts = workloads::table3_options();
+    AleNS2d ns(workloads::table3_mesh(), workloads::kTable3Order, opts);
+    workloads::start_free_stream(ns);
+    for (int s = 0; s < 3; ++s) ns.step();
+
+    const mesh::Mesh& m = ns.disc().mesh();
+    const double t = ns.time();
+    double top = 0.0;
+    std::size_t visits = 0;
+    for (const mesh::Edge& ed : m.edges()) {
+        if (ed.tag != mesh::BoundaryTag::Body) continue;
+        for (const int v : {ed.v0, ed.v1}) {
+            const mesh::Vertex& p = m.vertex(static_cast<std::size_t>(v));
+            EXPECT_EQ(opts.u_bc(p.x, p.y, t), 0.0) << "at (" << p.x << ", " << p.y << ")";
+            EXPECT_EQ(opts.v_bc(p.x, p.y, t), opts.body_velocity(t))
+                << "at (" << p.x << ", " << p.y << ")";
+            top = std::max(top, p.y);
+            ++visits;
+        }
+    }
+    EXPECT_EQ(visits, 48u);
+    EXPECT_GT(top, 0.5 + 1e-6); // the body has moved
+}
 
 TEST(AleNS, PcgIterationCountsReported) {
     AleOptions opts;
