@@ -8,8 +8,8 @@
 
 #include "bench_util.hpp"
 #include "gs/gather_scatter.hpp"
-#include "mesh/generators.hpp"
 #include "nektar/dofmap.hpp"
+#include "nektar/workloads.hpp"
 #include "partition/partition.hpp"
 #include "simmpi/simmpi.hpp"
 
@@ -36,12 +36,13 @@ std::vector<std::vector<std::int64_t>> interface_ids(const mesh::Mesh& m, std::s
 
 int main(int argc, char** argv) {
     const benchutil::Cli cli = benchutil::Cli::parse("ablation_gs_strategy", argc, argv);
-    const auto m = mesh::flapping_body_mesh(3);
+    namespace workloads = nektar::workloads;
+    const mesh::Mesh m = workloads::table3_mesh();
     partition::Graph g;
     m.dual_graph(g.xadj, g.adjncy);
 
     std::printf("Ablation: GS exchange strategy on the ALE interface pattern\n");
-    std::printf("Mesh: %s, order 4\n\n", m.summary().c_str());
+    std::printf("Mesh: %s, order %zu\n\n", m.summary().c_str(), workloads::kTable3Order);
     benchutil::Table table({"P", "strategy", "pairwise dofs", "tree dofs", "sum wall us"},
                            15);
     table.print_header();
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
     perf::RunReport rep = perf::report("ablation_gs_strategy");
     for (int nprocs : cli.rank_sweep({4, 8, 16})) {
         const auto part = partition::partition_graph(g, nprocs);
-        const auto ids = interface_ids(m, 4, part, nprocs);
+        const auto ids = interface_ids(m, workloads::kTable3Order, part, nprocs);
         for (auto strat : {gs::GatherScatter::Strategy::Auto,
                            gs::GatherScatter::Strategy::TreeOnly}) {
             simmpi::World world(nprocs, netsim::by_name("RoadRunner myr."));

@@ -33,6 +33,7 @@
 #include "nektar/discretization.hpp"
 #include "nektar/solver_options.hpp"
 #include "nektar/static_condensation.hpp"
+#include "nektar/workloads.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace {
@@ -279,13 +280,9 @@ struct CondensedResult {
 /// constructor (condense every matrix class, assemble and factor the Schur
 /// band), the step's two-RHS solve_global and a single-RHS one.
 CondensedResult run_condensed(double min_seconds) {
-    mesh::BluffBodyParams p;
-    p.n_upstream = 6;
-    p.n_wake = 10;
-    p.n_body = 3;
-    p.n_side = 4;
     const auto disc = std::make_shared<nektar::Discretization>(
-        std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p)), 6);
+        std::make_shared<mesh::Mesh>(nektar::workloads::table1_mesh()),
+        nektar::workloads::kTable1Order);
     const nektar::HelmholtzBC bc = nektar::SolverOptions{}.velocity_bc;
     const double lambda = 1.5 / (0.01 * 2e-3);
     std::optional<nektar::CondensedHelmholtz> cond;
@@ -455,13 +452,9 @@ int main(int argc, char** argv) {
     std::printf("\nSetup: Discretization and DofMap builds\n");
     benchutil::Table setup_table({"mesh", "order", "n", "kd", "disc ms", "dofmap ms"});
     setup_table.print_header();
-    mesh::BluffBodyParams t1;
-    t1.n_upstream = 6;
-    t1.n_wake = 10;
-    t1.n_body = 3;
-    t1.n_side = 4;
     const std::pair<const char*, SetupResult> setups[] = {
-        {"table1+rcm", run_setup(mesh::bluff_body_mesh(t1), 6, true, min_seconds)},
+        {"table1+rcm", run_setup(nektar::workloads::table1_mesh(),
+                                 nektar::workloads::kTable1Order, true, min_seconds)},
         {"ale", run_setup(mesh::flapping_body_mesh(2), 4, false, min_seconds)}};
     for (const auto& [name, r] : setups)
         setup_table.print_row({name, std::to_string(r.order), std::to_string(r.n),
