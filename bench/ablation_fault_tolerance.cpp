@@ -33,11 +33,11 @@
 namespace {
 
 struct FaultRun {
-    perf::StageBreakdown bd; ///< rank-0 stages + fault accounting from all ranks
-    simmpi::CommLog log;
-    double max_wall = 0.0;  ///< slowest rank's virtual wall clock
+    perf::StageBreakdown bd; ///< rank 0's steady-step breakdown
+    simmpi::CommLog log;     ///< rank 0's comm events over the same steps
+    simmpi::FaultLog faults; ///< every rank's fault log over the same steps, summed
+    double max_wall = 0.0;   ///< slowest rank's virtual wall clock
     double mean_cpu = 0.0;
-    double comm_groups = 1.0;
 };
 
 FaultRun run_fourier(int nprocs, const netsim::NetworkModel& net) {
@@ -49,9 +49,8 @@ FaultRun run_fourier(int nprocs, const netsim::NetworkModel& net) {
     const auto base_mesh = std::make_shared<mesh::Mesh>(mesh::bluff_body_mesh(p));
 
     FaultRun data;
-    const int bootstrap = 1, steady = 2;
+    const int steady = 2;
     simmpi::World world(nprocs, net);
-    std::vector<perf::StageBreakdown> bds(static_cast<std::size_t>(nprocs));
     const auto reports = world.run([&](simmpi::Comm& c) {
         const auto disc = std::make_shared<nektar::Discretization>(base_mesh, 4);
         nektar::FourierNsOptions opts;
@@ -61,21 +60,17 @@ FaultRun run_fourier(int nprocs, const netsim::NetworkModel& net) {
         opts.u_bc = nektar::workloads::inflow_u;
         nektar::FourierNS ns(disc, opts, &c);
         nektar::workloads::start_perturbed(ns);
-        for (int s = 0; s < bootstrap; ++s) ns.step();
+        ns.step(); // bootstrap (first-order start) excluded
         ns.breakdown() = {};
+        c.clear_logs();
         for (int s = 0; s < steady; ++s) ns.step();
-        bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
+        if (c.rank() == 0) data.bd = ns.breakdown();
     });
-    data.bd = bds[0];
     data.log = reports[0].log;
-    data.comm_groups = static_cast<double>(1 + bootstrap + steady);
     for (const auto& rep : reports) {
         data.max_wall = std::max(data.max_wall, rep.wall_seconds);
         data.mean_cpu += rep.cpu_seconds / nprocs;
-        // Fold every rank's fault accounting into the perf stage breakdown.
-        for (const auto& [stage, fs] : rep.fault_log)
-            data.bd.add_comm_faults(stage < 0 ? 0 : static_cast<std::size_t>(stage),
-                                    fs.retransmits, fs.extra_seconds);
+        for (const auto& [stage, fs] : rep.fault_log) data.faults[stage] += fs;
     }
     return data;
 }
@@ -96,9 +91,8 @@ netsim::NetworkModel with_faults(const netsim::NetworkModel& base, unsigned long
 perf::Case make_case(const std::string& net_name, double loss, double straggler,
                      const FaultRun& r, const FaultRun& baseline,
                      const netsim::NetworkModel& net, int nprocs) {
-    // Run totals via the one perf entry point (the per-subsystem total_*
-    // getters this bench used to call are gone).
-    perf::RunReport totals = perf::report("ablation_fault_tolerance", &r.bd);
+    simmpi::FaultStageStats total;
+    for (const auto& [stage, fs] : r.faults) total += fs;
     perf::Case c;
     c.labels["network"] = net_name;
     c.values["loss_rate"] = loss;
@@ -108,16 +102,18 @@ perf::Case make_case(const std::string& net_name, double loss, double straggler,
     c.values["wall_inflation"] = r.max_wall / baseline.max_wall;
     c.values["cpu_seconds"] = r.mean_cpu;
     c.values["idle_seconds"] = r.max_wall - r.mean_cpu;
-    c.values["retransmits"] = totals.metrics.counters["comm.retransmits"];
-    c.values["fault_seconds"] = totals.metrics.counters["comm.fault_seconds"];
-    for (std::size_t s = 1; s <= perf::kNumStages; ++s) {
-        const double comm = simmpi::price_stage(r.log, static_cast<int>(s), net, nprocs) /
-                            r.comm_groups;
-        const double fault = r.bd.fault_seconds[s] / r.comm_groups;
+    c.values["retransmits"] = static_cast<double>(total.retransmits);
+    c.values["fault_seconds"] = total.extra_seconds;
+    for (int s = 1; s <= static_cast<int>(perf::kNumStages); ++s) {
+        const auto it = r.faults.find(s);
+        const simmpi::FaultStageStats fs = it != r.faults.end() ? it->second
+                                                                : simmpi::FaultStageStats{};
+        const double comm = simmpi::price_stage(r.log, s, net, nprocs) / r.bd.steps;
+        const double fault = fs.extra_seconds / r.bd.steps;
         const std::string prefix = "stage" + std::to_string(s) + ".";
         c.values[prefix + "comm_seconds"] = comm;
         c.values[prefix + "fault_seconds"] = fault;
-        c.values[prefix + "retransmits"] = static_cast<double>(r.bd.retransmits[s]);
+        c.values[prefix + "retransmits"] = static_cast<double>(fs.retransmits);
         c.values[prefix + "wall_inflation"] = comm > 0.0 ? (comm + fault) / comm : 1.0;
     }
     return c;

@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
     namespace workloads = nektar::workloads;
     const benchutil::Cli cli = benchutil::Cli::parse("fig13_14_f_stages", argc, argv);
     const int nprocs = cli.request.ranks > 0 ? cli.request.ranks : 4;
-    // The solver defaults to the pipelined transpose; run.bd carries the
-    // hidden comm seconds (priced on the probe network).
+    // The solver defaults to the pipelined transpose; rank 0's overlap log
+    // holds the comm seconds it hid (priced on the probe network).
     const workloads::Run run =
         workloads::table2_fourier(nprocs, /*overlap_transpose=*/true, cli.trace);
     const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
@@ -33,29 +33,28 @@ int main(int argc, char** argv) {
     // Per-stage hidden fraction on the probe network: how much of each
     // stage's overlapped comm the schedule actually covered with compute.
     const auto probe_splits =
-        app_model::comm_stage_splits(run.log, workloads::probe_net(), nprocs);
+        app_model::comm_stage_splits(run.rank0.log, workloads::probe_net(), nprocs);
+    const auto hidden = app_model::hidden_stage_seconds(run.rank0.overlap_log);
     std::array<double, perf::kNumStages + 1> rho{};
     for (std::size_t s = 1; s <= perf::kNumStages; ++s)
-        rho[s] = app_model::overlap_efficiency(run.bd.overlap_seconds[s],
-                                               probe_splits[s].overlapped);
+        rho[s] = app_model::overlap_efficiency(hidden[s], probe_splits[s].overlapped);
 
-    perf::RunReport rep = perf::report("fig13_14_f_stages", &run.bd);
+    perf::RunReport rep = perf::report("fig13_14_f_stages", &run.bd, &run.rank0);
     rep.meta["nprocs"] = std::to_string(nprocs);
     for (const auto& pl : plats) {
         if (!cli.machine_selected(pl.machine) || !cli.net_selected(pl.network)) continue;
         const auto& m = machine::by_name(pl.machine);
         const auto& net = netsim::by_name(pl.network);
         const auto comp = app_model::compute_stage_seconds(run.bd, m, shapes);
-        const auto splits = app_model::comm_stage_splits(run.log, net, nprocs);
+        const auto splits = app_model::comm_stage_splits(run.rank0.log, net, nprocs);
         double cpu_total = 0.0, wall_total = 0.0, recov_total = 0.0;
         std::array<double, perf::kNumStages + 1> cpu{}, wall{}, ovl{}, recov{};
         for (std::size_t s = 1; s <= perf::kNumStages; ++s) {
-            const double scale = static_cast<double>(run.bd.steps) / run.comm_groups;
-            const double per_step_comm = splits[s].total() * scale;
-            ovl[s] = splits[s].overlapped * scale;
+            // Compute and comm both cover the run's bd.steps steady steps.
+            ovl[s] = splits[s].overlapped;
             recov[s] = app_model::recovered_seconds(rho[s], ovl[s], net.cpu_poll_fraction);
-            cpu[s] = comp[s] + per_step_comm * net.cpu_poll_fraction;
-            wall[s] = comp[s] + per_step_comm - recov[s];
+            cpu[s] = comp[s] + splits[s].total() * net.cpu_poll_fraction;
+            wall[s] = comp[s] + splits[s].total() - recov[s];
             cpu_total += cpu[s];
             wall_total += wall[s];
             recov_total += recov[s];

@@ -21,20 +21,20 @@ int main(int argc, char** argv) {
                 "RR-myr 3/42/55.\n\n");
 
     perf::RunReport rep = perf::report("fig15_16_ale_stages");
-    perf::StageBreakdown last_bd;
+    workloads::Run last;
     bool traced = false; // --trace records the first (smallest-P) run only
     for (int nprocs : cli.rank_sweep({4, 16})) {
-        // The solver defaults to the nonblocking GS exchange; run.bd carries
-        // the hidden comm seconds (priced on the probe network).
+        // The solver defaults to the nonblocking GS exchange; rank 0's
+        // overlap log holds the comm seconds it hid (priced on the probe
+        // network).
         const workloads::Run run =
             workloads::table3_ale(nprocs, /*overlap_gs=*/true, cli.trace && !traced);
         if (cli.trace && !traced) obs::tracer().disable(); // one traced run only
         traced = true;
-        // The stage rows show the breakdown as the solver recorded it.
-        last_bd = run.rank_bds[0];
         const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
         const auto probe_splits =
-            app_model::comm_stage_splits(run.log, workloads::probe_net(), nprocs);
+            app_model::comm_stage_splits(run.rank0.log, workloads::probe_net(), nprocs);
+        const auto hidden = app_model::hidden_stage_seconds(run.rank0.overlap_log);
 
         for (const auto& pl : std::vector<app_model::Platform>{
                  {"NCSA", "NCSA", "NCSA"},
@@ -44,15 +44,15 @@ int main(int argc, char** argv) {
             const auto& mm = machine::by_name(pl.machine);
             const auto& net = netsim::by_name(pl.network);
             const auto comp = app_model::compute_stage_seconds(run.bd, mm, shapes);
-            const auto splits = app_model::comm_stage_splits(run.log, net, nprocs);
+            const auto splits = app_model::comm_stage_splits(run.rank0.log, net, nprocs);
             // Per-stage wall: comp + comm - recovered, where the nonblocking
             // GS exchanges earn back the hidden fraction of their overlapped
             // price on networks that free the CPU during transfers.
             std::array<double, perf::kNumStages + 1> wall_s{}, cpu_s{}, recov_s{};
             double recov_total = 0.0;
             for (std::size_t s = 1; s <= perf::kNumStages; ++s) {
-                const double rho = app_model::overlap_efficiency(
-                    run.bd.overlap_seconds[s], probe_splits[s].overlapped);
+                const double rho =
+                    app_model::overlap_efficiency(hidden[s], probe_splits[s].overlapped);
                 recov_s[s] = app_model::recovered_seconds(rho, splits[s].overlapped,
                                                           net.cpu_poll_fraction);
                 cpu_s[s] = comp[s] + splits[s].total() * net.cpu_poll_fraction;
@@ -96,9 +96,10 @@ int main(int argc, char** argv) {
             rep.cases.push_back(std::move(kase));
         }
         std::printf("\n");
+        last = run;
     }
     // Stage rows come from rank 0 of the last sweep run.
-    perf::RunReport out = perf::report("fig15_16_ale_stages", &last_bd);
+    perf::RunReport out = perf::report("fig15_16_ale_stages", &last.bd, &last.rank0);
     out.cases = std::move(rep.cases);
     cli.finish(std::move(out));
     return 0;

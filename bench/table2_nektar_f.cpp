@@ -7,6 +7,7 @@
 /// (wall-clock diverging from CPU), Myrinet stays competitive to ~64, and
 /// the vendor networks stay flat.
 #include <cstdio>
+#include <numeric>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
@@ -84,8 +85,7 @@ int main(int argc, char** argv) {
             double cpu = 0.0;
             for (std::size_t s = 1; s <= perf::kNumStages; ++s) cpu += comp[s];
             cpu /= data.bd.steps;
-            const double comm = simmpi::price_log(data.log, net, nprocs) /
-                                data.comm_groups;
+            const double comm = simmpi::price_log(data.rank0.log, net, nprocs) / data.bd.steps;
             const double wall = cpu + comm;
             const double cpu_total = cpu + comm * net.cpu_poll_fraction;
             row.push_back(benchutil::fmt(cpu_total, "%.2f") + "/" +
@@ -141,9 +141,10 @@ int main(int argc, char** argv) {
             workloads::table2_fourier(nprocs, /*overlap_transpose=*/false);
         const workloads::Run ovl = workloads::table2_fourier(nprocs);
         const auto shapes = app_model::solver_shapes(ovl.field_bytes, ovl.solver_bytes);
+        const auto hidden = app_model::hidden_stage_seconds(ovl.rank0.overlap_log);
         const double rho = app_model::overlap_efficiency(
-            ovl.hidden_seconds,
-            simmpi::price_log_split(ovl.log, workloads::probe_net(), nprocs).overlapped);
+            std::accumulate(hidden.begin(), hidden.end(), 0.0),
+            simmpi::price_log_split(ovl.rank0.log, workloads::probe_net(), nprocs).overlapped);
         std::printf("P = %d  (hidden fraction of overlapped comm: %.0f%%)\n", nprocs,
                     100.0 * rho);
         benchutil::Table table2({"network", "blocking", "overlapped", "recov"}, 16);
@@ -156,12 +157,11 @@ int main(int argc, char** argv) {
             double cpu = 0.0;
             for (std::size_t s = 1; s <= perf::kNumStages; ++s) cpu += comp[s];
             cpu /= ovl.bd.steps;
-            const double comm_blk =
-                simmpi::price_log(blk.log, net, nprocs) / blk.comm_groups;
-            const auto split = simmpi::price_log_split(ovl.log, net, nprocs);
-            const double comm_ovl = split.total() / ovl.comm_groups;
+            const double comm_blk = simmpi::price_log(blk.rank0.log, net, nprocs) / blk.bd.steps;
+            const auto split = simmpi::price_log_split(ovl.rank0.log, net, nprocs);
+            const double comm_ovl = split.total() / ovl.bd.steps;
             const double recov = app_model::recovered_seconds(
-                rho, split.overlapped / ovl.comm_groups, net.cpu_poll_fraction);
+                rho, split.overlapped / ovl.bd.steps, net.cpu_poll_fraction);
             const double wall_blk = cpu + comm_blk;
             const double wall_ovl = cpu + comm_ovl - recov;
             table2.print_row(
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
     }
     // Stage rows come from the last Table-2 sweep run; the cases collected
     // above carry the per-platform numbers.
-    perf::RunReport out = perf::report("table2_nektar_f", &last.bd);
+    perf::RunReport out = perf::report("table2_nektar_f", &last.bd, &last.rank0);
     out.cases = std::move(rep.cases);
     cli.finish(std::move(out));
     return 0;

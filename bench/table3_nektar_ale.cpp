@@ -4,6 +4,7 @@
 /// timings fall with P.  Shape to reproduce: myrinet fastest at 16, slightly
 /// slower than the SP2-Silver at 64; AP3000 and SP2-Thin2 trail badly.
 #include <cstdio>
+#include <numeric>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
                 max_cpu = std::max(max_cpu, c);
             }
             mean_cpu /= static_cast<double>(run.rank_bds.size());
-            const double comm = simmpi::price_log(run.log, net, nprocs) / run.comm_groups;
+            const double comm = simmpi::price_log(run.rank0.log, net, nprocs) / run.bd.steps;
             const double wall = max_cpu + comm;
             const double cpu = mean_cpu + comm * net.cpu_poll_fraction;
             row.push_back(benchutil::fmt(cpu, "%.2f") + "/" + benchutil::fmt(wall, "%.2f"));
@@ -136,9 +137,10 @@ int main(int argc, char** argv) {
         const workloads::Run blk = workloads::table3_ale(nprocs, /*overlap_gs=*/false);
         const workloads::Run ovl = workloads::table3_ale(nprocs);
         const auto shapes = app_model::solver_shapes(ovl.field_bytes, ovl.solver_bytes);
+        const auto hidden = app_model::hidden_stage_seconds(ovl.rank0.overlap_log);
         const double rho = app_model::overlap_efficiency(
-            ovl.hidden_seconds,
-            simmpi::price_log_split(ovl.log, workloads::probe_net(), nprocs).overlapped);
+            std::accumulate(hidden.begin(), hidden.end(), 0.0),
+            simmpi::price_log_split(ovl.rank0.log, workloads::probe_net(), nprocs).overlapped);
         std::printf("P = %d  (hidden fraction of overlapped comm: %.0f%%)\n", nprocs,
                     100.0 * rho);
         benchutil::Table table2({"network", "blocking", "overlapped", "recov"}, 16);
@@ -156,11 +158,11 @@ int main(int argc, char** argv) {
                 max_cpu = std::max(max_cpu, c);
             }
             mean_cpu /= static_cast<double>(ovl.rank_bds.size());
-            const double comm_blk = simmpi::price_log(blk.log, net, nprocs) / blk.comm_groups;
-            const auto split = simmpi::price_log_split(ovl.log, net, nprocs);
-            const double comm_ovl = split.total() / ovl.comm_groups;
+            const double comm_blk = simmpi::price_log(blk.rank0.log, net, nprocs) / blk.bd.steps;
+            const auto split = simmpi::price_log_split(ovl.rank0.log, net, nprocs);
+            const double comm_ovl = split.total() / ovl.bd.steps;
             const double recov = app_model::recovered_seconds(
-                rho, split.overlapped / ovl.comm_groups, net.cpu_poll_fraction);
+                rho, split.overlapped / ovl.bd.steps, net.cpu_poll_fraction);
             table2.print_row(
                 {pl.label,
                  benchutil::fmt(mean_cpu + comm_blk * net.cpu_poll_fraction, "%.2f") + "/" +
@@ -181,7 +183,7 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
     // Stage rows come from rank 0 of the last Table-3 sweep run.
-    perf::RunReport out = perf::report("table3_nektar_ale", &last.bd);
+    perf::RunReport out = perf::report("table3_nektar_ale", &last.bd, &last.rank0);
     out.cases = std::move(rep.cases);
     cli.finish(std::move(out));
     return 0;

@@ -37,7 +37,9 @@ namespace ckpt {
 /// Bump when the serialized layout of any section changes incompatibly.
 /// v2: simmpi comm state gained the split() sequence number and per-event
 /// communicator size/sibling fields.
-inline constexpr std::uint32_t kSchemaVersion = 2;
+/// v3: the solver "breakdown" section holds op counts only; per-stage fault,
+/// retransmit and overlap records live in the simmpi comm state alone.
+inline constexpr std::uint32_t kSchemaVersion = 3;
 
 /// Any checkpoint format violation: truncation, CRC mismatch, schema-version
 /// mismatch, a missing/duplicate section, or a typed read past a section's

@@ -153,9 +153,7 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
                                                  : nektar::workloads::kSerialSteadySteps);
 
     const nektar::workloads::Run& data = probe(req.solver, req.backend, nprocs, steady);
-    // Rank 0's breakdown as recorded, without the hidden comm seconds folded
-    // in, so reports already in a store keep their bytes.
-    const perf::StageBreakdown& bd = data.rank_bds[0];
+    const perf::StageBreakdown& bd = data.bd;
     const auto shapes = app_model::solver_shapes(data.field_bytes, data.solver_bytes);
     const auto comp = app_model::compute_stage_seconds(bd, m, shapes);
     double cpu = 0.0;
@@ -166,7 +164,7 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
     if (parallel) {
         const auto& net = resolve_net(req.net);
         poll = net.cpu_poll_fraction;
-        comm = simmpi::price_log(data.log, net, nprocs) / data.comm_groups;
+        comm = simmpi::price_log(data.rank0.log, net, nprocs) / bd.steps;
     }
     const netsim::FaultModel fault = fault_by_name(req.fault, req.seed);
     const double inflation = comm > 0.0 ? fault.expected_inflation(comm) : 1.0;
@@ -174,11 +172,12 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
     const double cpu_total = cpu + comm * inflation * poll;
 
     perf::RunReport rep = base_report(req);
-    // Stage rows from the probe's instrumented breakdown (host times are
-    // masked by to_canonical_json, so the stored bytes stay deterministic);
-    // the global metrics snapshot is deliberately left out.
+    // Stage rows from the probe's instrumented breakdown and rank 0's comm
+    // logs (host times are masked by to_canonical_json, so the stored bytes
+    // stay deterministic); the global metrics snapshot is deliberately left
+    // out.
     perf::RunReport probe_rep =
-        perf::report(rep.bench, &bd, nullptr, /*with_global_metrics=*/false);
+        perf::report(rep.bench, &bd, &data.rank0, /*with_global_metrics=*/false);
     rep.steps = probe_rep.steps;
     rep.stages = std::move(probe_rep.stages);
     rep.metrics = std::move(probe_rep.metrics);

@@ -81,6 +81,15 @@ struct Platform {
     return out;
 }
 
+/// Comm seconds a rank's nonblocking exchanges hid under computation, per
+/// stage, from its overlap log (slot 0 collects events outside a stage).
+[[nodiscard]] inline std::array<double, perf::kNumStages + 1> hidden_stage_seconds(
+    const simmpi::OverlapLog& log) {
+    std::array<double, perf::kNumStages + 1> out{};
+    for (const auto& [stage, hidden] : log) out[perf::stage_slot(stage)] += hidden;
+    return out;
+}
+
 /// Fraction of the overlapped-comm price the probe run actually hid behind
 /// computation: hidden seconds from the rank's overlap log over the price of
 /// the same events on the probe network, clamped to [0, 1].  This ratio is a

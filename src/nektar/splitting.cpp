@@ -158,9 +158,6 @@ ckpt::Checkpoint SolverCore::checkpoint() const {
         bd.u64(breakdown_.counts[s].bytes_read);
         bd.u64(breakdown_.counts[s].bytes_written);
         bd.u64(breakdown_.counts[s].calls);
-        bd.u64(breakdown_.retransmits[s]);
-        bd.f64(breakdown_.fault_seconds[s]);
-        bd.f64(breakdown_.overlap_seconds[s]);
     }
 
     save_state(c);
@@ -210,9 +207,6 @@ void SolverCore::restore(const ckpt::Checkpoint& c) {
         breakdown_.counts[s].bytes_read = bd.u64();
         breakdown_.counts[s].bytes_written = bd.u64();
         breakdown_.counts[s].calls = bd.u64();
-        breakdown_.retransmits[s] = bd.u64();
-        breakdown_.fault_seconds[s] = bd.f64();
-        breakdown_.overlap_seconds[s] = bd.f64();
     }
     bd.expect_end();
 

@@ -16,14 +16,6 @@ constexpr double kViscosity = 0.01;
 double at_rest(double, double) { return 0.0; }
 double free_stream(double, double) { return 1.0; }
 
-/// Folds rank 0's overlap log into run.bd and run.hidden_seconds.
-void fold_overlap(Run& run, const simmpi::RankReport& rank0) {
-    for (const auto& [stage, hidden] : rank0.overlap_log) {
-        run.bd.add_comm_overlap(static_cast<std::size_t>(stage), hidden);
-        run.hidden_seconds += hidden;
-    }
-}
-
 } // namespace
 
 mesh::Mesh table1_mesh() {
@@ -111,7 +103,6 @@ Run table1_serial(bool trace, int steady_steps, compute::BackendKind backend) {
 Run table2_fourier(int nprocs, bool overlap_transpose, bool trace, int steady_steps,
                    compute::BackendKind backend) {
     const auto base_mesh = std::make_shared<mesh::Mesh>(table2_mesh());
-    const int bootstrap = 1;
     Run run;
     run.rank_bds.resize(static_cast<std::size_t>(nprocs));
     simmpi::World world(nprocs, probe_net());
@@ -127,8 +118,9 @@ Run table2_fourier(int nprocs, bool overlap_transpose, bool trace, int steady_st
         opts.u_bc = inflow_u;
         FourierNS ns(disc, opts, &c);
         start_perturbed(ns);
-        for (int s = 0; s < bootstrap; ++s) ns.step();
+        ns.step(); // bootstrap (first-order start) excluded
         ns.breakdown() = {};
+        c.clear_logs();
         for (int s = 0; s < steady_steps; ++s) ns.step();
         run.rank_bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
         if (c.rank() == 0) {
@@ -138,10 +130,7 @@ Run table2_fourier(int nprocs, bool overlap_transpose, bool trace, int steady_st
         }
     });
     run.bd = run.rank_bds[0];
-    run.log = reports[0].log;
-    fold_overlap(run, reports[0]);
-    // The log covers set_initial's nonlinear evaluation plus every step.
-    run.comm_groups = static_cast<double>(1 + bootstrap + steady_steps);
+    run.rank0 = reports[0];
     return run;
 }
 
@@ -161,6 +150,7 @@ Run table3_ale(int nprocs, bool overlap_gs, bool trace) {
         start_free_stream(ns);
         ns.step(); // bootstrap (first-order start) excluded
         ns.breakdown() = {};
+        c.clear_logs();
         for (int s = 0; s < kParallelSteadySteps; ++s) ns.step();
         run.rank_bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
         if (c.rank() == 0) {
@@ -170,11 +160,7 @@ Run table3_ale(int nprocs, bool overlap_gs, bool trace) {
         }
     });
     run.bd = run.rank_bds[0];
-    run.log = reports[0].log;
-    fold_overlap(run, reports[0]);
-    // The log also holds the bootstrap step's exchanges (at P = 4 about an
-    // eighth of its events), yet Table 3 prices it per steady step.
-    run.comm_groups = static_cast<double>(kParallelSteadySteps);
+    run.rank0 = reports[0];
     return run;
 }
 

@@ -22,9 +22,11 @@
 ///
 /// A run function builds the mesh, order, options and initial condition,
 /// runs the bootstrap step and the steady steps, and returns what a caller
-/// prices.  It takes a parameter only where two of its callers need
-/// different values; everything else is a constant here, so a change to a
-/// paper run's physics is one edit.  The examples and the fault ablation
+/// prices.  The measured window opens in one place per run: after the
+/// bootstrap step, where the solver's breakdown is reset and every rank's
+/// simmpi logs are cleared.  It takes a parameter only where two of its
+/// callers need different values; everything else is a constant here, so a
+/// change to a paper run's physics is one edit.  The examples and the fault ablation
 /// keep their own sizes and step counts but take the boundary data and the
 /// starts from here too.
 namespace nektar::workloads {
@@ -75,17 +77,14 @@ void start_perturbed(FourierNS& ns, double amplitude = kPerturbation);
 
 /// What a run leaves for pricing.
 struct Run {
-    /// Rank 0's steady-step breakdown, with the comm seconds the
-    /// nonblocking exchanges hid (priced on probe_net()) folded in.
+    /// Rank 0's steady-step breakdown, as the solver recorded it.
     perf::StageBreakdown bd;
-    /// Every rank's steady-step breakdown as the solver recorded it.
+    /// Every rank's steady-step breakdown.
     std::vector<perf::StageBreakdown> rank_bds;
-    /// Rank 0's comm events since the world started (empty when serial).
-    simmpi::CommLog log;
-    /// Divisor that turns the price of `log` into seconds per step.
-    double comm_groups = 1.0;
-    /// Rank 0's probe-priced comm seconds hidden behind compute.
-    double hidden_seconds = 0.0;
+    /// Rank 0's simmpi report (empty when serial).  Its comm, fault and
+    /// overlap logs cover the same steady steps as `bd`, so a per-step price
+    /// divides by bd.steps; its clocks cover the whole run.
+    simmpi::RankReport rank0;
     /// Priced working sets: the quadrature fields, and the solver's
     /// working_set_bytes().
     std::size_t field_bytes = 0;

@@ -193,29 +193,29 @@ RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::Rank
     if (with_global_metrics) rep.metrics = obs::metrics().snapshot();
 
     if (bd != nullptr) {
-        StageBreakdown folded = *bd;
-        if (rank != nullptr) {
-            for (const auto& [stage, fs] : rank->fault_log)
-                folded.add_comm_faults(stage >= 0 ? static_cast<std::size_t>(stage) : 0,
-                                       fs.retransmits, fs.extra_seconds);
-            for (const auto& [stage, hidden] : rank->overlap_log)
-                folded.add_comm_overlap(stage >= 0 ? static_cast<std::size_t>(stage) : 0, hidden);
-        }
-        rep.steps = folded.steps;
-        double flops = 0.0, bytes = 0.0, host = 0.0, fault = 0.0, overlap = 0.0;
-        std::uint64_t retrans = 0;
+        rep.steps = bd->steps;
+        std::vector<StageRow> rows(kNumStages + 1);
         for (std::size_t s = 0; s <= kNumStages; ++s) {
-            StageRow row;
+            StageRow& row = rows[s];
             row.stage = s;
             row.name = s == 0 ? "outside stages" : stage_short_name(s);
             row.group = s == 0 ? "" : stage_group_label(stage_group(s));
-            row.flops = static_cast<double>(folded.counts[s].flops);
-            row.bytes = static_cast<double>(folded.counts[s].bytes());
-            row.calls = folded.counts[s].calls;
-            row.host_seconds = folded.host_seconds[s];
-            row.fault_seconds = folded.fault_seconds[s];
-            row.overlap_seconds = folded.overlap_seconds[s];
-            row.retransmits = folded.retransmits[s];
+            row.flops = static_cast<double>(bd->counts[s].flops);
+            row.bytes = static_cast<double>(bd->counts[s].bytes());
+            row.calls = bd->counts[s].calls;
+            row.host_seconds = bd->host_seconds[s];
+        }
+        if (rank != nullptr) {
+            for (const auto& [stage, fs] : rank->fault_log) {
+                rows[stage_slot(stage)].retransmits += fs.retransmits;
+                rows[stage_slot(stage)].fault_seconds += fs.extra_seconds;
+            }
+            for (const auto& [stage, hidden] : rank->overlap_log)
+                rows[stage_slot(stage)].overlap_seconds += hidden;
+        }
+        double flops = 0.0, bytes = 0.0, host = 0.0, fault = 0.0, overlap = 0.0;
+        std::uint64_t retrans = 0;
+        for (StageRow& row : rows) {
             flops += row.flops;
             bytes += row.bytes;
             host += row.host_seconds;
@@ -225,7 +225,7 @@ RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::Rank
             const bool empty = row.calls == 0 && row.flops == 0.0 && row.host_seconds == 0.0 &&
                                row.fault_seconds == 0.0 && row.overlap_seconds == 0.0 &&
                                row.retransmits == 0;
-            if (s >= 1 || !empty) rep.stages.push_back(std::move(row));
+            if (row.stage >= 1 || !empty) rep.stages.push_back(std::move(row));
         }
         rep.metrics.counters["ops.flops"] += flops;
         rep.metrics.counters["ops.bytes"] += bytes;

@@ -85,10 +85,11 @@ struct RunReport {
 /// accounting becomes the `stages` rows and the run totals land in
 /// metrics.counters ("stage.host_seconds", "ops.flops", "ops.bytes",
 /// "comm.retransmits", "comm.fault_seconds", "comm.overlap_hidden_seconds").
-/// When `rank` is also given, its fault and overlap logs are folded on top
-/// first (pass rank = nullptr if the breakdown already absorbed them via
-/// add_comm_faults/add_comm_overlap).  The global obs::metrics() snapshot
-/// is included unless `with_global_metrics` is false — the cluster lab's
+/// The comm columns come from `rank`'s fault and overlap logs, the one
+/// per-stage comm ledger (zero when `rank` is null, as for a serial run);
+/// the logs should cover the same steps as `bd`.  The global
+/// obs::metrics() snapshot is included unless `with_global_metrics` is
+/// false — the cluster lab's
 /// evaluator opts out because that registry accumulates across requests
 /// and a stored report must be a pure function of its request.
 [[nodiscard]] RunReport report(std::string bench, const StageBreakdown* bd = nullptr,

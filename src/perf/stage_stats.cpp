@@ -6,24 +6,9 @@ StageBreakdown& StageBreakdown::operator+=(const StageBreakdown& o) {
     for (std::size_t s = 0; s <= kNumStages; ++s) {
         counts[s] += o.counts[s];
         host_seconds[s] += o.host_seconds[s];
-        retransmits[s] += o.retransmits[s];
-        fault_seconds[s] += o.fault_seconds[s];
-        overlap_seconds[s] += o.overlap_seconds[s];
     }
     steps += o.steps;
     return *this;
-}
-
-void StageBreakdown::add_comm_faults(std::size_t stage, std::uint64_t retransmit_count,
-                                     double extra_seconds) {
-    const std::size_t s = stage <= kNumStages ? stage : 0;
-    retransmits[s] += retransmit_count;
-    fault_seconds[s] += extra_seconds;
-}
-
-void StageBreakdown::add_comm_overlap(std::size_t stage, double hidden_seconds) {
-    const std::size_t s = stage <= kNumStages ? stage : 0;
-    overlap_seconds[s] += hidden_seconds;
 }
 
 blaslite::OpCounts StageBreakdown::total_counts() const {

@@ -3,7 +3,6 @@
 #include <array>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -37,34 +36,15 @@ struct StageShape {
 struct StageBreakdown {
     std::array<blaslite::OpCounts, kNumStages + 1> counts{}; ///< 1-based
     std::array<double, kNumStages + 1> host_seconds{};
-    /// Fault accounting per stage, filled from a simulated run's per-stage
-    /// fault log (simmpi::FaultLog): lost transmissions the network had to
-    /// repeat, and the virtual seconds the fault model added on top of the
-    /// unfaulted communication costs.  Zero for serial or perfect-network runs.
-    std::array<std::uint64_t, kNumStages + 1> retransmits{};
-    std::array<double, kNumStages + 1> fault_seconds{};
-    /// Virtual comm seconds the nonblocking exchanges hid under computation
-    /// per stage (simmpi::OverlapLog) — the "overlapped comm" column of the
-    /// application tables.  Zero for blocking-only or serial runs.
-    std::array<double, kNumStages + 1> overlap_seconds{};
     int steps = 0;
 
     StageBreakdown& operator+=(const StageBreakdown& o);
 
-    /// Credits `stage` with fault overhead observed by the comm runtime.
-    /// Events outside an explicit stage (simmpi stage -1) belong in slot 0.
-    void add_comm_faults(std::size_t stage, std::uint64_t retransmit_count,
-                         double extra_seconds);
-
-    /// Credits `stage` with comm seconds the nonblocking path hid under
-    /// computation.  Same slot rule as add_comm_faults.
-    void add_comm_overlap(std::size_t stage, double hidden_seconds);
-
     [[nodiscard]] blaslite::OpCounts total_counts() const;
     [[nodiscard]] double total_host_seconds() const;
-    // Fault/overlap/retransmit run totals deliberately have no getters here:
-    // perf::report() (report.hpp) is the one entry point folding them into a
-    // RunReport's metrics ("comm.retransmits", "comm.fault_seconds", ...).
+    // Communication is not recorded here: a rank's simmpi logs (CommLog,
+    // FaultLog, OverlapLog) are the one per-stage comm ledger, and
+    // perf::report() (report.hpp) folds them next to these counts.
 
     /// Predicted seconds a machine spends in `stage` over the recorded run.
     [[nodiscard]] double predict_stage_seconds(const machine::MachineModel& m,
@@ -95,6 +75,13 @@ private:
     blaslite::CountScope scope_;
     std::chrono::steady_clock::time_point start_;
 };
+
+/// The 1-based slot a comm log's stage tag is counted in: 1-7 as tagged,
+/// 0 for events outside an explicit stage (simmpi's tag -1).
+[[nodiscard]] constexpr std::size_t stage_slot(int stage) {
+    return stage >= 1 && stage <= static_cast<int>(kNumStages) ? static_cast<std::size_t>(stage)
+                                                               : 0;
+}
 
 /// Stage names as the paper labels them.
 [[nodiscard]] std::string stage_name(std::size_t stage);

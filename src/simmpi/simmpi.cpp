@@ -778,7 +778,8 @@ World::World(int nprocs, netsim::NetworkModel net)
 void World::deliver(int dest, Message msg) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
     std::lock_guard lk(box.mtx);
-    box.queue.push_back(std::move(msg));
+    const MatchKey key{msg.src, msg.ctx, msg.tag};
+    box.queues[key].push_back(std::move(msg));
     // The receiver parked on its mailbox: hand it back to its home worker.
     // (Lock order box.mtx -> scheduler mutex matches park().)
     if (box.waiting_task >= 0) sched_->unpark(box.waiting_task);
@@ -792,14 +793,13 @@ void World::abort_world() {
 World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
     std::unique_lock lk(box.mtx);
-    const auto match = [&](const Message& m) {
-        return m.src == src && m.ctx == ctx && m.tag == tag;
-    };
+    const MatchKey key{src, ctx, tag};
     for (;;) {
-        const auto it = std::find_if(box.queue.begin(), box.queue.end(), match);
-        if (it != box.queue.end()) {
-            Message msg = std::move(*it);
-            box.queue.erase(it);
+        const auto it = box.queues.find(key);
+        if (it != box.queues.end()) {
+            Message msg = std::move(it->second.front());
+            it->second.pop_front();
+            if (it->second.empty()) box.queues.erase(it);
             return msg;
         }
         if (aborted_.load()) throw Aborted{};
@@ -934,7 +934,7 @@ std::vector<RankReport> World::run(const std::function<void(Comm&)>& fn) {
         // same World after a kill.
         aborted_.store(false);
         for (auto& box : mailboxes_) {
-            box.queue.clear();
+            box.queues.clear();
             box.waiting_task = -1;
         }
         const auto scrub = [](detail::GroupState& g) {

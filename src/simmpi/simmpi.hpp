@@ -11,6 +11,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -413,6 +414,17 @@ public:
     [[nodiscard]] const CommLog& log() const noexcept { return rs_->log; }
     [[nodiscard]] const FaultLog& fault_log() const noexcept { return rs_->fault_log; }
     [[nodiscard]] const OverlapLog& overlap_log() const noexcept { return rs_->overlap_log; }
+    /// Empties this rank's comm, fault and overlap logs, so they cover only
+    /// what follows: a solver calls it where it opens a measured window
+    /// (after the bootstrap step).  Nothing that drives the virtual time is
+    /// touched — the clocks, the NIC horizon, the fault-stream position and
+    /// the collective and split sequences run on, so every later cost and
+    /// fault draw is bit-identical to a run that never cleared.
+    void clear_logs() noexcept {
+        rs_->log.clear();
+        rs_->fault_log.clear();
+        rs_->overlap_log.clear();
+    }
     /// Receives posted but not yet completed (across every communicator this
     /// rank holds); a rank finishing with pending requests is a bug
     /// World::run reports.
@@ -544,9 +556,28 @@ private:
 
     using Message = detail::Message;
 
+    /// What a receive matches on: sender, communicator context and tag.
+    struct MatchKey {
+        int src;
+        std::uint64_t ctx;
+        int tag;
+        bool operator==(const MatchKey&) const = default;
+    };
+    struct MatchKeyHash {
+        std::size_t operator()(const MatchKey& k) const noexcept {
+            std::uint64_t h = k.ctx * 0x9e3779b97f4a7c15ull;
+            h ^= (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.src)) << 32) |
+                 static_cast<std::uint32_t>(k.tag);
+            return static_cast<std::size_t>(h ^ (h >> 29));
+        }
+    };
+
+    /// One FIFO per match key: matching is exact, so taking the front of a
+    /// key's queue is MPI's non-overtaking order, found in O(1).  A key is
+    /// erased when its queue empties (collective tags are one-shot).
     struct Mailbox {
         std::mutex mtx;
-        std::deque<Message> queue;
+        std::unordered_map<MatchKey, std::deque<Message>, MatchKeyHash> queues;
         int waiting_task = -1; ///< task parked on this mailbox
     };
 

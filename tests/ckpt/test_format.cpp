@@ -107,14 +107,20 @@ TEST(CkptFormat, LeftoverBytesFailExpectEnd) {
 }
 
 TEST(CkptFormat, WrongSchemaVersionIsRejectedWithDiagnostic) {
-    auto bytes = sample().serialize();
-    bytes[8] = 0x99; // the schema version is the little-endian u32 after the magic
-    try {
-        (void)Checkpoint::deserialize(bytes);
-        FAIL() << "a future schema version must be rejected";
-    } catch (const Error& e) {
-        EXPECT_EQ(e.section(), "header");
-        EXPECT_NE(std::string(e.what()).find("schema_version"), std::string::npos) << e.what();
+    // A future version, and v2: its solver "breakdown" section still carries
+    // per-stage retransmit, fault and overlap fields that v3 dropped.
+    for (const std::uint8_t version : {std::uint8_t{0x99}, std::uint8_t{2}}) {
+        auto bytes = sample().serialize();
+        bytes[8] = version; // the schema version is the little-endian u32 after the magic
+        try {
+            (void)Checkpoint::deserialize(bytes);
+            FAIL() << "schema version " << int{version} << " must be rejected";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.section(), "header");
+            EXPECT_NE(std::string(e.what()).find("schema_version " + std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -48,11 +48,46 @@ TEST(EvaluatorMeasured, FourierQueryPricesTableTwosRun) {
     const workloads::Run run = workloads::table2_fourier(4);
     const auto& net = netsim::by_name("NCSA");
     const double cpu = compute_per_step(run, "NCSA");
-    const double comm = simmpi::price_log(run.log, net, 4) / run.comm_groups;
+    const double comm = simmpi::price_log(run.rank0.log, net, 4) / run.bd.steps;
     EXPECT_GT(comm, 0.0);
     EXPECT_DOUBLE_EQ(kase.values.at("cpu_seconds_per_step"),
                      cpu + comm * net.cpu_poll_fraction);
     EXPECT_DOUBLE_EQ(kase.values.at("wall_seconds_per_step"), cpu + comm);
+}
+
+TEST(EvaluatorMeasured, FourierReportCarriesTheOverlapRows) {
+    // The measured Fourier probe runs the pipelined transpose; rank 0's
+    // overlap log over the steady steps lands in the nonlinear stage's row.
+    lab::Evaluator ev;
+    lab::ScenarioRequest req;
+    req.fidelity = "measured";
+    req.solver = "fourier";
+    req.machine = "NCSA";
+    req.net = "NCSA";
+    req.ranks = 4;
+    const perf::RunReport rep = ev.evaluate(req);
+    double nonlinear_overlap = 0.0;
+    for (const auto& row : rep.stages)
+        if (row.stage == 2) nonlinear_overlap = row.overlap_seconds;
+    EXPECT_GT(nonlinear_overlap, 0.0);
+    EXPECT_GT(rep.metrics.counters.at("comm.overlap_hidden_seconds"), 0.0);
+}
+
+TEST(Workloads, FourierCommPricePerStepDoesNotDependOnTheStepCount) {
+    // Rank 0's logs cover exactly the steady steps its breakdown covers, so
+    // the per-step price is the same whether the window holds 2 or 3 steps.
+    const auto& net = netsim::by_name("RoadRunner eth.");
+    const auto per_step = [&](int steady_steps) {
+        const workloads::Run run =
+            workloads::table2_fourier(4, /*overlap_transpose=*/true, /*trace=*/false,
+                                      steady_steps);
+        EXPECT_EQ(run.bd.steps, steady_steps);
+        return simmpi::price_log(run.rank0.log, net, 4) / run.bd.steps;
+    };
+    const double two = per_step(2);
+    const double three = per_step(3);
+    EXPECT_GT(two, 0.0);
+    EXPECT_NEAR(three, two, 1e-12 * two);
 }
 
 } // namespace
