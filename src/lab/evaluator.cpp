@@ -174,10 +174,8 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
     perf::RunReport rep = base_report(req);
     // Stage rows from the probe's instrumented breakdown and rank 0's comm
     // logs (host times are masked by to_canonical_json, so the stored bytes
-    // stay deterministic); the global metrics snapshot is deliberately left
-    // out.
-    perf::RunReport probe_rep =
-        perf::report(rep.bench, &bd, &data.rank0, /*with_global_metrics=*/false);
+    // stay deterministic).
+    perf::RunReport probe_rep = perf::report(rep.bench, &bd, &data.rank0);
     rep.steps = probe_rep.steps;
     rep.stages = std::move(probe_rep.stages);
     rep.metrics = std::move(probe_rep.metrics);

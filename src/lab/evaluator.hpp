@@ -26,10 +26,9 @@
 ///                  (solver, backend, ranks, steps), so one run serves every
 ///                  platform query against it.
 ///
-/// Every report the evaluator builds is a pure function of the request: the
-/// global obs metrics snapshot is deliberately excluded (it accumulates
-/// across requests and would break the store's byte-determinism), and host
-/// times are masked by RunReport::to_canonical_json() as usual.
+/// Every report the evaluator builds is a pure function of the request:
+/// perf::report() reads only the probe run it is handed, and host times are
+/// masked by RunReport::to_canonical_json() as usual.
 namespace lab {
 
 class Evaluator {

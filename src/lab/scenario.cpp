@@ -6,35 +6,17 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "lab/json.hpp"
+#include "obs/json_write.hpp"
 
 namespace lab {
 
 namespace {
 
-void esc(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 void kv_str(std::string& out, const char* key, const std::string& v) {
     out += '"';
     out += key;
     out += "\":\"";
-    esc(out, v);
+    obs::append_json_string(out, v);
     out += "\",";
 }
 
@@ -47,12 +29,10 @@ void kv_u64(std::string& out, const char* key, std::uint64_t v) {
 }
 
 void kv_f64(std::string& out, const char* key, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
     out += '"';
     out += key;
     out += "\":";
-    out += buf;
+    obs::append_json_number(out, v);
     out += ',';
 }
 

@@ -10,6 +10,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "obs/json_write.hpp"
+
 namespace lab::wire {
 
 namespace {
@@ -43,19 +45,6 @@ int read_all(int fd, char* data, std::size_t n) {
         n -= static_cast<std::size_t>(r);
     }
     return 1;
-}
-
-std::string escape(const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20) {
-            out += ' '; // control chars in error text add nothing
-            continue;
-        }
-        out += c;
-    }
-    return out;
 }
 
 } // namespace
@@ -130,7 +119,9 @@ int connect_unix(const std::string& path) {
 
 std::string response_payload(const Answer& answer) {
     if (answer.error.empty()) return answer.report_json;
-    return "{\"error\":\"" + escape(answer.error) + "\"}";
+    std::string out = "{\"error\":\"";
+    obs::append_json_string(out, answer.error);
+    return out + "\"}";
 }
 
 void handle_connection(int fd, Service& svc) {

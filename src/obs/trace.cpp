@@ -1,8 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+
+#include "obs/json_write.hpp"
 
 namespace obs {
 
@@ -21,31 +22,6 @@ void append_f64(std::vector<std::uint8_t>& out, double v) {
     static_assert(sizeof(bits) == sizeof(v));
     std::memcpy(&bits, &v, sizeof(bits));
     append_u64(out, bits);
-}
-
-void json_escape(std::string& out, std::string_view s) {
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void append_number(std::string& out, double v) {
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
 }
 
 } // namespace
@@ -144,7 +120,7 @@ std::string Tracer::chrome_json() const {
                 named[pid] = true;
                 std::string m = "{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
                                 ",\"tid\":" + tid + ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-                json_escape(m, lane.name);
+                append_json_string(m, lane.name);
                 m += "\"}}";
                 emit(m);
             }
@@ -156,14 +132,14 @@ std::string Tracer::chrome_json() const {
             case EventKind::Instant: ev += "i"; break;
             }
             ev += "\",\"pid\":" + std::to_string(pid) + ",\"tid\":" + tid + ",\"ts\":";
-            append_number(ev, e.t * 1e6); // trace_event timestamps are microseconds
+            append_json_number(ev, e.t * 1e6); // trace_event timestamps are microseconds
             ev += ",\"name\":\"";
-            json_escape(ev, e.name < snap.strings.size() ? snap.strings[e.name] : "");
+            append_json_string(ev, e.name < snap.strings.size() ? snap.strings[e.name] : "");
             ev += "\"";
             if (e.kind == EventKind::Instant) ev += ",\"s\":\"t\"";
             if (e.kind == EventKind::Counter) {
                 ev += ",\"args\":{\"value\":";
-                append_number(ev, e.value);
+                append_json_number(ev, e.value);
                 ev += "}";
             } else if (e.args != 0 && e.args < snap.strings.size()) {
                 ev += ",\"args\":{" + snap.strings[e.args] + "}";

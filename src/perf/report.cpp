@@ -1,41 +1,16 @@
 #include "perf/report.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+
+#include "obs/json_write.hpp"
 
 namespace perf {
 
 namespace {
 
-void esc(std::string& out, const std::string& s) {
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void num(std::string& out, double v) {
-    if (!std::isfinite(v)) { // JSON has no inf/nan; clamp rather than corrupt
-        out += v > 0 ? "1e308" : (v < 0 ? "-1e308" : "0");
-        return;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-}
+using obs::append_json_number;
+using obs::append_json_string;
 
 void kv_str(std::string& out, const char* key, const std::string& v, bool& first) {
     if (!first) out += ",";
@@ -43,7 +18,7 @@ void kv_str(std::string& out, const char* key, const std::string& v, bool& first
     out += "\"";
     out += key;
     out += "\":\"";
-    esc(out, v);
+    append_json_string(out, v);
     out += "\"";
 }
 
@@ -53,7 +28,7 @@ void kv_num(std::string& out, const char* key, double v, bool& first) {
     out += "\"";
     out += key;
     out += "\":";
-    num(out, v);
+    append_json_number(out, v);
 }
 
 void str_map(std::string& out, const std::map<std::string, double>& m) {
@@ -63,9 +38,9 @@ void str_map(std::string& out, const std::map<std::string, double>& m) {
         if (!first) out += ",";
         first = false;
         out += "\"";
-        esc(out, k);
+        append_json_string(out, k);
         out += "\":";
-        num(out, v);
+        append_json_number(out, v);
     }
     out += "}";
 }
@@ -76,16 +51,16 @@ std::string RunReport::to_json() const {
     std::string out = "{\n";
     out += "\"schema_version\":" + std::to_string(kSchemaVersion) + ",\n";
     out += "\"bench\":\"";
-    esc(out, bench);
+    append_json_string(out, bench);
     out += "\",\n";
     if (!backend.empty()) {
         out += "\"backend\":\"";
-        esc(out, backend);
+        append_json_string(out, backend);
         out += "\",\n";
     }
     if (crossover_order >= 0.0) {
         out += "\"crossover_order\":";
-        num(out, crossover_order);
+        append_json_number(out, crossover_order);
         out += ",\n";
     }
     // Schema v2: the canonical ScenarioRequest echo ({} when the report was
@@ -95,7 +70,7 @@ std::string RunReport::to_json() const {
     out += ",\n\"cache\":{\"hit\":";
     out += cache_hit ? "true" : "false";
     out += ",\"store_key\":\"";
-    esc(out, store_key);
+    append_json_string(out, store_key);
     out += "\"},\n";
     out += "\"meta\":{";
     {
@@ -125,34 +100,8 @@ std::string RunReport::to_json() const {
     str_map(out, metrics.counters);
     out += ",\"gauges\":";
     str_map(out, metrics.gauges);
-    out += ",\"histograms\":{";
-    {
-        bool hfirst = true;
-        for (const auto& [name, h] : metrics.histograms) {
-            if (!hfirst) out += ",";
-            hfirst = false;
-            out += "\"";
-            esc(out, name);
-            out += "\":{";
-            bool first = true;
-            kv_num(out, "count", static_cast<double>(h.count), first);
-            kv_num(out, "sum", h.sum, first);
-            kv_num(out, "min", h.count ? h.min : 0.0, first);
-            kv_num(out, "max", h.count ? h.max : 0.0, first);
-            out += ",\"buckets\":{";
-            bool bfirst = true;
-            for (const auto& [exp, n] : h.buckets) {
-                if (!bfirst) out += ",";
-                bfirst = false;
-                out += '"';
-                out += std::to_string(exp);
-                out += "\":";
-                out += std::to_string(n);
-            }
-            out += "}}";
-        }
-    }
-    out += "}},\n\"cases\":[";
+    // bench/run_report_schema.json requires the key; nothing fills it.
+    out += ",\"histograms\":{}},\n\"cases\":[";
     for (std::size_t i = 0; i < cases.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
         out += "{";
@@ -186,11 +135,9 @@ void RunReport::write_json(const std::string& path) const {
     std::fclose(f);
 }
 
-RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::RankReport* rank,
-                 bool with_global_metrics) {
+RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::RankReport* rank) {
     RunReport rep;
     rep.bench = std::move(bench);
-    if (with_global_metrics) rep.metrics = obs::metrics().snapshot();
 
     if (bd != nullptr) {
         rep.steps = bd->steps;

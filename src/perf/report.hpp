@@ -5,18 +5,16 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "perf/stage_stats.hpp"
 #include "simmpi/simmpi.hpp"
 
 /// \file report.hpp
 /// The RunReport: one versioned JSON schema every benchmark emits
 /// (bench/run_report_schema.json is the committed contract), and
-/// perf::report() — the single entry point that folds a StageBreakdown,
-/// a rank's comm fault/overlap logs and the global obs metrics registry
-/// into it.  This replaces both the per-bench hand-rolled JSON emitters
-/// and the per-subsystem total_* getters that used to live on
-/// StageBreakdown / simmpi::Comm.
+/// perf::report() — the single entry point that folds a StageBreakdown
+/// and a rank's comm fault/overlap logs into it.  This replaces both the
+/// per-bench hand-rolled JSON emitters and the per-subsystem total_*
+/// getters that used to live on StageBreakdown / simmpi::Comm.
 namespace perf {
 
 /// One stage of the 7-stage splitting pipeline (row 0 collects comm events
@@ -42,6 +40,14 @@ struct Case {
     std::map<std::string, double> values;
 };
 
+/// A report's own run totals: named counters and gauges, written by
+/// perf::report() and by the callers that add to a report (recovery stats,
+/// the lab).  Maps keep the JSON name-sorted and so byte-stable.
+struct Metrics {
+    std::map<std::string, double> counters;
+    std::map<std::string, double> gauges;
+};
+
 struct RunReport {
     static constexpr int kSchemaVersion = 2;
 
@@ -65,7 +71,7 @@ struct RunReport {
     std::map<std::string, std::string> meta; ///< machine/net/ranks/seed/threads/...
     int steps = 0;                           ///< solver time steps covered (0 = n/a)
     std::vector<StageRow> stages;            ///< empty for kernel micro-benches
-    obs::MetricsRegistry::Snapshot metrics;
+    Metrics metrics;
     std::vector<Case> cases;
 
     [[nodiscard]] std::string to_json() const;
@@ -87,13 +93,9 @@ struct RunReport {
 /// "comm.retransmits", "comm.fault_seconds", "comm.overlap_hidden_seconds").
 /// The comm columns come from `rank`'s fault and overlap logs, the one
 /// per-stage comm ledger (zero when `rank` is null, as for a serial run);
-/// the logs should cover the same steps as `bd`.  The global
-/// obs::metrics() snapshot is included unless `with_global_metrics` is
-/// false — the cluster lab's
-/// evaluator opts out because that registry accumulates across requests
-/// and a stored report must be a pure function of its request.
+/// the logs should cover the same steps as `bd`.  The report reads nothing
+/// else, so it is a pure function of its arguments.
 [[nodiscard]] RunReport report(std::string bench, const StageBreakdown* bd = nullptr,
-                               const simmpi::RankReport* rank = nullptr,
-                               bool with_global_metrics = true);
+                               const simmpi::RankReport* rank = nullptr);
 
 } // namespace perf

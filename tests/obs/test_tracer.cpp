@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <numbers>
@@ -9,9 +10,11 @@
 #include <type_traits>
 #include <vector>
 
+#include "lab/json.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/ns_fourier.hpp"
 #include "nektar/ns_serial.hpp"
+#include "obs/json_write.hpp"
 #include "obs/trace.hpp"
 #include "perf/report.hpp"
 
@@ -258,6 +261,32 @@ TEST_F(TracerTest, ChromeJsonIsBalancedAndNamesLanes) {
         ASSERT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+}
+
+/// JSON has no nan/inf: non-finite counter values are clamped by the shared
+/// number writer, so the export stays parseable.
+TEST_F(TracerTest, ChromeJsonParsesWithNonFiniteCounters) {
+    obs::tracer().enable();
+    obs::Lane* lane = obs::tracer().lane("unit");
+    const std::uint32_t name = obs::tracer().intern("gauge");
+    obs::tracer().counter(lane, name, 1.0, std::numeric_limits<double>::quiet_NaN(), true);
+    obs::tracer().counter(lane, name, 2.0, std::numeric_limits<double>::infinity(), true);
+    obs::tracer().counter(lane, name, 3.0, -std::numeric_limits<double>::infinity(), true);
+    obs::tracer().disable();
+
+    const lab::Json doc = lab::Json::parse(obs::tracer().chrome_json());
+    std::vector<double> values;
+    for (const lab::Json& ev : doc.at("traceEvents").as_array())
+        if (ev.at("ph").as_string() == "C") values.push_back(ev.at("args").at("value").as_number());
+    EXPECT_EQ(values, (std::vector<double>{0.0, 1e308, -1e308}));
+}
+
+TEST(JsonWrite, EscapesQuoteBackslashNewlineTabAndControlBytes) {
+    std::string out;
+    obs::append_json_string(out, "a\"b\\c\nd\te\x01" "f");
+    EXPECT_EQ(out, R"(a\"b\\c\nd\te\u0001f)");
+    const lab::Json back = lab::Json::parse("\"" + out + "\"");
+    EXPECT_EQ(back.as_string(), "a\"b\\c\nd\te\x01" "f");
 }
 
 /// Serial solver, host clock: the per-stage span durations summed over the
