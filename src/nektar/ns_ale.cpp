@@ -77,7 +77,7 @@ SubMesh build_submesh(const mesh::Mesh& full, const std::vector<int>& part, int 
 
 AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts,
                  simmpi::Comm* comm, const std::vector<int>* elem_part)
-    : SolverCore(opts.time_order, opts.dt, /*num_fields=*/2),
+    : SolverCore(opts.time_order, opts.dt, /*num_fields=*/2, comm, opts.trace),
       opts_(std::move(opts)),
       comm_(comm),
       order_(order) {
@@ -126,16 +126,6 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
     wq_.assign(nq, 0.0);
     reset_state(nq);
     set_checkpoint_cadence(opts_.checkpoint_every);
-    if (opts_.trace) {
-        std::string lane = opts_.trace_lane;
-        if (lane.empty()) lane = comm_ ? "rank " + std::to_string(comm_->rank()) : "solver";
-        // Comm-backed ranks stamp stage spans on the seeded virtual clock so
-        // the trace stream is bit-deterministic; serial runs use host time.
-        if (comm_ != nullptr)
-            configure_trace(lane, [c = comm_]() { return c->wall_time(); });
-        else
-            configure_trace(lane);
-    }
 }
 
 std::size_t AleNS2d::working_set_bytes() const noexcept {
@@ -300,7 +290,7 @@ void AleNS2d::begin_step(const StepContext& ctx) {
     const std::size_t n = disc_->dofmap().num_global();
     std::vector<double> wglob;
     {
-        perf::StageScope scope(breakdown(), 7);
+        const StageGuard guard(*this, 7);
         const double vb = opts_.body_velocity(time());
         // Body edges move at vb; the outer boundary stays put.  The L2 edge
         // projection of the constant vb puts vb on the vertex dofs and zero
@@ -318,7 +308,7 @@ void AleNS2d::begin_step(const StepContext& ctx) {
     // --- Step 2 extra: update the vertex positions with the mesh velocity
     // and rebuild the geometry factors.
     {
-        perf::StageScope scope(breakdown(), 2);
+        const StageGuard guard(*this, 2);
         // Vertex dof value = mesh velocity at the vertex (hierarchical basis).
         for (std::size_t le = 0; le < disc_->num_elements(); ++le) {
             const auto& map = disc_->dofmap().element_map(le);
@@ -383,12 +373,10 @@ void AleNS2d::stage_pressure_rhs(const StepContext& ctx,
 
 // Stage 5: pressure PCG solve.
 void AleNS2d::stage_pressure_solve(const StepContext&) {
-    if (comm_) comm_->set_stage(5);
     const HelmholtzPCG pcg(disc_, 0.0, opts_.pressure_bc, opts_.cg, HelmholtzPCG::System::Full,
                            assembly_.get());
     const std::vector<double> pglob =
         solve(pcg, AleSolve::Pressure, prhs_, pcg.dirichlet_vector({}));
-    if (comm_) comm_->set_stage(-1);
     disc_->scatter(pglob, p_modal_);
 }
 
@@ -420,7 +408,6 @@ void AleNS2d::stage_viscous_rhs(const StepContext& ctx,
 // weights.  u and v share the step's condensed operator.
 void AleNS2d::stage_viscous_solve(const StepContext& ctx) {
     const double tn1 = ctx.t_new;
-    if (comm_) comm_->set_stage(7);
     const double lambda = ctx.scheme.gamma0 / (opts_.viscosity * ctx.dt);
     record_velocity_lambda(lambda);
     auto xu = dirichlet_data(*disc_, opts_.velocity_bc,
@@ -430,7 +417,6 @@ void AleNS2d::stage_viscous_solve(const StepContext& ctx) {
     const HelmholtzPCG& pcg = condensed_velocity(lambda);
     xu = solve(pcg, AleSolve::U, urhs_, std::move(xu));
     xv = solve(pcg, AleSolve::V, vrhs_, std::move(xv));
-    if (comm_) comm_->set_stage(-1);
     disc_->scatter(xu, u_modal_);
     disc_->scatter(xv, v_modal_);
 }

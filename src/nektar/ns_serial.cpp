@@ -9,7 +9,7 @@
 namespace nektar {
 
 SerialNS2d::SerialNS2d(std::shared_ptr<const Discretization> disc, SerialNsOptions opts)
-    : SolverCore(opts.time_order, opts.dt, /*num_fields=*/2),
+    : SolverCore(opts.time_order, opts.dt, /*num_fields=*/2, /*comm=*/nullptr, opts.trace),
       disc_(std::move(disc)),
       opts_(opts),
       backend_(compute::resolve(opts.backend, disc_->backend())),
@@ -30,8 +30,6 @@ SerialNS2d::SerialNS2d(std::shared_ptr<const Discretization> disc, SerialNsOptio
     vq_.assign(nq, 0.0);
     reset_state(nq);
     set_checkpoint_cadence(opts_.checkpoint_every);
-    if (opts_.trace)
-        configure_trace(opts_.trace_lane.empty() ? "solver" : opts_.trace_lane);
 }
 
 std::uint64_t SerialNS2d::options_fingerprint() const {

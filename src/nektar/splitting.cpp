@@ -2,9 +2,11 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "blaslite/blas.hpp"
+#include "simmpi/simmpi.hpp"
 
 namespace nektar {
 
@@ -87,10 +89,43 @@ void FieldHistory::restore(ckpt::SectionReader& r) {
     }
 }
 
-SolverCore::SolverCore(int time_order, double dt, std::size_t num_fields)
-    : time_order_(time_order), dt_(dt), num_fields_(num_fields) {
+SolverCore::SolverCore(int time_order, double dt, std::size_t num_fields, simmpi::Comm* comm,
+                       bool trace)
+    : time_order_(time_order), dt_(dt), num_fields_(num_fields), comm_(comm) {
     if (time_order < 1 || time_order > kMaxTimeOrder)
         throw std::invalid_argument("SolverCore: time_order must be 1..3");
+    if constexpr (obs::kTraceCompiled) {
+        if (trace) {
+            trace_lane_ = obs::tracer().lane(comm_ ? "rank " + std::to_string(comm_->rank())
+                                                   : std::string("solver"));
+            trace_ids_[0] = obs::tracer().intern("step");
+            for (std::size_t s = 1; s <= perf::kNumStages; ++s)
+                trace_ids_[s] = obs::tracer().intern(perf::stage_short_name(s));
+        }
+    }
+}
+
+bool SolverCore::tracing() const noexcept { return obs::active() && trace_lane_ != nullptr; }
+
+double SolverCore::trace_now() const {
+    return comm_ ? comm_->wall_time() : obs::tracer().host_now();
+}
+
+SolverCore::StageGuard::StageGuard(SolverCore& core, std::size_t stage)
+    : core_(core), stage_(stage), tracing_(core.tracing()) {
+    if (tracing_)
+        obs::tracer().begin(core_.trace_lane_, core_.trace_ids_[stage_], core_.trace_now(),
+                            core_.comm_ != nullptr);
+    if (core_.comm_) core_.comm_->set_stage(static_cast<int>(stage_));
+    scope_.emplace(core_.breakdown_, stage_);
+}
+
+SolverCore::StageGuard::~StageGuard() {
+    scope_.reset();
+    if (core_.comm_) core_.comm_->set_stage(-1);
+    if (tracing_)
+        obs::tracer().end(core_.trace_lane_, core_.trace_ids_[stage_], core_.trace_now(),
+                          core_.comm_ != nullptr);
 }
 
 void SolverCore::reset_state(std::size_t field_size) {
@@ -114,19 +149,6 @@ void SolverCore::push_history(std::vector<std::vector<double>> vel,
 int SolverCore::effective_order() const noexcept {
     const int from_history = vel_hist_.available() + 1; // +1: the current level
     return time_order_ < from_history ? time_order_ : from_history;
-}
-
-void SolverCore::configure_trace(const std::string& lane_name, std::function<double()> clock) {
-    if constexpr (obs::kTraceCompiled) {
-        trace_clock_ = std::move(clock);
-        trace_lane_ = obs::tracer().lane(lane_name);
-        trace_ids_[0] = obs::tracer().intern("step");
-        for (std::size_t s = 1; s <= perf::kNumStages; ++s)
-            trace_ids_[s] = obs::tracer().intern(perf::stage_short_name(s));
-    } else {
-        (void)lane_name;
-        (void)clock;
-    }
 }
 
 ckpt::Checkpoint SolverCore::checkpoint() const {
@@ -269,21 +291,16 @@ void SolverCore::advance() {
     breakdown_.steps += 1;
     last_step_order_ = je;
 
-    // Stage spans bracket the StageScope accounting, on the virtual clock
-    // for comm-backed solvers (bit-deterministic) or the host clock.
-    const bool tracing = obs::active() && trace_lane_ != nullptr;
-    const bool virtual_time = static_cast<bool>(trace_clock_);
-    const auto now = [&]() { return virtual_time ? trace_clock_() : obs::tracer().host_now(); };
+    // Stage spans bracket the stage accounting, on the virtual clock for
+    // comm-backed solvers (bit-deterministic) or the host clock.
+    const bool tracing = this->tracing();
+    const bool virtual_time = comm_ != nullptr;
     const auto run_stage = [&](std::size_t s, auto&& body) {
-        if (tracing) obs::tracer().begin(trace_lane_, trace_ids_[s], now(), virtual_time);
-        {
-            perf::StageScope scope(breakdown_, s);
-            body();
-        }
-        if (tracing) obs::tracer().end(trace_lane_, trace_ids_[s], now(), virtual_time);
+        const StageGuard guard(*this, s);
+        body();
     };
 
-    if (tracing) obs::tracer().begin(trace_lane_, trace_ids_[0], now(), virtual_time);
+    if (tracing) obs::tracer().begin(trace_lane_, trace_ids_[0], trace_now(), virtual_time);
     begin_step(ctx);
 
     run_stage(1, [&] { stage_transform(ctx); });
@@ -306,7 +323,7 @@ void SolverCore::advance() {
     }
 
     end_step(ctx);
-    if (tracing) obs::tracer().end(trace_lane_, trace_ids_[0], now(), virtual_time);
+    if (tracing) obs::tracer().end(trace_lane_, trace_ids_[0], trace_now(), virtual_time);
     time_ = ctx.t_new;
     ++steps_taken_;
     maybe_checkpoint();

@@ -10,6 +10,10 @@
 #include "obs/trace.hpp"
 #include "perf/stage_stats.hpp"
 
+namespace simmpi {
+class Comm;
+}
+
 /// \file splitting.hpp
 /// The shared stiffly-stable time-integration core of the three
 /// Navier-Stokes solvers (serial 2-D, NekTar-F, NekTar-ALE).
@@ -192,9 +196,32 @@ public:
 
 protected:
     /// `num_fields` advected velocity components (2 for the 2-D solvers,
-    /// 3 for NekTar-F); `field_size` entries per component.
-    SolverCore(int time_order, double dt, std::size_t num_fields);
+    /// 3 for NekTar-F).  `comm` is the rank's communicator, null for a
+    /// serial run.  With `trace` (SolverOptions::trace) the step and stage
+    /// spans go to obs lane "rank N" on the comm's virtual wall clock, or to
+    /// lane "solver" on the host clock when serial; events only record while
+    /// obs::tracer() is enabled.
+    SolverCore(int time_order, double dt, std::size_t num_fields, simmpi::Comm* comm, bool trace);
     ~SolverCore() = default;
+
+    /// Charges everything done in its lifetime to paper stage `stage`: the
+    /// blaslite counts and host time to breakdown(), the comm events to the
+    /// rank's logs, and a span to the trace lane.  advance() runs each stage
+    /// in one; a derived solver opens one for stage work it does outside the
+    /// stage hooks (the ALE begin_step).
+    class StageGuard {
+    public:
+        StageGuard(SolverCore& core, std::size_t stage);
+        StageGuard(const StageGuard&) = delete;
+        StageGuard& operator=(const StageGuard&) = delete;
+        ~StageGuard();
+
+    private:
+        SolverCore& core_;
+        std::size_t stage_;
+        bool tracing_;
+        std::optional<perf::StageScope> scope_; ///< closed before the span ends
+    };
 
     /// Per-step context handed to every hook.
     struct StepContext {
@@ -220,17 +247,9 @@ protected:
     /// Derived stage-7 implementations report the lambda they solved with.
     void record_velocity_lambda(double lambda) noexcept { last_velocity_lambda_ = lambda; }
 
-    /// Routes per-step/per-stage spans of advance() to obs lane `lane_name`,
-    /// stamped by `clock` (a simmpi virtual wall clock for comm-backed
-    /// solvers; empty = the host clock).  No-op with tracing compiled out;
-    /// with it compiled in, events only record while obs::tracer() is
-    /// enabled.  Derived solvers call this when their options ask for
-    /// tracing (SolverOptions::trace).
-    void configure_trace(const std::string& lane_name, std::function<double()> clock = {});
-
     // --- per-solver hooks, called in pipeline order ---
     /// Work preceding stage 1 (the ALE mesh-velocity solve and mesh update);
-    /// charges its own StageScopes.
+    /// charges its own StageGuards.
     virtual void begin_step(const StepContext& ctx);
     /// Stage 1: transform modal -> quadrature for every field.
     virtual void stage_transform(const StepContext& ctx) = 0;
@@ -277,9 +296,15 @@ private:
     /// Fires the checkpoint sink when the cadence divides steps_taken_.
     void maybe_checkpoint() const;
 
+    /// True when advance() should record spans this call.
+    [[nodiscard]] bool tracing() const noexcept;
+    /// Trace timestamp: the comm's virtual wall clock, else the host clock.
+    [[nodiscard]] double trace_now() const;
+
     int time_order_;
     double dt_;
     std::size_t num_fields_;
+    simmpi::Comm* comm_;
     std::size_t field_size_ = 0;
 
     double time_ = 0.0;
@@ -296,10 +321,10 @@ private:
     int checkpoint_every_ = 0;
     CheckpointSink checkpoint_sink_;
 
-    // Tracing: the lane advance() stamps stage spans on, its clock, and the
-    // pre-interned event names ([0] = "step", [s] = stage s's short name).
+    // Tracing: the lane advance() stamps stage spans on (null = not
+    // tracing) and the pre-interned event names ([0] = "step", [s] = stage
+    // s's short name).
     obs::Lane* trace_lane_ = nullptr;
-    std::function<double()> trace_clock_;
     std::array<std::uint32_t, perf::kNumStages + 1> trace_ids_{};
 };
 

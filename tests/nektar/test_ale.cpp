@@ -164,6 +164,25 @@ TEST(AleNS, HeavingBodyKeepsNoSlipOnEveryBodyVertex) {
     EXPECT_GT(top, 0.5 + 1e-6); // the body has moved
 }
 
+/// Every comm event of a steady step is issued inside one of the paper's 7
+/// stages, so each per-stage comm ledger (and the Figure 15-16 and Table 2-3
+/// stage rows built from it) accounts for the whole step.  Covers both
+/// comm-backed solvers; the ALE mesh-velocity solve and the stage-4/6
+/// gather-scatter sums are the easy ones to leave untagged.
+TEST(StageTags, SteadyStepCommLogsCarryOnlyPaperStages) {
+    const auto check = [](const char* what, const simmpi::RankReport& r) {
+        EXPECT_FALSE(r.log.empty()) << what;
+        for (const auto& [stage, events] : r.log)
+            EXPECT_TRUE(stage >= 1 && stage <= 7) << what << " CommLog stage " << stage;
+        for (const auto& [stage, fs] : r.fault_log)
+            EXPECT_TRUE(stage >= 1 && stage <= 7) << what << " FaultLog stage " << stage;
+        for (const auto& [stage, hidden] : r.overlap_log)
+            EXPECT_TRUE(stage >= 1 && stage <= 7) << what << " OverlapLog stage " << stage;
+    };
+    check("table3_ale(4)", nektar::workloads::table3_ale(4).rank0);
+    check("table2_fourier(4)", nektar::workloads::table2_fourier(4).rank0);
+}
+
 TEST(AleNS, PcgIterationCountsReported) {
     AleOptions opts;
     opts.dt = 2e-3;
@@ -371,9 +390,9 @@ TEST(AleNS, SolvesArePinned) {
 #if defined(__clang__) || !defined(__GNUC__)
     if (fma) GTEST_SKIP() << "FMA-host bits are recorded for GCC's contraction";
 #endif
-    const Pins pins = fma ? Pins{0xd6895f8ef0182894ull, 0x64bc77e1297e4e8dull,
+    const Pins pins = fma ? Pins{0xd6895f8ef0182894ull, 0x062597d9e3204ceeull,
                                  {83, 176, 109, 104}, {83, 176, 109, 104}}
-                          : Pins{0x8a542cab423f1911ull, 0x1aa46f6bcc486fdcull,
+                          : Pins{0x8a542cab423f1911ull, 0x4311d9c247241e66ull,
                                  {83, 176, 109, 104}, {83, 173, 109, 104}};
     const auto m = mesh::flapping_body_mesh(2);
     AleOptions opts = flap_options(0.01);
