@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "netsim/netpipe.hpp"
+#include "netsim/netmodel.hpp"
 #include "simmpi/simmpi.hpp"
 
 namespace {

@@ -44,7 +44,6 @@ public:
                   Strategy strategy = Strategy::Auto,
                   Exchange exchange = Exchange::Nonblocking);
 
-    void set_exchange(Exchange e) noexcept { exchange_ = e; }
     [[nodiscard]] Exchange exchange() const noexcept { return exchange_; }
 
     /// Collective in-place assembly: values[i] becomes the global sum over

@@ -44,9 +44,6 @@ public:
     [[nodiscard]] Kind kind() const noexcept { return kind_; }
     [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::Object; }
     [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::Array; }
-    [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::String; }
-    [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::Number; }
-    [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::Bool; }
 
     /// Typed accessors; each throws ParseError when the kind disagrees.
     [[nodiscard]] bool as_bool() const;

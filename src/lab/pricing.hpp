@@ -168,8 +168,3 @@ struct CpuWall {
 }
 
 } // namespace app_model
-
-namespace lab {
-/// The lab-native spelling; `app_model` remains for the existing benches.
-namespace pricing = ::app_model;
-} // namespace lab

@@ -1,23 +1,11 @@
 #include "machine/accelerator_model.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace machine {
 
 double AcceleratorModel::transfer_seconds(std::size_t m_bytes) const noexcept {
     const double bw = link_bandwidth_mbps * 1e6;
     const double body = bw > 0.0 ? static_cast<double>(m_bytes) / bw : 0.0;
     return link_latency_us * 1e-6 + body;
-}
-
-double AcceleratorModel::offload_seconds(const KernelShape& k,
-                                         std::size_t transfer_bytes) const noexcept {
-    return predict_seconds(device, k) + transfer_seconds(transfer_bytes);
-}
-
-double AcceleratorModel::device_mflops(const KernelShape& k) const noexcept {
-    return predict_mflops(device, k);
 }
 
 const std::vector<AcceleratorModel>& accelerator_roster() {
@@ -45,14 +33,6 @@ const std::vector<AcceleratorModel>& accelerator_roster() {
          6.0, 24.0e3},
     };
     return accels;
-}
-
-const AcceleratorModel& accelerator_by_name(const std::string& name) {
-    const auto& r = accelerator_roster();
-    const auto it = std::find_if(r.begin(), r.end(),
-                                 [&](const AcceleratorModel& a) { return a.name == name; });
-    if (it == r.end()) throw std::out_of_range("unknown accelerator: " + name);
-    return *it;
 }
 
 } // namespace machine

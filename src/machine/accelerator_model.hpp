@@ -36,14 +36,6 @@ struct AcceleratorModel {
 
     /// One host->device (or device->host) transfer of m bytes, seconds.
     [[nodiscard]] double transfer_seconds(std::size_t m_bytes) const noexcept;
-
-    /// One kernel on the device plus `transfer_bytes` moved over the link:
-    /// predict_seconds(device, k) + transfer_seconds(transfer_bytes).
-    [[nodiscard]] double offload_seconds(const KernelShape& k,
-                                         std::size_t transfer_bytes) const noexcept;
-
-    /// Device-resident rate in MFlop/s (no link traffic).
-    [[nodiscard]] double device_mflops(const KernelShape& k) const noexcept;
 };
 
 /// GPU-era accelerator roster (P100/V100/A100-class HBM devices), in
@@ -51,8 +43,5 @@ struct AcceleratorModel {
 /// documentation: FP64 dgemm ceilings, measured-class HBM STREAM rates, and
 /// PCIe gen3/gen4 effective host-link bandwidths.
 [[nodiscard]] const std::vector<AcceleratorModel>& accelerator_roster();
-
-/// Finds a roster accelerator by name; throws std::out_of_range if unknown.
-[[nodiscard]] const AcceleratorModel& accelerator_by_name(const std::string& name);
 
 } // namespace machine

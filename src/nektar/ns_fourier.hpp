@@ -74,11 +74,6 @@ public:
     /// diagnostic turbulence runs monitor.
     [[nodiscard]] double mode_energy(int c, std::size_t m) const;
 
-    /// Degrees of freedom per velocity field on this rank (paper's Gamma).
-    [[nodiscard]] std::size_t dof_per_field() const noexcept {
-        return 2 * mloc_ * disc_->modal_size();
-    }
-
     /// The per-effective-order velocity operator cache (restart regression
     /// hook: a run resumed mid-ramp must rebuild the ramp orders' operators).
     [[nodiscard]] const HelmholtzOrderCache<HelmholtzDirect>& velocity_solver_cache()

@@ -63,9 +63,6 @@ struct FaultModel {
     int kill_rank = -1;
     std::uint64_t kill_after_events = 0;
 
-    /// Whether the kill event is armed at all.
-    [[nodiscard]] bool kill_armed() const noexcept { return kill_rank >= 0; }
-
     /// Whether `rank`'s comm event number `msg_index` is where it dies.
     [[nodiscard]] bool should_kill(int rank, std::uint64_t msg_index) const noexcept {
         return kill_rank == rank && msg_index >= kill_after_events;

@@ -114,14 +114,6 @@ double NetworkModel::gather_seconds(int nprocs, std::size_t m_bytes,
     return t * concurrency_factor(topology, concurrent);
 }
 
-double NetworkModel::bcast_tree_seconds(int nprocs, std::size_t m_bytes,
-                                        int concurrent) const noexcept {
-    const int p = std::max(nprocs, 1);
-    if (p == 1) return 0.0;
-    const double rounds = std::ceil(std::log2(static_cast<double>(p)));
-    return rounds * ptp_seconds(m_bytes) * concurrency_factor(topology, concurrent);
-}
-
 double NetworkModel::barrier_seconds(int nprocs, int concurrent) const noexcept {
     const int p = std::max(nprocs, 1);
     if (p == 1) return 0.0;

@@ -101,13 +101,6 @@ struct NetworkModel {
     [[nodiscard]] double gather_seconds(int nprocs, std::size_t m_bytes,
                                         int concurrent = 1) const noexcept;
 
-    /// Binomial-tree broadcast of m bytes from the root: ceil(log2 P) rounds
-    /// of one full-payload hop each — the hierarchical schedule large-P MPI
-    /// implementations use (a root that sent to every rank directly would pay
-    /// (P-1) serial injections instead).
-    [[nodiscard]] double bcast_tree_seconds(int nprocs, std::size_t m_bytes,
-                                            int concurrent = 1) const noexcept;
-
     /// Barrier (tree up + tree down of empty messages).
     [[nodiscard]] double barrier_seconds(int nprocs, int concurrent = 1) const noexcept;
 

@@ -38,14 +38,6 @@ double StageBreakdown::predict_stage_seconds(const machine::MachineModel& m, std
     return body + extra_calls * m.call_overhead_cycles / (m.clock_mhz * 1e6);
 }
 
-double StageBreakdown::predict_total_seconds(
-    const machine::MachineModel& m,
-    const std::array<StageShape, kNumStages + 1>& shapes) const {
-    double t = 0.0;
-    for (std::size_t s = 1; s <= kNumStages; ++s) t += predict_stage_seconds(m, s, shapes[s]);
-    return t;
-}
-
 std::string stage_name(std::size_t stage) {
     switch (stage) {
         case 1: return "transform modal->quadrature";

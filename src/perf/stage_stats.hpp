@@ -50,10 +50,6 @@ struct StageBreakdown {
     [[nodiscard]] double predict_stage_seconds(const machine::MachineModel& m,
                                                std::size_t stage,
                                                const StageShape& shape) const;
-    /// Sum over all stages with per-stage shapes (array is 1-based like counts).
-    [[nodiscard]] double predict_total_seconds(
-        const machine::MachineModel& m,
-        const std::array<StageShape, kNumStages + 1>& shapes) const;
 };
 
 /// RAII scope charging one stage: captures blaslite count deltas and host time.
