@@ -104,11 +104,12 @@ perf::Case make_case(const std::string& net_name, double loss, double straggler,
     c.values["idle_seconds"] = r.max_wall - r.mean_cpu;
     c.values["retransmits"] = static_cast<double>(total.retransmits);
     c.values["fault_seconds"] = total.extra_seconds;
+    const simmpi::CommPrice priced = simmpi::price(r.log, net, nprocs);
     for (int s = 1; s <= static_cast<int>(perf::kNumStages); ++s) {
         const auto it = r.faults.find(s);
         const simmpi::FaultStageStats fs = it != r.faults.end() ? it->second
                                                                 : simmpi::FaultStageStats{};
-        const double comm = simmpi::price_stage(r.log, s, net, nprocs) / r.bd.steps;
+        const double comm = priced.stage(s).total() / r.bd.steps;
         const double fault = fs.extra_seconds / r.bd.steps;
         const std::string prefix = "stage" + std::to_string(s) + ".";
         c.values[prefix + "comm_seconds"] = comm;

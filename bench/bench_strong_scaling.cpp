@@ -191,8 +191,9 @@ int main(int argc, char** argv) {
             const auto& net = netsim::by_name(pl.network);
             const double cpu = compute_seconds_per_step(m, nq, tp, nprocs);
             const double comm_slab =
-                simmpi::price_log(slab.log, net, nprocs) / slab.steps;
-            const double comm_pen = simmpi::price_log(pen.log, net, nprocs) / pen.steps;
+                simmpi::price(slab.log, net, nprocs).total.total() / slab.steps;
+            const double comm_pen =
+                simmpi::price(pen.log, net, nprocs).total.total() / pen.steps;
             const double wall_slab = cpu + comm_slab;
             const double wall_pen = cpu + comm_pen;
             row.push_back(benchutil::fmt(wall_slab, "%.3f") + "/" +

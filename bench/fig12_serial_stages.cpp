@@ -11,7 +11,6 @@
 int main(int argc, char** argv) {
     const benchutil::Cli cli = benchutil::Cli::parse("fig12_serial_stages", argc, argv);
     const nektar::workloads::Run run = nektar::workloads::table1_serial(cli.trace);
-    const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
 
     std::printf("Figure 12: CPU time percentage of each stage within a time step\n\n");
     perf::RunReport rep = perf::report("fig12_serial_stages", &run.bd);
@@ -20,10 +19,9 @@ int main(int argc, char** argv) {
     const double paper_pii[8] = {0, 3, 10, 5, 8, 31, 11, 32};
     for (const char* machine : {"Onyx2", "Muses"}) {
         if (!cli.machine_selected(machine)) continue;
-        const auto comp =
-            app_model::compute_stage_seconds(run.bd, machine::by_name(machine), shapes);
+        const auto t = app_model::price(run, {"", machine, ""});
         double total = 0.0;
-        for (std::size_t s = 1; s <= perf::kNumStages; ++s) total += comp[s];
+        for (std::size_t s = 1; s <= perf::kNumStages; ++s) total += t.stages[s].compute;
         std::printf("%s (paper: %s)\n", machine,
                     std::string(machine) == "Onyx2" ? "SGI Onyx 2" : "Pentium PII, 450Mhz");
         benchutil::Table table({"stage", "description", "ours %", "paper %"}, 30);
@@ -31,13 +29,13 @@ int main(int argc, char** argv) {
         for (std::size_t s = 1; s <= perf::kNumStages; ++s) {
             const double* ref = std::string(machine) == "Onyx2" ? paper_onyx : paper_pii;
             table.print_row({std::to_string(s), perf::stage_name(s),
-                             benchutil::fmt(100.0 * comp[s] / total, "%.0f"),
+                             benchutil::fmt(100.0 * t.stages[s].compute / total, "%.0f"),
                              benchutil::fmt(ref[s], "%.0f")});
             perf::Case kase;
             kase.labels["machine"] = machine;
             kase.labels["stage_name"] = perf::stage_name(s);
             kase.values["stage"] = static_cast<double>(s);
-            kase.values["cpu_percent"] = 100.0 * comp[s] / total;
+            kase.values["cpu_percent"] = 100.0 * t.stages[s].compute / total;
             kase.values["paper_percent"] = ref[s];
             rep.cases.push_back(std::move(kase));
         }

@@ -22,8 +22,6 @@ int main(int argc, char** argv) {
     std::printf("(run here: %s, order %zu, %zu dof; paper: 902 elements, order 8, 230k dof)\n\n",
                 workloads::table1_mesh().summary().c_str(), workloads::kTable1Order, run.dof);
 
-    const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
-
     // Paper's reported values for the shape comparison.
     const std::map<std::string, double> paper = {
         {"AP3000", 1.22}, {"Onyx2", 1.03},     {"Muses", 0.81}, {"SP2-Thin2", 1.44},
@@ -37,10 +35,10 @@ int main(int argc, char** argv) {
     benchutil::Table table({"Machine", "s/step", "vs PC", "paper s/step", "paper vs PC"}, 22);
     table.print_header();
     perf::RunReport rep = perf::report("table1_serial", &run.bd);
-    const auto pc = app_model::price_run(run.bd, {}, {"", "Muses", ""}, 1, shapes);
+    const auto pc = app_model::price(run, {"", "Muses", ""});
     for (const auto& [label, key] : rows) {
         if (!cli.machine_selected(key)) continue;
-        const auto t = app_model::price_run(run.bd, {}, {"", key, ""}, 1, shapes);
+        const auto t = app_model::price(run, {"", key, ""});
         table.print_row({label, benchutil::fmt(t.cpu, "%.3f"),
                          benchutil::fmt(t.cpu / pc.cpu, "%.2f"),
                          benchutil::fmt(paper.at(key), "%.2f"),

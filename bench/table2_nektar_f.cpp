@@ -7,7 +7,6 @@
 /// (wall-clock diverging from CPU), Myrinet stays competitive to ~64, and
 /// the vendor networks stay flat.
 #include <cstdio>
-#include <numeric>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
@@ -71,7 +70,6 @@ int main(int argc, char** argv) {
         if (trace_this) obs::tracer().disable();
         traced = true;
         last = data;
-        const auto shapes = app_model::solver_shapes(data.field_bytes, data.solver_bytes);
         std::vector<std::string> row = {std::to_string(nprocs)};
         for (const auto& pl : selected) {
             // Muses is a 4-PC cluster; the paper has n/a beyond P=4.
@@ -79,23 +77,14 @@ int main(int argc, char** argv) {
                 row.push_back("n/a");
                 continue;
             }
-            const auto& m = machine::by_name(pl.machine);
-            const auto& net = netsim::by_name(pl.network);
-            const auto comp = app_model::compute_stage_seconds(data.bd, m, shapes);
-            double cpu = 0.0;
-            for (std::size_t s = 1; s <= perf::kNumStages; ++s) cpu += comp[s];
-            cpu /= data.bd.steps;
-            const double comm = simmpi::price_log(data.rank0.log, net, nprocs) / data.bd.steps;
-            const double wall = cpu + comm;
-            const double cpu_total = cpu + comm * net.cpu_poll_fraction;
-            row.push_back(benchutil::fmt(cpu_total, "%.2f") + "/" +
-                          benchutil::fmt(wall, "%.2f"));
+            const auto t = app_model::price(data, pl);
+            row.push_back(benchutil::fmt(t.cpu, "%.2f") + "/" + benchutil::fmt(t.wall, "%.2f"));
             perf::Case kase;
             kase.labels["platform"] = pl.label;
             kase.values["nprocs"] = static_cast<double>(nprocs);
-            kase.values["cpu_seconds_per_step"] = cpu_total;
-            kase.values["wall_seconds_per_step"] = wall;
-            kase.values["comm_seconds_per_step"] = comm;
+            kase.values["cpu_seconds_per_step"] = t.cpu;
+            kase.values["wall_seconds_per_step"] = t.wall;
+            kase.values["comm_seconds_per_step"] = t.comm;
             rep.cases.push_back(std::move(kase));
         }
         table.print_row(row);
@@ -110,29 +99,12 @@ int main(int argc, char** argv) {
     std::printf("\nGPU-era projection (per-rank seconds/step on accelerator rooflines;\n"
                 "device = fields resident in HBM, resident = +2 field crossings/step,\n"
                 "staged = +2 crossings per stage over the host link)\n\n");
-    {
-        const auto shapes = app_model::solver_shapes(last.field_bytes, last.solver_bytes);
-        benchutil::Table at({"accelerator", "device", "resident", "staged"}, 14);
-        at.print_header();
-        for (const auto& acc : machine::accelerator_roster()) {
-            const auto proj =
-                app_model::project_accelerated(last.bd, acc, shapes, last.field_bytes);
-            at.print_row({acc.name, benchutil::fmt(proj.device, "%.3g"),
-                          benchutil::fmt(proj.resident, "%.3g"),
-                          benchutil::fmt(proj.staged, "%.3g")});
-            perf::Case kase;
-            kase.labels["accelerator"] = acc.name;
-            kase.values["device_seconds_per_step"] = proj.device;
-            kase.values["resident_seconds_per_step"] = proj.resident;
-            kase.values["staged_seconds_per_step"] = proj.staged;
-            rep.cases.push_back(std::move(kase));
-        }
-    }
+    benchutil::project_on_accelerators(last, rep);
 
     // Overlap ablation: the pipelined transpose (isend/irecv slices of the
     // alltoall overlapped against the z-line FFT work) against the blocking
     // exchange.  Only networks whose MPI stack frees the CPU during
-    // transfers (cpu_poll_fraction < 1) can recover wall time.
+    // transfers (poll < 1) can recover wall time (app_model::price).
     std::printf("\nCommunication/computation overlap in the nonlinear transposes\n");
     std::printf("(blocking vs overlapped CPU/wall s per step; 'recov' = wall seconds\n"
                 "recovered per step = hidden fraction x comm price x (1 - poll))\n\n");
@@ -140,48 +112,10 @@ int main(int argc, char** argv) {
         const workloads::Run blk =
             workloads::table2_fourier(nprocs, /*overlap_transpose=*/false);
         const workloads::Run ovl = workloads::table2_fourier(nprocs);
-        const auto shapes = app_model::solver_shapes(ovl.field_bytes, ovl.solver_bytes);
-        const auto hidden = app_model::hidden_stage_seconds(ovl.rank0.overlap_log);
-        const double rho = app_model::overlap_efficiency(
-            std::accumulate(hidden.begin(), hidden.end(), 0.0),
-            simmpi::price_log_split(ovl.rank0.log, workloads::probe_net(), nprocs).overlapped);
-        std::printf("P = %d  (hidden fraction of overlapped comm: %.0f%%)\n", nprocs,
-                    100.0 * rho);
-        benchutil::Table table2({"network", "blocking", "overlapped", "recov"}, 16);
-        table2.print_header();
-        for (const auto& pl : selected) {
-            if (pl.label == "Muses" && nprocs > 4) continue;
-            const auto& m = machine::by_name(pl.machine);
-            const auto& net = netsim::by_name(pl.network);
-            const auto comp = app_model::compute_stage_seconds(ovl.bd, m, shapes);
-            double cpu = 0.0;
-            for (std::size_t s = 1; s <= perf::kNumStages; ++s) cpu += comp[s];
-            cpu /= ovl.bd.steps;
-            const double comm_blk = simmpi::price_log(blk.rank0.log, net, nprocs) / blk.bd.steps;
-            const auto split = simmpi::price_log_split(ovl.rank0.log, net, nprocs);
-            const double comm_ovl = split.total() / ovl.bd.steps;
-            const double recov = app_model::recovered_seconds(
-                rho, split.overlapped / ovl.bd.steps, net.cpu_poll_fraction);
-            const double wall_blk = cpu + comm_blk;
-            const double wall_ovl = cpu + comm_ovl - recov;
-            table2.print_row(
-                {pl.label,
-                 benchutil::fmt(cpu + comm_blk * net.cpu_poll_fraction, "%.2f") + "/" +
-                     benchutil::fmt(wall_blk, "%.2f"),
-                 benchutil::fmt(cpu + comm_ovl * net.cpu_poll_fraction, "%.2f") + "/" +
-                     benchutil::fmt(wall_ovl, "%.2f"),
-                 benchutil::fmt(recov, "%.2f")});
-            perf::Case kase;
-            kase.labels["platform"] = pl.label;
-            kase.labels["ablation"] = "overlap_transpose";
-            kase.values["nprocs"] = static_cast<double>(nprocs);
-            kase.values["hidden_fraction"] = rho;
-            kase.values["blocking_wall_seconds_per_step"] = wall_blk;
-            kase.values["overlapped_wall_seconds_per_step"] = wall_ovl;
-            kase.values["recovered_seconds_per_step"] = recov;
-            rep.cases.push_back(std::move(kase));
-        }
-        std::printf("\n");
+        std::vector<app_model::Platform> plats;
+        for (const auto& pl : selected)
+            if (pl.label != "Muses" || nprocs <= 4) plats.push_back(pl);
+        benchutil::print_overlap_ablation(nprocs, blk, ovl, plats, "overlap_transpose", rep);
     }
     // Stage rows come from the last Table-2 sweep run; the cases collected
     // above carry the per-platform numbers.

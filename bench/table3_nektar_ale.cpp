@@ -4,7 +4,6 @@
 /// timings fall with P.  Shape to reproduce: myrinet fastest at 16, slightly
 /// slower than the SP2-Silver at 64; AP3000 and SP2-Thin2 trail badly.
 #include <cstdio>
-#include <numeric>
 
 #include "lab/pricing.hpp"
 #include "bench_util.hpp"
@@ -65,32 +64,16 @@ int main(int argc, char** argv) {
         if (trace_this) obs::tracer().disable();
         traced = true;
         last = run;
-        const auto shapes = app_model::solver_shapes(run.field_bytes, run.solver_bytes);
         std::vector<std::string> row = {std::to_string(nprocs)};
         for (const auto& pl : selected) {
-            const auto& mm = machine::by_name(pl.machine);
-            const auto& net = netsim::by_name(pl.network);
-            // CPU: mean across ranks; wall: slowest rank + communication.
-            double mean_cpu = 0.0, max_cpu = 0.0;
-            for (const auto& bd : run.rank_bds) {
-                const auto comp = app_model::compute_stage_seconds(bd, mm, shapes);
-                double c = 0.0;
-                for (std::size_t s = 1; s <= perf::kNumStages; ++s) c += comp[s];
-                c /= bd.steps;
-                mean_cpu += c;
-                max_cpu = std::max(max_cpu, c);
-            }
-            mean_cpu /= static_cast<double>(run.rank_bds.size());
-            const double comm = simmpi::price_log(run.rank0.log, net, nprocs) / run.bd.steps;
-            const double wall = max_cpu + comm;
-            const double cpu = mean_cpu + comm * net.cpu_poll_fraction;
-            row.push_back(benchutil::fmt(cpu, "%.2f") + "/" + benchutil::fmt(wall, "%.2f"));
+            const auto t = app_model::price(run, pl);
+            row.push_back(benchutil::fmt(t.cpu, "%.2f") + "/" + benchutil::fmt(t.wall, "%.2f"));
             perf::Case kase;
             kase.labels["platform"] = pl.label;
             kase.values["nprocs"] = static_cast<double>(nprocs);
-            kase.values["cpu_seconds_per_step"] = cpu;
-            kase.values["wall_seconds_per_step"] = wall;
-            kase.values["comm_seconds_per_step"] = comm;
+            kase.values["cpu_seconds_per_step"] = t.cpu;
+            kase.values["wall_seconds_per_step"] = t.wall;
+            kase.values["comm_seconds_per_step"] = t.comm;
             rep.cases.push_back(std::move(kase));
         }
         table.print_row(row);
@@ -103,24 +86,7 @@ int main(int argc, char** argv) {
     // exactly where the device roofline gains the least.
     std::printf("\nGPU-era projection (rank-0 seconds/step on accelerator rooflines;\n"
                 "device / +2 field crossings per step / +2 crossings per stage)\n\n");
-    {
-        const auto shapes = app_model::solver_shapes(last.field_bytes, last.solver_bytes);
-        benchutil::Table at({"accelerator", "device", "resident", "staged"}, 14);
-        at.print_header();
-        for (const auto& acc : machine::accelerator_roster()) {
-            const auto proj =
-                app_model::project_accelerated(last.bd, acc, shapes, last.field_bytes);
-            at.print_row({acc.name, benchutil::fmt(proj.device, "%.3g"),
-                          benchutil::fmt(proj.resident, "%.3g"),
-                          benchutil::fmt(proj.staged, "%.3g")});
-            perf::Case kase;
-            kase.labels["accelerator"] = acc.name;
-            kase.values["device_seconds_per_step"] = proj.device;
-            kase.values["resident_seconds_per_step"] = proj.resident;
-            kase.values["staged_seconds_per_step"] = proj.staged;
-            rep.cases.push_back(std::move(kase));
-        }
-    }
+    benchutil::project_on_accelerators(last, rep);
 
     // Overlap ablation: the gather-scatter pairwise stage over posted
     // irecvs (per-neighbour packing overlapped with transfers in flight)
@@ -136,51 +102,7 @@ int main(int argc, char** argv) {
     for (int nprocs : {8, 16}) {
         const workloads::Run blk = workloads::table3_ale(nprocs, /*overlap_gs=*/false);
         const workloads::Run ovl = workloads::table3_ale(nprocs);
-        const auto shapes = app_model::solver_shapes(ovl.field_bytes, ovl.solver_bytes);
-        const auto hidden = app_model::hidden_stage_seconds(ovl.rank0.overlap_log);
-        const double rho = app_model::overlap_efficiency(
-            std::accumulate(hidden.begin(), hidden.end(), 0.0),
-            simmpi::price_log_split(ovl.rank0.log, workloads::probe_net(), nprocs).overlapped);
-        std::printf("P = %d  (hidden fraction of overlapped comm: %.0f%%)\n", nprocs,
-                    100.0 * rho);
-        benchutil::Table table2({"network", "blocking", "overlapped", "recov"}, 16);
-        table2.print_header();
-        for (const auto& pl : ablation_plats) {
-            const auto& mm = machine::by_name(pl.machine);
-            const auto& net = netsim::by_name(pl.network);
-            double mean_cpu = 0.0, max_cpu = 0.0;
-            for (const auto& bd : ovl.rank_bds) {
-                const auto comp = app_model::compute_stage_seconds(bd, mm, shapes);
-                double c = 0.0;
-                for (std::size_t s = 1; s <= perf::kNumStages; ++s) c += comp[s];
-                c /= bd.steps;
-                mean_cpu += c;
-                max_cpu = std::max(max_cpu, c);
-            }
-            mean_cpu /= static_cast<double>(ovl.rank_bds.size());
-            const double comm_blk = simmpi::price_log(blk.rank0.log, net, nprocs) / blk.bd.steps;
-            const auto split = simmpi::price_log_split(ovl.rank0.log, net, nprocs);
-            const double comm_ovl = split.total() / ovl.bd.steps;
-            const double recov = app_model::recovered_seconds(
-                rho, split.overlapped / ovl.bd.steps, net.cpu_poll_fraction);
-            table2.print_row(
-                {pl.label,
-                 benchutil::fmt(mean_cpu + comm_blk * net.cpu_poll_fraction, "%.2f") + "/" +
-                     benchutil::fmt(max_cpu + comm_blk, "%.2f"),
-                 benchutil::fmt(mean_cpu + comm_ovl * net.cpu_poll_fraction, "%.2f") + "/" +
-                     benchutil::fmt(max_cpu + comm_ovl - recov, "%.2f"),
-                 benchutil::fmt(recov, "%.2f")});
-            perf::Case kase;
-            kase.labels["platform"] = pl.label;
-            kase.labels["ablation"] = "overlap_gs";
-            kase.values["nprocs"] = static_cast<double>(nprocs);
-            kase.values["hidden_fraction"] = rho;
-            kase.values["blocking_wall_seconds_per_step"] = max_cpu + comm_blk;
-            kase.values["overlapped_wall_seconds_per_step"] = max_cpu + comm_ovl - recov;
-            kase.values["recovered_seconds_per_step"] = recov;
-            rep.cases.push_back(std::move(kase));
-        }
-        std::printf("\n");
+        benchutil::print_overlap_ablation(nprocs, blk, ovl, ablation_plats, "overlap_gs", rep);
     }
     // Stage rows come from rank 0 of the last Table-3 sweep run.
     perf::RunReport out = perf::report("table3_nektar_ale", &last.bd, &last.rank0);

@@ -47,44 +47,21 @@ double event_seconds(const CommEventKey& key, const netsim::NetworkModel& net, i
 
 } // namespace
 
-double price_stage(const CommLog& log, int stage, const netsim::NetworkModel& net, int nprocs) {
-    const auto it = log.find(stage);
-    if (it == log.end()) return 0.0;
-    double t = 0.0;
-    for (const auto& [key, count] : it->second)
-        t += static_cast<double>(count) * event_seconds(key, net, nprocs);
-    return t;
-}
-
-double price_log(const CommLog& log, const netsim::NetworkModel& net, int nprocs) {
-    double t = 0.0;
+CommPrice price(const CommLog& log, const netsim::NetworkModel& net, int nprocs) {
+    const auto add = [&](SplitSeconds& to, const CommEventKey& key, std::uint64_t count) {
+        (key.overlapped ? to.overlapped : to.blocking) +=
+            static_cast<double>(count) * event_seconds(key, net, nprocs);
+    };
+    CommPrice out;
+    std::map<CommEventKey, std::uint64_t> merged;
     for (const auto& [stage, events] : log) {
-        (void)events;
-        t += price_stage(log, stage, net, nprocs);
+        SplitSeconds& row = out.stages[stage];
+        for (const auto& [key, count] : events) {
+            add(row, key, count);
+            merged[key] += count;
+        }
     }
-    return t;
-}
-
-SplitSeconds price_stage_split(const CommLog& log, int stage, const netsim::NetworkModel& net,
-                               int nprocs) {
-    SplitSeconds out;
-    const auto it = log.find(stage);
-    if (it == log.end()) return out;
-    for (const auto& [key, count] : it->second) {
-        const double t = static_cast<double>(count) * event_seconds(key, net, nprocs);
-        (key.overlapped ? out.overlapped : out.blocking) += t;
-    }
-    return out;
-}
-
-SplitSeconds price_log_split(const CommLog& log, const netsim::NetworkModel& net, int nprocs) {
-    SplitSeconds out;
-    for (const auto& [stage, events] : log) {
-        (void)events;
-        const SplitSeconds s = price_stage_split(log, stage, net, nprocs);
-        out.blocking += s.blocking;
-        out.overlapped += s.overlapped;
-    }
+    for (const auto& [key, count] : merged) add(out.total, key, count);
     return out;
 }
 

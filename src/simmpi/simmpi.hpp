@@ -95,14 +95,7 @@ using CommLog = std::map<int, std::map<CommEventKey, std::uint64_t>>;
 /// work (the part of each in-flight window that did not surface as idle).
 using OverlapLog = std::map<int, double>;
 
-/// Prices a log on a given network for a run with `nprocs` ranks.
-[[nodiscard]] double price_log(const CommLog& log, const netsim::NetworkModel& net, int nprocs);
-
-/// Prices only the given stage.
-[[nodiscard]] double price_stage(const CommLog& log, int stage, const netsim::NetworkModel& net,
-                                 int nprocs);
-
-/// A log's price split into the strictly blocking part and the part issued
+/// A price split into the strictly blocking part and the part issued
 /// through the nonblocking API (the latter is what overlap can recover).
 struct SplitSeconds {
     double blocking = 0.0;
@@ -110,10 +103,22 @@ struct SplitSeconds {
     [[nodiscard]] double total() const noexcept { return blocking + overlapped; }
 };
 
-[[nodiscard]] SplitSeconds price_stage_split(const CommLog& log, int stage,
-                                             const netsim::NetworkModel& net, int nprocs);
-[[nodiscard]] SplitSeconds price_log_split(const CommLog& log, const netsim::NetworkModel& net,
-                                           int nprocs);
+/// A comm log priced on one network.
+struct CommPrice {
+    /// stage id -> that stage's events (same stage keys as the CommLog).
+    std::map<int, SplitSeconds> stages;
+    /// Every event of the log, summed once over the merged (event key ->
+    /// count) multiset, so the total does not depend on the stage tags.
+    SplitSeconds total;
+    /// One stage's split; zero for a stage with no events.
+    [[nodiscard]] SplitSeconds stage(int s) const {
+        const auto it = stages.find(s);
+        return it != stages.end() ? it->second : SplitSeconds{};
+    }
+};
+
+/// Prices a log on a given network for a run with `nprocs` ranks.
+[[nodiscard]] CommPrice price(const CommLog& log, const netsim::NetworkModel& net, int nprocs);
 
 /// Fault accounting for one stage: how many transmissions were lost and how
 /// much virtual time the fault model added on top of the unfaulted costs.

@@ -139,7 +139,7 @@ INSTANTIATE_TEST_SUITE_P(Ranks, PencilRanks, ::testing::Values(1, 2, 3, 4, 6, 7,
 
 /// The slab is the P x 1 grid on the world communicator: no split(), no
 /// checkpoint state, and one group-0 Alltoall per blocking direction — the
-/// events price_log re-prices across P.  The pencil splits and logs
+/// events simmpi::price re-prices across P.  The pencil splits and logs
 /// subcommunicator-sized events instead.
 TEST(SlabTranspose, CallsNoSplitAndLogsOnlyWorldAlltoalls) {
     const int p = 6;

@@ -223,11 +223,13 @@ TEST(Nonblocking, OverlappedEventsAreFlaggedInTheCommLogAndPricedSeparately) {
             c.wait(r);
         }
     });
-    const auto split = simmpi::price_log_split(reports[0].log, net(), 2);
+    const simmpi::CommPrice priced = simmpi::price(reports[0].log, net(), 2);
     const double one = net().ptp_seconds(n * sizeof(double));
-    EXPECT_DOUBLE_EQ(split.blocking, one);
-    EXPECT_DOUBLE_EQ(split.overlapped, one);
-    EXPECT_DOUBLE_EQ(split.total(), simmpi::price_log(reports[0].log, net(), 2));
+    EXPECT_DOUBLE_EQ(priced.total.blocking, one);
+    EXPECT_DOUBLE_EQ(priced.total.overlapped, one);
+    double stages = 0.0;
+    for (const auto& [stage, split] : priced.stages) stages += split.total();
+    EXPECT_DOUBLE_EQ(priced.total.total(), stages);
 }
 
 } // namespace

@@ -161,8 +161,8 @@ TEST(SimMpi, CommLogRecordsEvents) {
     auto slow = test_net();
     slow.bandwidth_mbps = 1.0;
     slow.latency_us = 1000.0;
-    const double t_fast = simmpi::price_log(log, fast, 2);
-    const double t_slow = simmpi::price_log(log, slow, 2);
+    const double t_fast = simmpi::price(log, fast, 2).total.total();
+    const double t_slow = simmpi::price(log, slow, 2).total.total();
     EXPECT_GT(t_fast, 0.0);
     EXPECT_GT(t_slow, t_fast);
 }
