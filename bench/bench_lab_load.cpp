@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -107,6 +108,12 @@ int main(int argc, char** argv) {
                 total, distinct, clients,
                 cli.connect.empty() ? "" : " (via daemon socket)");
 
+    try {
+        lab::RunReportStore{cli.store}; // refuses a store another version wrote
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
     lab::Service service(cli.store);
     // One answer path for both modes: in-process service or daemon socket.
     const auto answer_via = [&](int fd, const std::string& request_json) {

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include <unistd.h>
@@ -39,6 +40,12 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::signal(SIGPIPE, SIG_IGN); // a client hanging up mid-reply is not fatal
 
+    try {
+        lab::RunReportStore{store_dir}; // refuses a store another version wrote
+    } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
     lab::Service service(store_dir);
     const int listen_fd = lab::wire::listen_unix(socket_path);
     std::printf("lab_daemon: serving on %s, store %s (%zu warm entries)\n",

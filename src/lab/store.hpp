@@ -16,12 +16,24 @@
 /// daemons fed the same mix produce directories that `diff -r` clean, which
 /// CI exploits as a determinism gate.  Writes go through a tmp file +
 /// rename so a crashed daemon never leaves a torn entry.
+///
+/// `<dir>/VERSION` holds kStoreVersion, written on the first put.  A
+/// directory holding entries under a missing or different version is
+/// refused when opened, so a build never serves answers an older build
+/// computed differently.
 namespace lab {
+
+/// Version of the stored answers.  Bump it whenever the answer to the same
+/// request changes.  2: measured Fourier answers credit the overlap their
+/// probe run hid.
+inline constexpr int kStoreVersion = 2;
 
 class RunReportStore {
 public:
     /// `dir` = "" keeps the store memory-only (tests, one-shot clients);
-    /// otherwise the directory is created on first put().
+    /// otherwise the directory is created on first put().  Throws
+    /// std::runtime_error, naming the directory and both versions, when
+    /// `dir` holds entries of another store version.
     explicit RunReportStore(std::string dir = "");
 
     /// The stored canonical bytes for `key`, or nullopt.  Disk entries are

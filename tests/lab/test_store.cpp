@@ -2,6 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "lab/store.hpp"
 
@@ -62,6 +65,43 @@ TEST_F(StoreTest, FirstWriteWins) {
     lab::RunReportStore other(dir_);
     other.put("00000000000000dd", "late\n");
     EXPECT_EQ(*other.get("00000000000000dd"), "disk\n");
+}
+
+TEST_F(StoreTest, FreshDirectoryGetsTheVersionOnFirstPut) {
+    const fs::path version = fs::path(dir_) / "VERSION";
+    lab::RunReportStore store(dir_);
+    EXPECT_FALSE(fs::exists(version));
+    store.put("00000000000000ab", "x\n");
+    std::ifstream in(version);
+    const std::string body((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_EQ(body, std::to_string(lab::kStoreVersion) + "\n");
+    EXPECT_EQ(lab::RunReportStore(dir_).keys(), (std::vector<std::string>{"00000000000000ab"}));
+}
+
+TEST_F(StoreTest, StaleDirectoryIsRefused) {
+    const auto refusal = [&] {
+        try {
+            lab::RunReportStore store(dir_);
+        } catch (const std::runtime_error& e) {
+            return std::string(e.what());
+        }
+        return std::string("opened");
+    };
+    const std::string want = "this build reads version " + std::to_string(lab::kStoreVersion);
+    // Entries written before stores carried a version.
+    fs::create_directories(dir_);
+    std::ofstream(fs::path(dir_) / "00000000000000ac.json") << "old\n";
+    std::string what = refusal();
+    EXPECT_NE(what.find(dir_), std::string::npos) << what;
+    EXPECT_NE(what.find("store version none"), std::string::npos) << what;
+    EXPECT_NE(what.find(want), std::string::npos) << what;
+    // Entries written under another version.
+    std::ofstream(fs::path(dir_) / "VERSION") << (lab::kStoreVersion - 1) << "\n";
+    what = refusal();
+    EXPECT_NE(what.find("store version " + std::to_string(lab::kStoreVersion - 1)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(want), std::string::npos) << what;
 }
 
 TEST_F(StoreTest, ForeignFilesInTheDirectoryAreIgnored) {
