@@ -8,6 +8,7 @@
 
 #include "blaslite/counters.hpp"
 #include "blaslite/multiversion.hpp"
+#include "parallel/scratch.hpp"
 
 namespace la {
 
@@ -373,6 +374,46 @@ void substitute_two(const double* l, std::size_t n, std::size_t kd, double* cons
     substitute<2>(l, n, kd, b);
 }
 
+#if defined(__GNUC__) || defined(__clang__)
+/// Forward and back substitution for W right-hand sides packed row by row:
+/// x[r * W + q] is row r of right-hand side q.  Lane q applies exactly
+/// substitute<1>'s operations to right-hand side q, in its order; the W
+/// lanes share one load of each L entry, and the back substitution's W dot
+/// products advance together as one vector dependence chain.
+template <std::size_t W>
+[[gnu::always_inline]] inline void substitute_lanes(const double* l, std::size_t n,
+                                                    std::size_t kd, double* x) noexcept {
+    using V = typename RowVec<W>::type;
+    V* const row = reinterpret_cast<V*>(x); // element-aligned, like the tiles'
+    // Forward: L y = b.
+    for (std::size_t j = 0; j < n; ++j) {
+        const double* lj = l + j * kd;
+        const std::size_t imax = std::min(kd, n - 1 - j);
+        const V y = row[j] / lj[j];
+        row[j] = y;
+        for (std::size_t r = j + 1; r <= j + imax; ++r) row[r] -= lj[r] * y;
+    }
+    // Backward: L^T x = y.
+    for (std::size_t j = n; j-- > 0;) {
+        const double* lj = l + j * kd;
+        const std::size_t imax = std::min(kd, n - 1 - j);
+        V s = row[j];
+        for (std::size_t r = j + 1; r <= j + imax; ++r) s -= lj[r] * row[r];
+        row[j] = s / lj[j];
+    }
+}
+
+REPRO_MULTIVERSION
+void substitute_four(const double* l, std::size_t n, std::size_t kd, double* x) noexcept {
+    substitute_lanes<4>(l, n, kd, x);
+}
+
+REPRO_MULTIVERSION
+void substitute_eight(const double* l, std::size_t n, std::size_t kd, double* x) noexcept {
+    substitute_lanes<8>(l, n, kd, x);
+}
+#endif
+
 } // namespace
 
 bool BandedCholesky::factor(SymBandedMatrix a) {
@@ -405,6 +446,23 @@ void BandedCholesky::solve(std::span<const std::span<double>> rhs) const {
     assert(factored() && std::all_of(rhs.begin(), rhs.end(),
                                      [&](std::span<double> b) { return b.size() == n_; }));
     std::size_t q = 0;
+#if defined(__GNUC__) || defined(__clang__)
+    // Three or more: W = 4 or 8 lanes per sweep, unused lanes zero.  One or
+    // two left over take the pair and single sweeps, which are faster there.
+    if (rhs.size() >= 3) {
+        parallel::Scratch x(n_ * 8);
+        while (rhs.size() - q >= 3) {
+            const std::size_t w = rhs.size() - q <= 4 ? 4 : 8;
+            const std::size_t k = std::min(w, rhs.size() - q);
+            for (std::size_t r = 0; r < n_; ++r)
+                for (std::size_t i = 0; i < w; ++i) x[r * w + i] = i < k ? rhs[q + i][r] : 0.0;
+            (w == 4 ? substitute_four : substitute_eight)(band_.data(), n_, kd_, x.data());
+            for (std::size_t i = 0; i < k; ++i)
+                for (std::size_t r = 0; r < n_; ++r) rhs[q + i][r] = x[r * w + i];
+            q += k;
+        }
+    }
+#endif
     for (; q + 2 <= rhs.size(); q += 2) {
         double* const pair[2] = {rhs[q].data(), rhs[q + 1].data()};
         substitute_two(band_.data(), n_, kd_, pair);
