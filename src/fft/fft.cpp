@@ -43,21 +43,36 @@ std::vector<cplx> make_twiddles(std::size_t n) {
     return tw;
 }
 
-void radix2_core(std::span<cplx> x, bool inv, std::span<const cplx> tw,
-                 std::span<const std::size_t> rev) {
+/// In-place radix-2 transform, without the inverse's 1/n.  The twiddle
+/// product is spelled out in real arithmetic with the products and sums of
+/// the inline std::complex multiply, (a + bi)(c + di) = (ac - bd) + (ad + bc)i,
+/// so for finite data it is bitwise the complex loop; the inverse multiplies
+/// by conj(w), whose (ac + bd) + (bc - ad)i equals it bit for bit too
+/// (b(-d) = -(bd) exactly).  No FMA can fuse them: this file is built for
+/// the baseline ISA and is not multiversioned.
+template <bool Inv>
+void radix2_core(std::span<cplx> x, std::span<const cplx> tw, std::span<const std::size_t> rev) {
     const std::size_t n = x.size();
     for (std::size_t i = 0; i < n; ++i)
         if (i < rev[i]) std::swap(x[i], x[rev[i]]);
+    // cplx is layout-compatible with double[2] ([complex.numbers]).
+    double* const xd = reinterpret_cast<double*>(x.data());
+    const double* const twd = reinterpret_cast<const double*>(tw.data());
     for (std::size_t len = 2; len <= n; len <<= 1) {
         const std::size_t half = len / 2;
         for (std::size_t base = 0; base < n; base += len) {
+            double* const u = xd + 2 * base;
+            double* const v = u + 2 * half;
             for (std::size_t k = 0; k < half; ++k) {
-                cplx w = tw[half + k];
-                if (inv) w = std::conj(w);
-                const cplx u = x[base + k];
-                const cplx v = x[base + half + k] * w;
-                x[base + k] = u + v;
-                x[base + half + k] = u - v;
+                const double c = twd[2 * (half + k)], d = twd[2 * (half + k) + 1];
+                const double a = v[2 * k], b = v[2 * k + 1];
+                const double vr = Inv ? a * c + b * d : a * c - b * d;
+                const double vi = Inv ? b * c - a * d : a * d + b * c;
+                const double ur = u[2 * k], ui = u[2 * k + 1];
+                u[2 * k] = ur + vr;
+                u[2 * k + 1] = ui + vi;
+                v[2 * k] = ur - vr;
+                v[2 * k + 1] = ui - vi;
             }
         }
     }
@@ -95,12 +110,16 @@ Plan::Plan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
         bfilter_fft_[k] = std::conj(chirp_[k]);
         bfilter_fft_[m_ - k] = std::conj(chirp_[k]);
     }
-    radix2_core(bfilter_fft_, false, mtwiddle_, mrev_);
+    radix2_core<false>(bfilter_fft_, mtwiddle_, mrev_);
 }
 
-void Plan::radix2(std::span<cplx> x, bool inv) const { radix2_core(x, inv, twiddle_, rev_); }
+void Plan::radix2(std::span<cplx> x, bool inv) const {
+    inv ? radix2_core<true>(x, twiddle_, rev_) : radix2_core<false>(x, twiddle_, rev_);
+}
 
-void Plan::radix2_m(std::span<cplx> x, bool inv) const { radix2_core(x, inv, mtwiddle_, mrev_); }
+void Plan::radix2_m(std::span<cplx> x, bool inv) const {
+    inv ? radix2_core<true>(x, mtwiddle_, mrev_) : radix2_core<false>(x, mtwiddle_, mrev_);
+}
 
 void Plan::bluestein(std::span<cplx> x, bool inv) const {
     if (inv) {
@@ -110,7 +129,9 @@ void Plan::bluestein(std::span<cplx> x, bool inv) const {
         for (auto& v : x) v = std::conj(v);
         return;
     }
-    std::vector<cplx> a(m_, cplx{0.0, 0.0});
+    // Per-thread workspace, grown on first use: a transform never yields.
+    thread_local std::vector<cplx> a;
+    a.assign(m_, cplx{0.0, 0.0});
     for (std::size_t k = 0; k < n_; ++k) a[k] = x[k] * chirp_[k];
     radix2_m(a, false);
     for (std::size_t k = 0; k < m_; ++k) a[k] *= bfilter_fft_[k];
@@ -149,25 +170,34 @@ void Plan::inverse(std::span<cplx> x) const {
 void forward(std::span<cplx> x) { Plan(x.size()).forward(x); }
 void inverse(std::span<cplx> x) { Plan(x.size()).inverse(x); }
 
-std::vector<cplx> rfft(const Plan& plan, std::span<const double> x) {
+void rfft(const Plan& plan, std::span<const double> x, std::span<cplx> buf) {
     const std::size_t n = plan.size();
-    assert(x.size() == n && n % 2 == 0);
-    std::vector<cplx> buf(n);
+    assert(x.size() == n && buf.size() == n && n % 2 == 0);
     for (std::size_t i = 0; i < n; ++i) buf[i] = cplx{x[i], 0.0};
     plan.forward(buf);
-    buf.resize(n / 2 + 1);
+}
+
+void irfft(const Plan& plan, std::span<const cplx> spec, std::span<double> out,
+           std::span<cplx> work) {
+    const std::size_t n = plan.size();
+    assert(spec.size() == n / 2 + 1 && out.size() == n && work.size() == n && n % 2 == 0);
+    for (std::size_t k = 0; k <= n / 2; ++k) work[k] = spec[k];
+    for (std::size_t k = n / 2 + 1; k < n; ++k) work[k] = std::conj(spec[n - k]);
+    plan.inverse(work);
+    for (std::size_t i = 0; i < n; ++i) out[i] = work[i].real();
+}
+
+std::vector<cplx> rfft(const Plan& plan, std::span<const double> x) {
+    std::vector<cplx> buf(plan.size());
+    rfft(plan, x, buf);
+    buf.resize(plan.size() / 2 + 1);
     return buf;
 }
 
 std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec) {
-    const std::size_t n = plan.size();
-    assert(spec.size() == n / 2 + 1 && n % 2 == 0);
-    std::vector<cplx> buf(n);
-    for (std::size_t k = 0; k <= n / 2; ++k) buf[k] = spec[k];
-    for (std::size_t k = n / 2 + 1; k < n; ++k) buf[k] = std::conj(spec[n - k]);
-    plan.inverse(buf);
-    std::vector<double> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = buf[i].real();
+    std::vector<cplx> work(plan.size());
+    std::vector<double> out(plan.size());
+    irfft(plan, spec, out, work);
     return out;
 }
 

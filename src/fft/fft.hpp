@@ -53,8 +53,18 @@ void inverse(std::span<cplx> x);
 /// non-redundant spectrum coefficients (n must be even).
 std::vector<cplx> rfft(const Plan& plan, std::span<const double> x);
 
+/// rfft into caller storage: `buf` has n entries, and on return its first
+/// n/2+1 hold the spectrum (the rest is scratch).  Bitwise the returning
+/// form, without its allocation.
+void rfft(const Plan& plan, std::span<const double> x, std::span<cplx> buf);
+
 /// Inverse of rfft; `spec` has n/2+1 entries, result has n real samples.
 std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec);
+
+/// irfft into caller storage: `out` gets the n real samples, `work` (n
+/// entries) is scratch.  Bitwise the returning form, without allocations.
+void irfft(const Plan& plan, std::span<const cplx> spec, std::span<double> out,
+           std::span<cplx> work);
 
 /// Number of real flops charged for a length-n complex FFT (5 n log2 n).
 [[nodiscard]] std::size_t fft_flops(std::size_t n) noexcept;

@@ -146,6 +146,7 @@ void FourierNS::load_state(const Field3Fn& u0, const Field3Fn& v0, const Field3F
     const std::size_t nz = 2 * opts_.num_modes;
     const Field3Fn* fns[3] = {&u0, &v0, &w0};
     std::vector<double> zline(nz);
+    std::vector<fft::cplx> spec(nz);
     // Sample each quadrature point's z-line, transform, keep local modes.
     for (int c = 0; c < 3; ++c) {
         std::vector<double> plane_quads(nplanes_ * nq);
@@ -157,7 +158,7 @@ void FourierNS::load_state(const Field3Fn& u0, const Field3Fn& v0, const Field3F
                     const double z = opts_.lz * static_cast<double>(j) / static_cast<double>(nz);
                     zline[j] = (*fns[c])(g.x[q], g.y[q], z);
                 }
-                const auto spec = fft::rfft(zplan_, zline);
+                fft::rfft(zplan_, zline, spec);
                 for (std::size_t m = 0; m < mloc_; ++m) {
                     const std::size_t k = global_mode(m);
                     // Store DFT coefficients scaled by 1/Nz so that
@@ -221,8 +222,10 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
         6, std::vector<double>(transpose_.lines_buffer_size(), 0.0));
     std::vector<std::vector<double>> pplanes(
         6, std::vector<double>(transpose_.planes_buffer_size()));
+    // Per-call z-line buffers: the transforms write into them, so the line
+    // loop allocates nothing.
     std::vector<std::vector<double>> phys(3, std::vector<double>(nz));
-    std::vector<fft::cplx> spec(opts_.num_modes + 1);
+    std::vector<fft::cplx> spec(opts_.num_modes + 1), work(nz);
     std::vector<double> prod(nz);
     // The z-line work for points [b, e); in overlapped mode it runs slice by
     // slice between the pipelined exchanges' waits.
@@ -233,18 +236,18 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
                     spec[k] = fft::cplx{lines[c][i * tp + 2 * k], lines[c][i * tp + 2 * k + 1]} *
                               static_cast<double>(nz);
                 spec[opts_.num_modes] = fft::cplx{0.0, 0.0}; // Nyquist
-                phys[static_cast<std::size_t>(c)] = fft::irfft(zplan_, spec);
+                fft::irfft(zplan_, spec, phys[static_cast<std::size_t>(c)], work);
             }
             for (int pr = 0; pr < 6; ++pr) {
                 const auto& a = phys[static_cast<std::size_t>(prod_of[pr][0])];
                 const auto& b2 = phys[static_cast<std::size_t>(prod_of[pr][1])];
                 for (std::size_t j = 0; j < nz; ++j) prod[j] = a[j] * b2[j];
-                const auto pspec = fft::rfft(zplan_, prod);
+                fft::rfft(zplan_, prod, work);
                 for (std::size_t k = 0; k < opts_.num_modes; ++k) {
                     plines[static_cast<std::size_t>(pr)][i * tp + 2 * k] =
-                        pspec[k].real() / static_cast<double>(nz);
+                        work[k].real() / static_cast<double>(nz);
                     plines[static_cast<std::size_t>(pr)][i * tp + 2 * k + 1] =
-                        pspec[k].imag() / static_cast<double>(nz);
+                        work[k].imag() / static_cast<double>(nz);
                 }
             }
         }

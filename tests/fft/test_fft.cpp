@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <random>
 
@@ -132,6 +134,145 @@ TEST(Rfft, SingleHarmonicLandsInOneBin) {
         } else {
             EXPECT_NEAR(mag, 0.0, 1e-9);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the real-arithmetic butterflies.  ReferencePlan is the
+// std::complex radix-2 loop (conjugating the twiddle inside the butterfly
+// for the inverse) and the Bluestein path on top of it, as fft.cpp had them
+// before the butterflies were spelled out in real arithmetic.
+// ---------------------------------------------------------------------------
+
+struct ReferencePlan {
+    std::size_t n = 0, m = 0;
+    std::vector<cplx> tw, mtw, chirp, bfilter;
+    std::vector<std::size_t> rev, mrev;
+
+    static std::vector<std::size_t> bit_reversal(std::size_t n) {
+        std::vector<std::size_t> r(n, 0);
+        std::size_t bits = 0;
+        while ((std::size_t{1} << bits) < n) ++bits;
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t b = 0; b < bits; ++b)
+                if (i & (std::size_t{1} << b)) r[i] |= std::size_t{1} << (bits - 1 - b);
+        return r;
+    }
+    static std::vector<cplx> twiddles(std::size_t n) {
+        std::vector<cplx> t(n, cplx{1.0, 0.0});
+        for (std::size_t len = 2; len <= n; len <<= 1) {
+            const double ang = -2.0 * std::numbers::pi / static_cast<double>(len);
+            for (std::size_t k = 0; k < len / 2; ++k)
+                t[len / 2 + k] = std::polar(1.0, ang * static_cast<double>(k));
+        }
+        return t;
+    }
+    static void radix2(std::vector<cplx>& x, bool inv, const std::vector<cplx>& t,
+                       const std::vector<std::size_t>& r) {
+        const std::size_t n = x.size();
+        for (std::size_t i = 0; i < n; ++i)
+            if (i < r[i]) std::swap(x[i], x[r[i]]);
+        for (std::size_t len = 2; len <= n; len <<= 1) {
+            const std::size_t half = len / 2;
+            for (std::size_t base = 0; base < n; base += len)
+                for (std::size_t k = 0; k < half; ++k) {
+                    cplx w = t[half + k];
+                    if (inv) w = std::conj(w);
+                    const cplx u = x[base + k];
+                    const cplx v = x[base + half + k] * w;
+                    x[base + k] = u + v;
+                    x[base + half + k] = u - v;
+                }
+        }
+    }
+
+    explicit ReferencePlan(std::size_t size) : n(size) {
+        if ((n & (n - 1)) == 0) {
+            tw = twiddles(n);
+            rev = bit_reversal(n);
+            return;
+        }
+        m = 1;
+        while (m < 2 * n - 1) m <<= 1;
+        mtw = twiddles(m);
+        mrev = bit_reversal(m);
+        chirp.resize(n);
+        for (std::size_t k = 0; k < n; ++k)
+            chirp[k] = std::polar(1.0, -std::numbers::pi * static_cast<double>((k * k) % (2 * n)) /
+                                           static_cast<double>(n));
+        bfilter.assign(m, cplx{0.0, 0.0});
+        bfilter[0] = std::conj(chirp[0]);
+        for (std::size_t k = 1; k < n; ++k) bfilter[k] = bfilter[m - k] = std::conj(chirp[k]);
+        radix2(bfilter, false, mtw, mrev);
+    }
+    void bluestein(std::vector<cplx>& x) const {
+        std::vector<cplx> a(m, cplx{0.0, 0.0});
+        for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * chirp[k];
+        radix2(a, false, mtw, mrev);
+        for (std::size_t k = 0; k < m; ++k) a[k] *= bfilter[k];
+        radix2(a, true, mtw, mrev);
+        const double invm = 1.0 / static_cast<double>(m);
+        for (std::size_t k = 0; k < n; ++k) x[k] = a[k] * chirp[k] * invm;
+    }
+    void transform(std::vector<cplx>& x, bool inv) const {
+        if (m == 0) {
+            radix2(x, inv, tw, rev);
+        } else if (inv) {
+            for (auto& v : x) v = std::conj(v);
+            bluestein(x);
+            for (auto& v : x) v = std::conj(v);
+        } else {
+            bluestein(x);
+        }
+        if (inv)
+            for (auto& v : x) v *= 1.0 / static_cast<double>(n);
+    }
+};
+
+::testing::AssertionResult same_bits(std::span<const cplx> a, std::span<const cplx> b) {
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << "sizes " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(cplx)) != 0)
+            return ::testing::AssertionFailure()
+                   << "first difference at " << i << ": " << a[i] << " vs " << b[i];
+    return ::testing::AssertionSuccess();
+}
+
+TEST(Fft, Radix2IsBitwiseTheComplexButterfly) {
+    std::vector<std::size_t> sizes = {12, 80, 96}; // Bluestein over 32, 256, 256
+    for (std::size_t n = 2; n <= 1024; n *= 2) sizes.push_back(n);
+    for (std::size_t n : sizes) {
+        const fft::Plan plan(n);
+        const ReferencePlan ref(n);
+        for (bool inv : {false, true}) {
+            std::vector<cplx> x = random_signal(n, static_cast<unsigned>(n)), x_ref = x;
+            inv ? plan.inverse(x) : plan.forward(x);
+            ref.transform(x_ref, inv);
+            EXPECT_TRUE(same_bits(x, x_ref)) << "n " << n << (inv ? ", inverse" : ", forward");
+        }
+    }
+}
+
+TEST(Rfft, IntoBuffersMatchesTheReturningForm) {
+    // The buffers start as NaN: nothing of their old contents may leak in.
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    for (std::size_t n : {2u, 16u, 48u, 64u, 128u}) {
+        const fft::Plan plan(n);
+        std::mt19937 gen(static_cast<unsigned>(n));
+        std::uniform_real_distribution<double> dist(-1.0, 1.0);
+        std::vector<double> x(n);
+        for (auto& v : x) v = dist(gen);
+        std::vector<cplx> buf(n, cplx{nan, nan});
+        fft::rfft(plan, x, buf);
+        const std::vector<cplx> spec = fft::rfft(plan, x);
+        EXPECT_TRUE(same_bits(std::span<const cplx>(buf).first(n / 2 + 1), spec)) << "rfft " << n;
+
+        std::vector<double> out(n, nan);
+        std::vector<cplx> work(n, cplx{nan, nan});
+        fft::irfft(plan, spec, out, work);
+        const std::vector<double> back = fft::irfft(plan, spec);
+        EXPECT_EQ(std::memcmp(out.data(), back.data(), n * sizeof(double)), 0) << "irfft " << n;
     }
 }
 
