@@ -97,7 +97,7 @@ struct TaskScheduler::Impl {
     int nfinished = 0;
     bool stalled = false;
 
-    void worker_loop(int w);
+    void worker_loop(int w, int chunk_end);
     void resume(int w, int f);
     void switch_out(int f, bool dying);
     void finalize_locked(int f);
@@ -254,7 +254,10 @@ void TaskScheduler::Impl::wake_all_parked_locked() {
     cv.notify_all();
 }
 
-void TaskScheduler::Impl::worker_loop(int w) {
+/// Worker w's loop, run by the thread that runs the parallel_for chunk of
+/// workers [.., chunk_end): the workers after w in that chunk enter only
+/// once this loop returns, so this thread starts their fibers itself.
+void TaskScheduler::Impl::worker_loop(int w, int chunk_end) {
     tls_impl = this;
     tls_worker = w;
     Worker& wk = workers[static_cast<std::size_t>(w)];
@@ -264,27 +267,21 @@ void TaskScheduler::Impl::worker_loop(int w) {
     std::unique_lock lk(m);
     while (nfinished < ntasks) {
         int f = -1;
-        bool any_ready = false;
-        for (const Worker& other : workers) any_ready |= !other.ready.empty();
         if (!wk.ready.empty()) {
             f = wk.ready.front();
             wk.ready.pop_front();
-        } else if (!wk.unstarted.empty()) {
-            f = wk.unstarted.front();
-            wk.unstarted.pop_front();
-            fibers[static_cast<std::size_t>(f)].home = w; // affinity fixed here
-        } else if (nrunning == 0 && !any_ready) {
-            // Nothing runs or waits to run anywhere, so the fibers still
-            // unstarted belong to workers that have not entered their loop
-            // (parallel_for ran the loops inline, or a thread is late).
-            // Start one here instead of waiting for its worker.
-            for (Worker& other : workers)
-                if (!other.unstarted.empty()) {
-                    f = other.unstarted.front();
-                    other.unstarted.pop_front();
-                    fibers[static_cast<std::size_t>(f)].home = w;
-                    break;
-                }
+        } else {
+            // Own unstarted fibers first, then those of the later workers
+            // in this chunk (parallel_for ran their loops inline after this
+            // one).  Another chunk's fibers wait for their own thread, even
+            // a late one: placement stays task t on worker t mod W.
+            for (int o = w; o < chunk_end && f < 0; ++o) {
+                Worker& other = workers[static_cast<std::size_t>(o)];
+                if (other.unstarted.empty()) continue;
+                f = other.unstarted.front();
+                other.unstarted.pop_front();
+                fibers[static_cast<std::size_t>(f)].home = w; // affinity fixed here
+            }
         }
         if (f >= 0) {
             fibers[static_cast<std::size_t>(f)].state = Fiber::State::Running;
@@ -297,9 +294,14 @@ void TaskScheduler::Impl::worker_loop(int w) {
             continue;
         }
         // Nothing runnable on this worker.  Every wake source is itself a
-        // task, so "none running or ready anywhere, some parked" is a proven
-        // deadlock — detected instantly, no timeout needed.
-        if (nrunning == 0 && nparked > 0 && !any_ready) {
+        // task, so "none running, ready or unstarted anywhere, some parked"
+        // is a proven deadlock — detected instantly, no timeout needed.  A
+        // fiber still unstarted on another chunk is live: its thread is
+        // late, not missing.
+        bool any_live = false;
+        for (const Worker& other : workers)
+            any_live |= !other.ready.empty() || !other.unstarted.empty();
+        if (nrunning == 0 && nparked > 0 && !any_live) {
             if (!stalled) {
                 stalled = true;
                 lk.unlock();
@@ -407,7 +409,8 @@ void TaskScheduler::run(const std::function<void(int)>& body) {
     parallel::pool().parallel_for(static_cast<std::size_t>(nworkers),
                                   [&im](std::size_t b, std::size_t e) {
                                       for (std::size_t w = b; w < e; ++w)
-                                          im.worker_loop(static_cast<int>(w));
+                                          im.worker_loop(static_cast<int>(w),
+                                                         static_cast<int>(e));
                                   });
     for (Fiber& fb : im.fibers) im.release_stack(fb);
     im.body = nullptr;

@@ -45,11 +45,12 @@ public:
     /// parallel::pool() workers (the calling thread is worker 0).  Task t
     /// starts on worker t mod W, W = min(pool size, ntasks), so host timing
     /// does not change how many tasks share a thread; a worker starts
-    /// another worker's task only when no task runs or is ready anywhere
-    /// (that worker has not entered the run yet, or never will because
-    /// parallel_for ran the workers inline).  `body` must not let exceptions
-    /// escape.  Not reentrant: tasks must not start a nested run() on the
-    /// same scheduler.
+    /// another worker's task only when parallel_for runs both workers'
+    /// loops on one thread, the other's after its own (inline, or fewer
+    /// threads than workers).  A worker whose thread starts late keeps its
+    /// tasks, which count as live for the deadlock test.  `body` must not
+    /// let exceptions escape.  Not reentrant: tasks must not start a nested
+    /// run() on the same scheduler.
     void run(const std::function<void(int)>& body);
 
     /// The fiber id of the calling task (-1 outside every task).

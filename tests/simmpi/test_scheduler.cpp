@@ -191,6 +191,27 @@ TEST(TaskScheduler, TaskTStartsOnWorkerTModW) {
     }
 }
 
+TEST(TaskScheduler, RanksThatParkAtOnceStillStartOnTheirOwnThreads) {
+    // Six ranks park in split() right after the pool is rebuilt, while most
+    // of its threads have not yet picked up their worker loop.  Each late
+    // thread must still start its own rank: a worker that finds nothing to
+    // run waits for it rather than adopting it.
+    const PoolThreads pool(6);
+    constexpr int kRanks = 6;
+    std::vector<std::thread::id> first(kRanks), last(kRanks);
+    simmpi::World world(kRanks, test_net());
+    world.run([&](simmpi::Comm& c) {
+        const auto r = static_cast<std::size_t>(c.rank());
+        first[r] = std::this_thread::get_id();
+        simmpi::Comm half = c.split(c.rank() % 2, c.rank());
+        half.barrier();
+        last[r] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(first[0], std::this_thread::get_id()); // the caller is worker 0
+    EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.end()).size(), 6u);
+    for (std::size_t r = 0; r < kRanks; ++r) EXPECT_EQ(last[r], first[r]) << "rank " << r;
+}
+
 TEST(TaskScheduler, CompletesWhenThePoolRunsTheWorkersInline) {
     // A run started inside a parallel_for body gets its worker loops run
     // one after another on the calling thread: worker 0 must start the
