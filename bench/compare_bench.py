@@ -3,7 +3,7 @@
 
 Compares a freshly measured BENCH_hotpath.json against one or more committed
 baselines and fails when any gated kernel of any case got more than
---threshold slower.  Six baselines are committed:
+--threshold slower.  Seven baselines are committed:
 
   bench/BENCH_hotpath_baseline.json  — the dense batched engine (gate its
                                        "batched_ms" metric group)
@@ -11,6 +11,8 @@ baselines and fails when any gated kernel of any case got more than
                                        "sumfact_ms" metric group)
   bench/BENCH_banded_baseline.json   — the banded direct solver (gate its
                                        "banded_ms" metric group)
+  bench/BENCH_fft_baseline.json      — FourierNS's z-line transforms (gate
+                                       its "fft_ms" metric group)
   bench/BENCH_pcg_baseline.json      — the matrix-free PCG Helmholtz apply
                                        (gate its "pcg_apply_ms" metric group)
   bench/BENCH_condensed_baseline.json — SerialNS2d's condensed direct solver
@@ -22,9 +24,9 @@ All are RunReports (see bench/run_report_schema.json): the sweep lives in the
 top-level "cases" array as flat objects whose kernel timings use dotted keys
 ("batched_ms.to_quad", "sumfact_ms.grad", "banded_ms.factor", ...).  A case
 is identified by its coordinates: (order, elements, planes) for the engine
-sweep, (n, kd) for the banded one, (order, elements) for the PCG apply,
-(order, n, kd) for the condensed solver and the setup builds.  --baseline and --metric-group
-repeat in lockstep: the i-th baseline is gated on the i-th group (a single
+sweep, (n, kd) for the banded one, (n) for the z-line transforms,
+(order, elements) for the PCG apply, (order, n, kd) for the condensed
+solver and the setup builds.  --baseline and --metric-group repeat in lockstep: the i-th baseline is gated on the i-th group (a single
 --metric-group applies to every baseline; the default is "batched_ms").
 
 CI machines are not the baseline machine, so raw milliseconds are not
@@ -59,7 +61,8 @@ main build, then
       --baseline bench/BENCH_hotpath_baseline.json --current BENCH_hotpath.json
 and commit the updated baseline together with the change that moved it.
 With --metric-group, --update keeps only the cases that carry that group
-(how bench/BENCH_banded_baseline.json, bench/BENCH_pcg_baseline.json,
+(how bench/BENCH_banded_baseline.json, bench/BENCH_fft_baseline.json,
+bench/BENCH_pcg_baseline.json,
 bench/BENCH_condensed_baseline.json and bench/BENCH_setup_baseline.json are
 cut from a full sweep).
 """
@@ -80,7 +83,8 @@ GROUP_KERNELS = {
     "per_element_ms": ENGINE_KERNELS,
     "batched_ms": ENGINE_KERNELS,
     "sumfact_ms": ENGINE_KERNELS,
-    "banded_ms": ("factor", "solve", "solve2"),
+    "banded_ms": ("factor", "solve", "solve2", "solve6"),
+    "fft_ms": ("inverse", "forward"),
     "pcg_apply_ms": ("lap", "helm"),
     "condensed_ms": ("setup", "solve2", "solve"),
     "setup_ms": ("disc", "dofmap"),

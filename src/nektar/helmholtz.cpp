@@ -137,8 +137,16 @@ std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,
 // Matrix-free apply
 // ---------------------------------------------------------------------------
 
-void helmholtz_apply(const Discretization& disc,
-                     const std::function<const la::DenseMatrix&(const ElemMatrices&)>& stiff_of,
+std::vector<const la::DenseMatrix*> run_operators(
+    const Discretization& disc,
+    const std::function<const la::DenseMatrix&(const ElemMatrices&)>& stiff_of) {
+    std::vector<const la::DenseMatrix*> ops;
+    for (const ElemGroup& g : disc.groups())
+        for (const ElemGroup::MatrixRun& run : g.runs) ops.push_back(&stiff_of(*run.mats));
+    return ops;
+}
+
+void helmholtz_apply(const Discretization& disc, std::span<const la::DenseMatrix* const> ops,
                      double lambda, std::span<const double> x, std::span<double> y,
                      std::span<const char> mask,
                      const std::function<void(std::span<double>)>& assemble) {
@@ -173,8 +181,12 @@ void helmholtz_apply(const Discretization& disc,
     // non-contiguous group advances one element at a time.
     struct Cursor {
         std::size_t run = 0, j = 0;
+        std::size_t first = 0; ///< the group's first run in `ops`
     };
     std::vector<Cursor> at(groups.size());
+    for (std::size_t h = 1; h < groups.size(); ++h)
+        at[h].first = at[h - 1].first + groups[h - 1].runs.size();
+    assert(ops.size() == (groups.empty() ? 0 : at.back().first + groups.back().runs.size()));
     for (;;) {
         std::size_t gi = groups.size(), e0 = 0;
         for (std::size_t h = 0; h < groups.size(); ++h) {
@@ -190,7 +202,7 @@ void helmholtz_apply(const Discretization& disc,
         const ElemGroup& g = groups[gi];
         Cursor& c = at[gi];
         const ElemGroup::MatrixRun& run = g.runs[c.run];
-        const la::DenseMatrix& op = stiff_of(*run.mats);
+        const la::DenseMatrix& op = *ops[c.first + c.run];
         const std::size_t nm = op.rows();
         assert(nm <= g.exp->num_modes() && (lambda == 0.0 || nm == g.exp->num_modes()));
         const double* stiff = op.data();
@@ -291,21 +303,18 @@ HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double la
     if (assembly_) assembly_->sum(diag);
     inv_diag_.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) inv_diag_[i] = mask_[i] ? 1.0 : 1.0 / diag[i];
+    // L and lambda M stay separate terms; a Schur complement has lambda
+    // folded in.
+    ops_ = run_operators(*disc_, [this](const ElemMatrices& m) -> const la::DenseMatrix& {
+        return system_ == System::Full ? m.lap : blocks_.at(&m).schur;
+    });
 }
 
 void HelmholtzPCG::apply(std::span<const double> x, std::span<double> y,
                          std::span<const char> mask, bool assemble) const {
-    // L and lambda M stay separate terms; a Schur complement has lambda
-    // folded in.
-    const bool full = system_ == System::Full;
     std::function<void(std::span<double>)> sum;
     if (assemble && assembly_) sum = [this](std::span<double> v) { assembly_->sum(v); };
-    helmholtz_apply(
-        *disc_,
-        [this, full](const ElemMatrices& m) -> const la::DenseMatrix& {
-            return full ? m.lap : blocks_.at(&m).schur;
-        },
-        full ? lambda_ : 0.0, x, y, mask, sum);
+    helmholtz_apply(*disc_, ops_, system_ == System::Full ? lambda_ : 0.0, x, y, mask, sum);
 }
 
 std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,

@@ -80,11 +80,4 @@ std::string stage_group_label(StageGroup group) {
     }
 }
 
-std::vector<std::size_t> stages_in_group(StageGroup group) {
-    std::vector<std::size_t> out;
-    for (std::size_t s = 1; s <= kNumStages; ++s)
-        if (stage_group(s) == group) out.push_back(s);
-    return out;
-}
-
 } // namespace perf

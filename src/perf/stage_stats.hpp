@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "blaslite/counters.hpp"
 #include "machine/machine_model.hpp"
@@ -95,8 +94,5 @@ enum class StageGroup { Setup, PressureSolve, ViscousSolve };
 
 /// The paper's one-letter label for a group: "a", "b" or "c".
 [[nodiscard]] std::string stage_group_label(StageGroup group);
-
-/// The stages belonging to `group`, in ascending order.
-[[nodiscard]] std::vector<std::size_t> stages_in_group(StageGroup group);
 
 } // namespace perf
