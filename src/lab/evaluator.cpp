@@ -142,6 +142,10 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
     if (req.solver != "serial" && req.solver != "fourier")
         throw ParseError("measured fidelity needs solver \"serial\" or \"fourier\" "
                          "(got \"" + req.solver + "\")");
+    // The probe is the paper's run, which always transposes through the slab.
+    if (req.transpose == "pencil")
+        throw ParseError("measured fidelity runs the slab transpose: \"transpose\" must be "
+                         "\"\" or \"slab\" (got \"pencil\")");
     resolve_machine(req.machine);
     const bool parallel = req.solver == "fourier";
     if (parallel && req.net.empty())

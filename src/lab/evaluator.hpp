@@ -24,7 +24,8 @@
 ///                  comm pattern), re-priced onto the requested machine and
 ///                  network via lab/pricing.hpp.  Probe runs are memoised by
 ///                  (solver, backend, ranks, steps), so one run serves every
-///                  platform query against it.
+///                  platform query against it.  The probe runs the paper's
+///                  slab transpose, so a measured "pencil" is refused.
 ///
 /// Every report the evaluator builds is a pure function of the request:
 /// perf::report() reads only the probe run it is handed, and host times are

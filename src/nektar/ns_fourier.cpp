@@ -29,7 +29,7 @@ FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOption
       comm_(comm),
       mloc_(opts.num_modes / (comm ? static_cast<std::size_t>(comm->size()) : 1)),
       nplanes_(2 * mloc_),
-      transpose_(comm, disc_->quad_size(), nplanes_, opts.transpose, opts.pencil_rows),
+      transpose_(comm, disc_->quad_size(), nplanes_),
       zplan_(2 * opts.num_modes) {
     const std::size_t nranks = comm ? static_cast<std::size_t>(comm->size()) : 1;
     if (opts_.num_modes % nranks != 0)
@@ -84,9 +84,7 @@ std::uint64_t FourierNS::options_fingerprint() const {
         .add(static_cast<std::uint64_t>(mloc_))
         .add(static_cast<std::uint64_t>(comm_ ? comm_->size() : 1))
         .add(static_cast<std::uint64_t>(disc_->modal_size()))
-        .add(static_cast<std::uint64_t>(disc_->quad_size()))
-        .add(static_cast<std::uint64_t>(opts_.transpose))
-        .add(static_cast<std::uint64_t>(opts_.pencil_rows));
+        .add(static_cast<std::uint64_t>(disc_->quad_size()));
     return fp.value();
 }
 
@@ -98,9 +96,6 @@ void FourierNS::save_state(ckpt::Checkpoint& c) const {
     // The rank's virtual clocks, comm logs and fault-stream position: a
     // restored rank replays the remaining steps with identical message costs.
     if (comm_ != nullptr) comm_->save_state(c.add("comm"));
-    // Subcommunicator progress (the pencil's row/column collective tag and
-    // split sequences) rides in its own section.
-    if (transpose_.has_state()) transpose_.save_state(c.add("transpose"));
 }
 
 void FourierNS::restore_state(const ckpt::Checkpoint& c) {
@@ -117,13 +112,6 @@ void FourierNS::restore_state(const ckpt::Checkpoint& c) {
     if (comm_ != nullptr) {
         auto cr = c.open("comm");
         comm_->restore_state(cr);
-    }
-    // The transpose was constructed (and its splits re-derived, in the
-    // original deterministic order) before restore, so this only has to
-    // verify the contexts and reload the subcomm sequences.
-    if (transpose_.has_state()) {
-        auto tr = c.open("transpose");
-        transpose_.restore_state(tr);
     }
 }
 

@@ -114,8 +114,7 @@ private:
     simmpi::Comm* comm_;
     std::size_t mloc_;       ///< complex modes per rank
     std::size_t nplanes_;    ///< 2 * mloc_
-    /// Slab or pencil per opts_.transpose (construction derives the pencil's
-    /// subcommunicators collectively, so all ranks must agree on the kind).
+    /// The paper's slab: one P-wide alltoall on the world comm per exchange.
     Transpose transpose_;
     fft::Plan zplan_;        ///< length-Nz real FFT plan
 

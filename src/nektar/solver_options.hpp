@@ -7,7 +7,6 @@
 #include "compute/backend.hpp"
 #include "la/cg.hpp"
 #include "nektar/helmholtz.hpp"
-#include "nektar/transpose.hpp"
 
 /// \file solver_options.hpp
 /// The unified configuration API for the three Navier-Stokes solvers.
@@ -15,8 +14,11 @@
 /// SerialNS2d, FourierNS and AleNS2d share one SolverOptions base (time
 /// step, viscosity, integration order, boundary data, observability knobs)
 /// and extend it only with what is genuinely solver-specific; the overlap
-/// toggles use one naming convention (`overlap_*`).  Construct any solver
-/// from its derived struct:
+/// toggles use one naming convention (`overlap_*`).  A setting that every
+/// production run holds at one value is a constant, not a field: FourierNS
+/// always transposes through the paper's 1-D slab (nektar::Transpose keeps
+/// the 2-D pencil for the strong-scaling study).  Construct any solver from
+/// its derived struct:
 ///
 ///     nektar::SerialNsOptions opts;
 ///     opts.dt = 1e-3;
@@ -63,13 +65,6 @@ struct FourierNsOptions : SolverOptions {
     /// work through the chunked nonblocking alltoall.  Bit-identical to the
     /// blocking path — only the virtual-clock accounting changes.
     bool overlap_transpose = true;
-    /// Distributed-transpose decomposition.  Every kind moves bit-identical
-    /// values; the choice changes only the message pattern the virtual clock
-    /// prices (slab latency grows like P, pencil like sqrt(P)).
-    TransposeKind transpose = TransposeKind::Slab;
-    /// Pencil process-grid rows (0 = the most square grid for the rank
-    /// count).  Must divide the communicator size; ignored for Slab.
-    std::size_t pencil_rows = 0;
 };
 
 /// NekTar-ALE (moving mesh, element decomposition, PCG + gather-scatter).

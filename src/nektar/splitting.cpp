@@ -94,14 +94,12 @@ SolverCore::SolverCore(int time_order, double dt, std::size_t num_fields, simmpi
     : time_order_(time_order), dt_(dt), num_fields_(num_fields), comm_(comm) {
     if (time_order < 1 || time_order > kMaxTimeOrder)
         throw std::invalid_argument("SolverCore: time_order must be 1..3");
-    if constexpr (obs::kTraceCompiled) {
-        if (trace) {
-            trace_lane_ = obs::tracer().lane(comm_ ? "rank " + std::to_string(comm_->rank())
-                                                   : std::string("solver"));
-            trace_ids_[0] = obs::tracer().intern("step");
-            for (std::size_t s = 1; s <= perf::kNumStages; ++s)
-                trace_ids_[s] = obs::tracer().intern(perf::stage_short_name(s));
-        }
+    if (trace) {
+        trace_lane_ = obs::tracer().lane(comm_ ? "rank " + std::to_string(comm_->rank())
+                                               : std::string("solver"));
+        trace_ids_[0] = obs::tracer().intern("step");
+        for (std::size_t s = 1; s <= perf::kNumStages; ++s)
+            trace_ids_[s] = obs::tracer().intern(perf::stage_short_name(s));
     }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <string>
 
 #include "obs/trace.hpp"
@@ -46,17 +45,13 @@ std::size_t most_square_rows(std::size_t p) noexcept {
 }
 
 Transpose::Transpose(simmpi::Comm* comm, std::size_t nq, std::size_t nplanes,
-                     TransposeKind kind, std::size_t pencil_rows)
+                     TransposeKind kind)
     : kind_(kind),
       nq_(nq),
       nplanes_(nplanes),
       nranks_(comm ? static_cast<std::size_t>(comm->size()) : 1),
       chunk_((nq + nranks_ - 1) / nranks_) {
-    rows_ = slab() ? nranks_ : pencil_rows == 0 ? most_square_rows(nranks_) : pencil_rows;
-    if (rows_ > nranks_ || nranks_ % rows_ != 0)
-        throw std::invalid_argument("nektar: pencil_rows " + std::to_string(rows_) +
-                                    " does not divide the rank count " +
-                                    std::to_string(nranks_));
+    rows_ = slab() ? nranks_ : most_square_rows(nranks_);
     cols_ = nranks_ / rows_;
     b1_ = rows_ * nplanes_ * chunk_;
     b2_ = cols_ * nplanes_ * chunk_;
@@ -356,21 +351,6 @@ void Transpose::roundtrip_overlapped(
         h1out[f].finish();
         unpack_planes(r1out[f], planes_out[f]);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint hooks
-// ---------------------------------------------------------------------------
-
-void Transpose::save_state(ckpt::SectionWriter& w) const {
-    row_.save_group_state(w);
-    col_.save_group_state(w);
-}
-
-void Transpose::restore_state(ckpt::SectionReader& r) {
-    row_.restore_group_state(r);
-    col_.restore_group_state(r);
-    r.expect_end();
 }
 
 } // namespace nektar

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "ckpt/checkpoint.hpp"
 #include "simmpi/simmpi.hpp"
 
 /// \file transpose.hpp
@@ -35,7 +34,7 @@
 ///     the world communicator every call receives, so its events log as
 ///     group 0 and re-price across P.  Latency grows like P.
 ///   * Pencil — the 2-D pencil of the post-paper literature: the most square
-///     grid (or `pencil_rows` rows), both stages on split() subcommunicators.
+///     grid (most_square_rows), both stages on split() subcommunicators.
 ///     Per-rank volume is the slab's; the message count drops to
 ///     rows + cols - 2 peers, which is what the latency term prices.
 ///
@@ -44,7 +43,8 @@
 /// virtual-clock cost, never the numbers.
 namespace nektar {
 
-/// Which distributed-transpose decomposition FourierNS runs.
+/// Which distributed-transpose decomposition a Transpose runs.  FourierNS
+/// always runs the paper's Slab; the Pencil serves the strong-scaling study.
 enum class TransposeKind : std::uint8_t {
     Slab,   ///< the paper's 1-D slab: one P-wide alltoall on the world comm
     Pencil, ///< 2-D pencil: two staged alltoalls over row/column subcomms
@@ -57,12 +57,12 @@ class Transpose {
 public:
     /// `comm` may be null for the serial (1-rank) case.  `nq` is the number
     /// of quadrature points per plane; `nplanes` the planes owned per rank
-    /// (equal on all ranks).  A Pencil takes `pencil_rows` grid rows (must
-    /// divide comm->size(); 0 = most_square_rows) and its construction is
-    /// collective: every rank derives the row and column subcommunicators
-    /// via two split() calls.  A Slab ignores `pencil_rows` and never splits.
+    /// (equal on all ranks).  A Pencil takes most_square_rows(comm->size())
+    /// grid rows and its construction is collective: every rank derives the
+    /// row and column subcommunicators via two split() calls.  A Slab never
+    /// splits.
     Transpose(simmpi::Comm* comm, std::size_t nq, std::size_t nplanes,
-              TransposeKind kind = TransposeKind::Slab, std::size_t pencil_rows = 0);
+              TransposeKind kind = TransposeKind::Slab);
 
     [[nodiscard]] std::size_t num_ranks() const noexcept { return nranks_; }
     /// Points this rank owns in line layout (last rank may see padding).
@@ -106,14 +106,6 @@ public:
         const std::vector<std::span<const double>>& lines_out,
         const std::vector<std::span<double>>& planes_out, std::size_t nslices,
         const std::function<void(std::size_t, std::size_t)>& compute) const;
-
-    /// True when the pencil's subcommunicators carry checkpointable progress
-    /// (collective tag and split sequences); the solver then writes a
-    /// "transpose" section around save_state/restore_state so a recovery
-    /// replay reprices bit-identically.  Always false for a Slab.
-    [[nodiscard]] bool has_state() const noexcept { return !row_.is_null(); }
-    void save_state(ckpt::SectionWriter& w) const;
-    void restore_state(ckpt::SectionReader& r);
 
 private:
     [[nodiscard]] bool slab() const noexcept { return kind_ == TransposeKind::Slab; }

@@ -6,24 +6,15 @@
 /// clock, exported as Chrome trace_event JSON (chrome://tracing, Perfetto)
 /// and as a compact deterministic binary stream for regression tests.
 ///
-/// Two gates keep the hot path honest:
-///  * compile time — building with -DREPRO_TRACING=0 turns `kTraceCompiled`
-///    into a constant false, so every call site written as
-///        if constexpr (obs::kTraceCompiled)
-///            if (obs::tracer().enabled()) { ... }
-///    (or simply `if (obs::active())`) is dead-code-eliminated entirely;
-///  * run time — with tracing compiled in (the default), `active()` is one
-///    relaxed atomic load, and nothing else happens until `enable()`.
+/// One run-time gate keeps the hot path honest: every call site is written
+/// as `if (obs::active()) { ... }`, and `active()` is one relaxed atomic
+/// load, so nothing else happens until `enable()`.
 ///
 /// Determinism contract: events carrying virtual-clock timestamps (the
 /// simmpi rank lanes) are bit-identical across repeated seeded runs, and
 /// `serialize()` orders lanes and interned strings by name so the emitted
 /// bytes are too.  Host-clock events are inherently noisy; enable with
 /// `virtual_only = true` to drop them when byte-stable streams are needed.
-
-#ifndef REPRO_TRACING
-#define REPRO_TRACING 1
-#endif
 
 #include <atomic>
 #include <chrono>
@@ -36,8 +27,6 @@
 #include <vector>
 
 namespace obs {
-
-inline constexpr bool kTraceCompiled = REPRO_TRACING != 0;
 
 enum class EventKind : std::uint8_t { Begin = 0, End = 1, Counter = 2, Instant = 3 };
 
@@ -169,14 +158,8 @@ private:
 /// The process-global tracer every subsystem records into.
 [[nodiscard]] Tracer& tracer();
 
-/// True when tracing is compiled in *and* currently enabled.  Constant false
-/// under -DREPRO_TRACING=0, so guarded blocks vanish.
-[[nodiscard]] inline bool active() noexcept {
-    if constexpr (kTraceCompiled)
-        return tracer().enabled();
-    else
-        return false;
-}
+/// True while the global tracer is enabled.
+[[nodiscard]] inline bool active() noexcept { return tracer().enabled(); }
 
 /// RAII host-clock span on a lane; no-op when tracing is inactive at entry.
 class SpanScope {

@@ -281,8 +281,7 @@ void Comm::check_no_pending() const {
 
 void Comm::save_state(ckpt::SectionWriter& w) const {
     if (ctx_ != 0)
-        throw std::logic_error(
-            "simmpi: save_state on a subcommunicator; use save_group_state for splits");
+        throw std::logic_error("simmpi: save_state on a subcommunicator");
     if (rs_->pending_recvs != 0)
         throw std::logic_error("simmpi: checkpoint with " + std::to_string(rs_->pending_recvs) +
                                " pending nonblocking request(s); checkpoint between steps");
@@ -321,8 +320,7 @@ void Comm::save_state(ckpt::SectionWriter& w) const {
 
 void Comm::restore_state(ckpt::SectionReader& r) {
     if (ctx_ != 0)
-        throw std::logic_error(
-            "simmpi: restore_state on a subcommunicator; use restore_group_state for splits");
+        throw std::logic_error("simmpi: restore_state on a subcommunicator");
     rs_->cpu = r.f64();
     rs_->wall = r.f64();
     rs_->nic_busy = r.f64();
@@ -360,24 +358,6 @@ void Comm::restore_state(ckpt::SectionReader& r) {
         rs_->overlap_log[stage] = r.f64();
     }
     r.expect_end();
-}
-
-void Comm::save_group_state(ckpt::SectionWriter& w) const {
-    require("save_group_state");
-    w.u64(ctx_);
-    w.i64(coll_seq_);
-    w.i64(split_seq_);
-}
-
-void Comm::restore_group_state(ckpt::SectionReader& r) {
-    require("restore_group_state");
-    const std::uint64_t ctx = r.u64();
-    if (ctx != ctx_)
-        r.fail("subcommunicator context mismatch: checkpoint has " + std::to_string(ctx) +
-               ", live communicator is " + std::to_string(ctx_) +
-               " (splits must be re-derived in the original order before restore)");
-    coll_seq_ = static_cast<int>(r.i64());
-    split_seq_ = static_cast<int>(r.i64());
 }
 
 // ---------------------------------------------------------------------------

@@ -451,13 +451,6 @@ public:
     /// original run — clocks, logs and fault draws included.
     void restore_state(ckpt::SectionReader& r);
 
-    /// Serializes the communicator-local progress (collective tag sequence,
-    /// split counter) of this view.  A solver holding subcommunicators saves
-    /// one of these per subcomm next to the world comm's save_state; the
-    /// shared per-rank clocks and logs are not duplicated.
-    void save_group_state(ckpt::SectionWriter& w) const;
-    void restore_group_state(ckpt::SectionReader& r);
-
 private:
     friend class World;
     friend class Ialltoall;
@@ -503,8 +496,8 @@ private:
     /// Called by World::run after the rank function returns cleanly.
     void check_no_pending() const;
 
-    // --- obs tracing (vanish under REPRO_TRACING=0; one relaxed atomic load
-    //     while the tracer is disabled) ---
+    // --- obs tracing (one relaxed atomic load while the tracer is
+    //     disabled) ---
     /// Opens a span named `name` on this rank's lane ("rank N" by world
     /// rank, created on first use) at the current virtual wall clock, tagged
     /// with a kind/bytes/overlapped argument fragment.  Returns the interned

@@ -3,7 +3,9 @@
 #include <string>
 
 #include "lab/evaluator.hpp"
+#include "lab/json.hpp"
 #include "lab/pricing.hpp"
+#include "lab/service.hpp"
 #include "machine/machine_model.hpp"
 #include "nektar/workloads.hpp"
 
@@ -95,6 +97,38 @@ TEST(EvaluatorMeasured, FourierReportCarriesTheOverlapRows) {
         if (row.stage == 2) nonlinear_overlap = row.overlap_seconds;
     EXPECT_GT(nonlinear_overlap, 0.0);
     EXPECT_GT(rep.metrics.counters.at("comm.overlap_hidden_seconds"), 0.0);
+}
+
+TEST(EvaluatorMeasured, PencilTransposeIsRefusedBeforeAnyProbeRuns) {
+    // The measured probe is the paper's slab run: answering a "pencil"
+    // request from it would store the slab's answer under the pencil key.
+    // "" and "slab" pass.
+    lab::Evaluator ev;
+    lab::ScenarioRequest req;
+    req.fidelity = "measured";
+    req.solver = "fourier";
+    req.machine = "NCSA";
+    req.net = "NCSA";
+    req.ranks = 2;
+    req.steps = 1;
+    req.transpose = "pencil";
+    try {
+        (void)ev.evaluate(req);
+        ADD_FAILURE() << "a measured pencil request was evaluated";
+    } catch (const lab::ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("\"transpose\""), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(ev.probe_runs(), 0u);
+
+    lab::Service service;
+    const lab::Answer answer = service.answer(req);
+    EXPECT_FALSE(answer.error.empty());
+    EXPECT_TRUE(answer.report_json.empty());
+    EXPECT_EQ(service.stats().errors, 1u);
+
+    req.transpose = "slab";
+    (void)ev.evaluate(req);
+    EXPECT_EQ(ev.probe_runs(), 1u);
 }
 
 TEST(Workloads, FourierCommPricePerStepDoesNotDependOnTheStepCount) {

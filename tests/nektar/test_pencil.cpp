@@ -4,34 +4,25 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
+#include <string>
 #include <vector>
 
-#include "mesh/generators.hpp"
-#include "nektar/ns_fourier.hpp"
 #include "transpose_oracle.hpp"
 
 /// The distributed transpose, both kinds: the slab (P x 1 grid, one world
 /// alltoall) and the 2-D pencil (two staged subcommunicator alltoalls).
 /// Every kind must deliver the closed-form oracle's buffers at every rank
-/// count; the slab must price as the paper's single P-wide exchange; and a
-/// pencil solver must checkpoint/restart bit-identically under seeded faults.
+/// count, and the slab must price as the paper's single P-wide exchange.
 namespace {
 
 using nektar::Transpose;
 using nektar::TransposeKind;
 
-netsim::NetworkModel test_net(std::uint64_t fault_seed = 0) {
+netsim::NetworkModel test_net() {
     netsim::NetworkModel n;
     n.name = "test";
     n.latency_us = 10.0;
     n.bandwidth_mbps = 100.0;
-    if (fault_seed != 0) {
-        n.fault.seed = fault_seed;
-        n.fault.latency_jitter_us = 25.0;
-        n.fault.degrade_probability = 0.2;
-        n.fault.degrade_factor = 2.5;
-    }
     return n;
 }
 
@@ -40,7 +31,6 @@ constexpr TransposeKind kKinds[] = {TransposeKind::Slab, TransposeKind::Pencil};
 TEST(PencilTranspose, SerialRoundTrip) {
     const std::size_t nq = 17, npl = 6;
     Transpose tr(nullptr, nq, npl, TransposeKind::Pencil);
-    EXPECT_FALSE(tr.has_state());
     const std::vector<double> planes = transpose_oracle::planes(tr, nq, 0);
     std::vector<double> lines(tr.lines_buffer_size());
     tr.to_lines(nullptr, planes, lines);
@@ -75,14 +65,6 @@ TEST(PencilTranspose, GridShapeIsMostSquareByDefault) {
     }
 }
 
-TEST(PencilTranspose, RowsMustDivideTheRankCount) {
-    simmpi::World world(6, test_net());
-    EXPECT_THROW(world.run([](simmpi::Comm& c) {
-        Transpose tr(&c, 23, 2, TransposeKind::Pencil, 4);
-    }),
-                 std::invalid_argument);
-}
-
 /// Runs `body(comm)` on `p` ranks; p = 1 is the serial case (null comm).
 template <class Body>
 void on_ranks(int p, Body&& body) {
@@ -109,7 +91,6 @@ TEST_P(PencilRanks, MatchesSlabBitForBit) {
             const Transpose tr(c, nq, npl, kind);
             const auto planes = transpose_oracle::planes(tr, nq, rank);
             const auto expect = transpose_oracle::lines(tr, nq, rank);
-            EXPECT_EQ(tr.has_state(), kind == TransposeKind::Pencil && p > 1);
 
             std::vector<double> lines(tr.lines_buffer_size(), -1.0);
             tr.to_lines(c, planes, lines);
@@ -137,8 +118,8 @@ TEST_P(PencilRanks, MatchesSlabBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, PencilRanks, ::testing::Values(1, 2, 3, 4, 6, 7, 8, 12, 16));
 
-/// The slab is the P x 1 grid on the world communicator: no split(), no
-/// checkpoint state, and one group-0 Alltoall per blocking direction — the
+/// The slab is the P x 1 grid on the world communicator: no split() and
+/// one group-0 Alltoall per blocking direction — the
 /// events simmpi::price re-prices across P.  The pencil splits and logs
 /// subcommunicator-sized events instead.
 TEST(SlabTranspose, CallsNoSplitAndLogsOnlyWorldAlltoalls) {
@@ -149,7 +130,6 @@ TEST(SlabTranspose, CallsNoSplitAndLogsOnlyWorldAlltoalls) {
         const Transpose slab(&c, nq, npl, TransposeKind::Slab);
         EXPECT_EQ(slab.grid_rows(), static_cast<std::size_t>(p));
         EXPECT_EQ(slab.grid_cols(), 1u);
-        EXPECT_FALSE(slab.has_state());
         EXPECT_TRUE(c.log().empty()) << "the slab constructor communicated";
 
         const auto planes = transpose_oracle::planes(slab, nq, c.rank());
@@ -173,7 +153,6 @@ TEST(SlabTranspose, CallsNoSplitAndLogsOnlyWorldAlltoalls) {
         }
 
         const Transpose pencil(&c, nq, npl, TransposeKind::Pencil);
-        EXPECT_TRUE(pencil.has_state());
         bool split = false;
         for (const auto& [key, n] : c.log().at(-1)) split |= key.kind == simmpi::CommKind::Split;
         EXPECT_TRUE(split) << "the pencil derives its grid through split()";
@@ -284,134 +263,6 @@ TEST(PencilTranspose, CostModelCrossesOverAtScale) {
     // Large P: the slab's P-wide latency term loses badly.
     EXPECT_GT(slab_seconds(1024), pencil_seconds(1024));
     EXPECT_GT(slab_seconds(4096), pencil_seconds(4096));
-}
-
-// --- FourierNS integration --------------------------------------------------
-
-std::shared_ptr<nektar::Discretization> shear_disc(std::size_t order) {
-    auto m = mesh::rectangle_quads(2, 2, 0.0, 1.0, 0.0, 1.0);
-    m.tag_boundary(mesh::BoundaryTag::Side, [](double, double) { return true; });
-    m.tag_boundary(mesh::BoundaryTag::Wall,
-                   [](double, double y) { return y < 1e-9 || y > 1.0 - 1e-9; });
-    return std::make_shared<nektar::Discretization>(std::make_shared<mesh::Mesh>(std::move(m)),
-                                                    order);
-}
-
-nektar::FourierNsOptions fourier_opts(nektar::TransposeKind kind) {
-    nektar::FourierNsOptions o;
-    o.dt = 2e-3;
-    o.viscosity = 0.05;
-    o.time_order = 2;
-    o.num_modes = 4;
-    o.velocity_bc.dirichlet = {mesh::BoundaryTag::Wall};
-    o.pressure_bc.dirichlet.clear();
-    o.pressure_bc.pin_first_dof = true;
-    o.transpose = kind;
-    return o;
-}
-
-void shear_initial(nektar::FourierNS& ns, double lz) {
-    constexpr double pi = std::numbers::pi;
-    ns.set_initial(
-        [=](double, double y, double z) {
-            return std::sin(pi * y) * (1.0 + 0.1 * std::cos(2.0 * pi * z / lz));
-        },
-        [=](double, double y, double z) {
-            return 0.05 * std::sin(pi * y) * std::sin(2.0 * pi * z / lz);
-        },
-        [=](double, double y, double) { return 0.02 * std::sin(pi * y); });
-}
-
-/// Runs `steps` of the shear problem and returns every rank's quadrature
-/// planes of every component — the physics, independent of comm accounting.
-std::vector<std::vector<double>> run_fourier(int nranks, nektar::TransposeKind kind,
-                                             int steps) {
-    const auto disc = shear_disc(3);
-    const auto opts = fourier_opts(kind);
-    std::vector<std::vector<double>> fields(static_cast<std::size_t>(nranks));
-    simmpi::World world(nranks, test_net());
-    world.run([&](simmpi::Comm& c) {
-        nektar::FourierNS ns(disc, opts, &c);
-        shear_initial(ns, opts.lz);
-        for (int s = 0; s < steps; ++s) ns.step();
-        auto& out = fields[static_cast<std::size_t>(c.rank())];
-        for (int comp = 0; comp < 3; ++comp)
-            for (std::size_t p = 0; p < 2 * ns.local_modes(); ++p) {
-                const auto plane = ns.plane_quad(comp, p);
-                out.insert(out.end(), plane.begin(), plane.end());
-            }
-    });
-    return fields;
-}
-
-TEST(FourierNsPencil, SolverFieldsMatchSlabBitForBit) {
-    for (const int p : {2, 4}) {
-        const auto slab = run_fourier(p, nektar::TransposeKind::Slab, 3);
-        const auto pencil = run_fourier(p, nektar::TransposeKind::Pencil, 3);
-        for (int r = 0; r < p; ++r)
-            EXPECT_EQ(pencil[static_cast<std::size_t>(r)], slab[static_cast<std::size_t>(r)])
-                << "p=" << p << " rank " << r;
-    }
-}
-
-/// Restart bit-identity for a pencil solver under an active fault model: the
-/// transpose's subcommunicator state (and the re-derived split contexts)
-/// must replay exactly.
-TEST(FourierNsPencil, CheckpointRestartIsByteIdenticalUnderFaults) {
-    const int nranks = 4, n = 5, k = 2;
-    const std::uint64_t seed = 1234;
-    const auto disc = shear_disc(3);
-    const auto opts = fourier_opts(nektar::TransposeKind::Pencil);
-
-    const auto run = [&](int steps, const std::vector<std::vector<std::uint8_t>>* from,
-                         std::vector<std::vector<std::uint8_t>>& out) {
-        simmpi::World world(nranks, test_net(seed));
-        out.assign(static_cast<std::size_t>(nranks), {});
-        world.run([&](simmpi::Comm& c) {
-            nektar::FourierNS ns(disc, opts, &c);
-            if (from != nullptr)
-                ns.restore(ckpt::Checkpoint::deserialize(
-                    (*from)[static_cast<std::size_t>(c.rank())]));
-            else
-                shear_initial(ns, opts.lz);
-            while (ns.steps_taken() < steps) ns.step();
-            out[static_cast<std::size_t>(c.rank())] = ns.checkpoint().serialize();
-        });
-    };
-
-    std::vector<std::vector<std::uint8_t>> ref, mid, resumed;
-    run(n, nullptr, ref);
-    run(k, nullptr, mid);
-    ASSERT_TRUE(ckpt::Checkpoint::deserialize(mid[0]).has("transpose"));
-    run(n, &mid, resumed);
-    for (int r = 0; r < nranks; ++r)
-        EXPECT_EQ(resumed[static_cast<std::size_t>(r)], ref[static_cast<std::size_t>(r)])
-            << "rank " << r;
-}
-
-/// A slab checkpoint must not restore into a pencil solver (or vice versa):
-/// the options fingerprint covers the transpose kind.
-TEST(FourierNsPencil, SlabCheckpointIsRefusedByAPencilSolver) {
-    const int nranks = 2;
-    const auto disc = shear_disc(3);
-    std::vector<std::vector<std::uint8_t>> slab_ck(nranks);
-    {
-        simmpi::World world(nranks, test_net());
-        world.run([&](simmpi::Comm& c) {
-            nektar::FourierNS ns(disc, fourier_opts(nektar::TransposeKind::Slab), &c);
-            shear_initial(ns, 2.0 * std::numbers::pi);
-            ns.step();
-            slab_ck[static_cast<std::size_t>(c.rank())] = ns.checkpoint().serialize();
-        });
-    }
-    // The slab has no subcommunicators, so it writes no transpose section.
-    EXPECT_FALSE(ckpt::Checkpoint::deserialize(slab_ck[0]).has("transpose"));
-    simmpi::World world(nranks, test_net());
-    EXPECT_THROW(world.run([&](simmpi::Comm& c) {
-        nektar::FourierNS ns(disc, fourier_opts(nektar::TransposeKind::Pencil), &c);
-        ns.restore(ckpt::Checkpoint::deserialize(slab_ck[static_cast<std::size_t>(c.rank())]));
-    }),
-                 ckpt::Error);
 }
 
 } // namespace

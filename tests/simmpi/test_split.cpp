@@ -9,8 +9,8 @@
 #include "ckpt/checkpoint.hpp"
 
 /// Comm::split(color, key): partition semantics, subcommunicator collectives
-/// against serial references, determinism under fault seeds, and the
-/// checkpoint round-trip of the group-local state.
+/// against serial references, determinism under fault seeds, and the refusal
+/// to checkpoint a subcommunicator (only the world comm carries state).
 namespace {
 
 netsim::NetworkModel test_net(std::uint64_t fault_seed = 0) {
@@ -191,82 +191,6 @@ TEST(CommSplit, DeterministicUnderFaultSeeds) {
         differs |= a[static_cast<std::size_t>(r)].wall_seconds !=
                    c[static_cast<std::size_t>(r)].wall_seconds;
     EXPECT_TRUE(differs);
-}
-
-/// Checkpoint/restore of a program using subcommunicators: save the world
-/// state plus each subcomm's group state mid-run, replay from the checkpoint
-/// in a fresh world (re-deriving the splits in the original order), and
-/// compare the continuation byte-for-byte against the uninterrupted run.
-TEST(CommSplit, CheckpointRoundTripReplaysBitIdentically) {
-    const int p = 6, total_phases = 5, cut = 2;
-    const std::uint64_t seed = 977;
-
-    const auto phase = [](simmpi::Comm& c, simmpi::Comm& row, simmpi::Comm& col) {
-        (void)row.allreduce_sum(static_cast<double>(c.rank()));
-        std::vector<double> s(static_cast<std::size_t>(col.size()), 1.0);
-        std::vector<double> r(s.size());
-        col.alltoall(s, r, 1);
-        c.barrier();
-    };
-
-    const auto run = [&](const std::vector<std::vector<std::uint8_t>>* from,
-                         std::vector<std::vector<std::uint8_t>>& mid_out,
-                         std::vector<double>& final_wall) {
-        simmpi::World world(p, test_net(seed));
-        mid_out.assign(p, {});
-        final_wall.assign(p, 0.0);
-        world.run([&](simmpi::Comm& c) {
-            // Splits first, in a fixed order, so a restore lands on
-            // identically-derived contexts.
-            simmpi::Comm row = c.split(c.rank() / 3, c.rank());
-            simmpi::Comm col = c.split(c.rank() % 3, c.rank());
-            int start = 0;
-            if (from != nullptr) {
-                const auto ck =
-                    ckpt::Checkpoint::deserialize((*from)[static_cast<std::size_t>(c.rank())]);
-                auto wr = ck.open("world");
-                c.restore_state(wr);
-                auto gr = ck.open("groups");
-                row.restore_group_state(gr);
-                col.restore_group_state(gr);
-                gr.expect_end();
-                start = cut;
-            }
-            for (int ph = start; ph < total_phases; ++ph) {
-                phase(c, row, col);
-                if (from == nullptr && ph + 1 == cut) {
-                    ckpt::Checkpoint ck;
-                    c.save_state(ck.add("world"));
-                    auto& gw = ck.add("groups");
-                    row.save_group_state(gw);
-                    col.save_group_state(gw);
-                    mid_out[static_cast<std::size_t>(c.rank())] = ck.serialize();
-                }
-            }
-            final_wall[static_cast<std::size_t>(c.rank())] = c.wall_time();
-        });
-    };
-
-    std::vector<std::vector<std::uint8_t>> mid, unused;
-    std::vector<double> ref_wall, resumed_wall;
-    run(nullptr, mid, ref_wall);       // uninterrupted, checkpointing at `cut`
-    run(&mid, unused, resumed_wall);   // restored, phases cut..total
-    for (int r = 0; r < p; ++r)
-        EXPECT_EQ(resumed_wall[static_cast<std::size_t>(r)],
-                  ref_wall[static_cast<std::size_t>(r)])
-            << "rank " << r;
-}
-
-TEST(CommSplit, RestoreIntoTheWrongSubcommIsRefused) {
-    simmpi::World world(4, test_net());
-    world.run([](simmpi::Comm& c) {
-        simmpi::Comm row = c.split(c.rank() / 2, c.rank());
-        simmpi::Comm col = c.split(c.rank() % 2, c.rank());
-        ckpt::SectionWriter w("groups");
-        row.save_group_state(w);
-        ckpt::SectionReader r("groups", w.bytes());
-        EXPECT_THROW(col.restore_group_state(r), ckpt::Error);
-    });
 }
 
 TEST(CommSplit, SaveStateOnASubcommIsRefused) {
