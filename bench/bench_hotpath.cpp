@@ -5,9 +5,10 @@
 /// runs orders 4-12 and reports the crossover order — the smallest order
 /// from which sum factorisation stays ahead of the dense batch — in the
 /// RunReport (top-level "crossover_order").  A second sweep times the
-/// banded direct solver (factor, one solve, the two- and six-RHS solves) at
-/// per-Fourier-mode band shapes and a wide band, then FourierNS's z-line
-/// transforms at three plane counts, a third the matrix-free
+/// banded direct solver (factor, one solve, the two- and six-RHS solves) on
+/// full bands of per-Fourier-mode shape and a wide one and on the envelopes
+/// of a Fourier mode's matrix and the serial Schur complement, then
+/// FourierNS's z-line transforms at three plane counts, a third the matrix-free
 /// Helmholtz apply of the PCG solvers on a perturbed mesh, and a fourth
 /// SerialNS2d's condensed direct solver at Table 1's shape (setup, the
 /// two-RHS velocity solve, a single solve), and a fifth the setup kernels
@@ -177,24 +178,37 @@ double crossover_order(const std::vector<CaseResult>& results) {
     return crossover;
 }
 
+/// lambda = gamma0/(nu dt) of a second-order step at dt = 2e-3, nu = 0.01:
+/// the velocity operator of the paper runs.
+constexpr double kVelocityLambda = 1.5 / (0.01 * 2e-3);
+
 struct BandedResult {
     std::size_t n = 0, kd = 0;
+    /// The mesh order and element count of a solver's own matrix; 0 for a
+    /// synthetic full band.
+    std::size_t order = 0, elements = 0;
     double factor_ms = 0.0, solve_ms = 0.0, solve2_ms = 0.0, solve6_ms = 0.0;
 };
 
-/// The banded Cholesky factor, one solve, the two-RHS solve and the
-/// six-RHS solve (FourierNS's per-mode velocity solves) of an SPD band of
-/// order n and bandwidth kd (the cost does not depend on the values).  Each
-/// solve restarts from the same right-hand side so repeated calls never run
-/// into denormals.
-BandedResult run_banded(std::size_t n, std::size_t kd, double min_seconds) {
+/// An SPD band of order n and bandwidth kd with every in-band entry stored
+/// (the factor's and solves' cost then depends only on n and kd).
+la::SymBandedMatrix full_band(std::size_t n, std::size_t kd) {
     la::SymBandedMatrix a(n, kd);
     for (std::size_t j = 0; j < n; ++j) {
         a.band(0, j) = 4.0 * static_cast<double>(kd + 1);
         for (std::size_t d = 1; d <= kd && j + d < n; ++d)
             a.band(d, j) = -1.0 / static_cast<double>(d + 1);
     }
-    BandedResult r{n, kd};
+    return a;
+}
+
+/// The banded Cholesky factor, one solve, the two-RHS solve and the
+/// six-RHS solve (FourierNS's per-mode velocity solves) of `a`.  Each solve
+/// restarts from the same right-hand side so repeated calls never run into
+/// denormals.
+BandedResult run_banded(const la::SymBandedMatrix& a, double min_seconds) {
+    const std::size_t n = a.size();
+    BandedResult r{n, a.bandwidth()};
     la::BandedCholesky chol;
     r.factor_ms = 1e3 * benchutil::time_per_call([&] { (void)chol.factor(a); }, min_seconds);
     const std::vector<double> rhs(n, 1.0);
@@ -228,6 +242,10 @@ perf::Case to_case(const BandedResult& r) {
     perf::Case c;
     c.values["n"] = static_cast<double>(r.n);
     c.values["kd"] = static_cast<double>(r.kd);
+    if (r.order > 0) {
+        c.values["order"] = static_cast<double>(r.order);
+        c.values["elements"] = static_cast<double>(r.elements);
+    }
     c.values["banded_ms.factor"] = r.factor_ms;
     c.values["banded_ms.solve"] = r.solve_ms;
     c.values["banded_ms.solve2"] = r.solve2_ms;
@@ -328,19 +346,18 @@ struct CondensedResult {
     double setup_ms = 0.0, solve2_ms = 0.0, solve_ms = 0.0;
 };
 
-/// SerialNS2d's velocity operator on Table 1's mesh at order 6 (lambda =
-/// gamma0/(nu dt) of a second-order step at dt = 2e-3, nu = 0.01): the
-/// constructor (condense every matrix class, assemble and factor the Schur
-/// band), the step's two-RHS solve_global and a single-RHS one.
+/// SerialNS2d's velocity operator on Table 1's mesh at order 6
+/// (kVelocityLambda): the constructor (condense every matrix class,
+/// assemble and factor the Schur band), the step's two-RHS solve_global and
+/// a single-RHS one.
 CondensedResult run_condensed(double min_seconds) {
     const auto disc = std::make_shared<nektar::Discretization>(
         std::make_shared<mesh::Mesh>(nektar::workloads::table1_mesh()),
         nektar::workloads::kTable1Order);
     const nektar::HelmholtzBC bc = nektar::SolverOptions{}.velocity_bc;
-    const double lambda = 1.5 / (0.01 * 2e-3);
     std::optional<nektar::CondensedHelmholtz> cond;
     CondensedResult r{disc->order()};
-    r.setup_ms = 1e3 * benchutil::time_per_call([&] { cond.emplace(disc, lambda, bc); },
+    r.setup_ms = 1e3 * benchutil::time_per_call([&] { cond.emplace(disc, kVelocityLambda, bc); },
                                                 min_seconds);
     r.n = cond->boundary_dofs();
     r.kd = cond->bandwidth();
@@ -451,10 +468,12 @@ int main(int argc, char** argv) {
     else
         std::printf("\nsum-factorisation crossover: none within this sweep\n");
 
-    // Banded direct solver: NekTar-F's per-mode shape of Table 2, a
-    // narrower band and a wide one whose factor is dominated by the
-    // trailing-update tile, as the serial solver's is; the full sweep adds
-    // the serial solver's own band.
+    // Banded direct solver: full bands of NekTar-F's per-mode shape of
+    // Table 2, a narrower one and a wide one whose factor is dominated by the
+    // trailing-update tile (the full sweep adds the serial solver's old full
+    // system), then the two envelopes the solvers factor: a FourierNS mode's
+    // velocity matrix (Table 2's mesh and order, mode 1) and SerialNS2d's
+    // Schur complement (run_condensed's).
     const std::vector<std::pair<std::size_t, std::size_t>> bands =
         smoke ? std::vector<std::pair<std::size_t, std::size_t>>{{1568, 267},
                                                                  {2000, 200},
@@ -462,18 +481,38 @@ int main(int argc, char** argv) {
               : std::vector<std::pair<std::size_t, std::size_t>>{
                     {1568, 267}, {2000, 200}, {3000, 600}, {7416, 815}};
     std::printf("\nBanded Cholesky (factor, one solve, two- and six-RHS solves)\n");
-    benchutil::Table band_table({"n", "kd", "factor ms", "solve ms", "solve2 ms", "solve6 ms"});
+    benchutil::Table band_table(
+        {"matrix", "n", "kd", "factor ms", "solve ms", "solve2 ms", "solve6 ms"});
     band_table.print_header();
-    std::vector<BandedResult> banded;
-    for (const auto& [n, kd] : bands) {
-        const BandedResult r = run_banded(n, kd, min_seconds);
-        banded.push_back(r);
-        band_table.print_row({std::to_string(r.n), std::to_string(r.kd),
+    std::vector<std::pair<std::string, BandedResult>> banded;
+    for (const auto& [n, kd] : bands)
+        banded.emplace_back("full", run_banded(full_band(n, kd), min_seconds));
+    {
+        const auto mode = std::make_shared<nektar::Discretization>(
+            std::make_shared<mesh::Mesh>(nektar::workloads::table2_mesh()),
+            nektar::workloads::kTable2Order);
+        const nektar::SolverOptions opts;
+        la::SymBandedMatrix h = nektar::assemble_helmholtz(*mode, kVelocityLambda + 1.0);
+        (void)nektar::DirichletReduction(h, nektar::constrained_dofs(*mode, opts.velocity_bc));
+        BandedResult r = run_banded(h, min_seconds);
+        r.order = mode->order();
+        r.elements = mode->num_elements();
+        banded.emplace_back("fourier mode", r);
+        const auto serial = std::make_shared<nektar::Discretization>(
+            std::make_shared<mesh::Mesh>(nektar::workloads::table1_mesh()),
+            nektar::workloads::kTable1Order);
+        const nektar::CondensedHelmholtz cond(serial, kVelocityLambda, opts.velocity_bc);
+        r = run_banded(cond.schur_matrix(), min_seconds);
+        r.order = serial->order();
+        r.elements = serial->num_elements();
+        banded.emplace_back("serial schur", r);
+    }
+    for (const auto& [name, r] : banded)
+        band_table.print_row({name, std::to_string(r.n), std::to_string(r.kd),
                               benchutil::fmt(r.factor_ms, "%.3f"),
                               benchutil::fmt(r.solve_ms, "%.3f"),
                               benchutil::fmt(r.solve2_ms, "%.3f"),
                               benchutil::fmt(r.solve6_ms, "%.3f")});
-    }
 
     // FourierNS's z-line transforms at Table 2's plane count (16) and two
     // larger ones, the same in both sweeps.
@@ -533,7 +572,7 @@ int main(int argc, char** argv) {
     rep.crossover_order = crossover;
     rep.meta["threads"] = std::to_string(parallel::num_threads());
     for (const CaseResult& r : results) rep.cases.push_back(to_case(r));
-    for (const BandedResult& r : banded) rep.cases.push_back(to_case(r));
+    for (const auto& [name, r] : banded) rep.cases.push_back(to_case(r));
     for (const FftResult& r : ffts) rep.cases.push_back(to_case(r));
     for (const ApplyResult& r : applies) rep.cases.push_back(to_case(r));
     rep.cases.push_back(to_case(cond));

@@ -210,7 +210,8 @@ void dgemv(double alpha, const double* a, std::size_t lda, std::size_t m, std::s
             s1 += row[j + 1] * x[j + 1];
         }
         if (j < n) s0 += row[j] * x[j];
-        y[i] = alpha * (s0 + s1) + beta * y[i];
+        // beta = 0 never reads y, which may hold anything (NaN included).
+        y[i] = beta == 0.0 ? alpha * (s0 + s1) : alpha * (s0 + s1) + beta * y[i];
     }
     detail::charge(2 * m * n + 3 * m, (m * n + n + m) * kDouble, m * kDouble);
 }

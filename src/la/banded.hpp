@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -12,17 +13,23 @@
 /// The paper's serial and Fourier solvers spend ~60% of each time step in
 /// "matrix inversions ... a direct solver (LAPACK), utilising the symmetric
 /// and banded nature of the matrix" (stages 5 and 7, Figure 12).  This is the
-/// from-scratch equivalent of LAPACK's dpbtrf/dpbtrs pair, in dpbtrf's 'L'
-/// storage: each column's band is contiguous, so A(r, c) lives at
-/// `r + c * kd` of the buffer and any in-band block is a dense column-major
-/// block with leading dimension kd.
+/// from-scratch equivalent of LAPACK's dpbtrf/dpbtrs pair, taking the matrix
+/// in dpbtrf's 'L' storage: each column's band is contiguous, so A(r, c)
+/// lives at `r + c * kd` of the buffer and any in-band block is a dense
+/// column-major block with leading dimension kd.
 ///
-/// The factor is panel-blocked and right-looking, with a register tile for
-/// the trailing update; the solves are unit-stride column sweeps and can
-/// take several right-hand sides in one pass over L.  Both are bitwise
-/// identical to the plain column-by-column algorithm (every entry of L and
-/// x sees the same operations in the same order) and charge the same
-/// operation counts; DESIGN.md §5.10 states the contract.
+/// The factor works only inside the row envelope: row r from its first
+/// stored nonzero column first(r) to the diagonal, which Cholesky fill never
+/// leaves.  It is panel-blocked and right-looking, with a register tile for
+/// the trailing update that skips rows the panel does not reach.  L is then
+/// kept column by column as runs of envelope rows and the band is freed, so
+/// the solves (unit-stride column sweeps that can take several right-hand
+/// sides in one pass over L) touch only the envelope.  Both are bitwise
+/// identical to the plain column-by-column algorithm on the full band (every
+/// entry of L and x sees the same operations in the same order; the terms
+/// left out subtract exact zeros) and charge the full band's operation
+/// counts, the LAPACK band the paper prices; DESIGN.md §5.10 states the
+/// contract.
 namespace la {
 
 /// Symmetric positive-definite banded matrix, lower-band storage:
@@ -60,14 +67,19 @@ private:
     std::vector<double> band_;
 };
 
-/// Banded Cholesky factorization A = L L^T kept in banded storage, plus the
-/// solve.  Factorization costs O(n * kd^2); each solve costs O(n * kd).
+/// Banded Cholesky factorization A = L L^T kept in envelope storage, plus
+/// the solve.  With w(r) = r - first(r) the row envelope widths, the factor
+/// costs O(sum w^2) after an O(n * kd) scan for the envelope and each solve
+/// O(sum w); a full band is the case w(r) = min(r, kd), O(n * kd^2) and
+/// O(n * kd).
 class BandedCholesky {
 public:
     BandedCholesky() = default;
 
     /// Factors `a` in place of its own storage (move the matrix in to avoid
-    /// a copy); returns false if the matrix is not positive definite.
+    /// a copy), then keeps L compactly and frees the band; returns false if
+    /// the matrix is not positive definite.  Throws std::length_error for a
+    /// matrix of 2^32 or more rows.
     bool factor(SymBandedMatrix a);
 
     /// Solves A x = b; b is overwritten with x.
@@ -82,13 +94,12 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return n_; }
     [[nodiscard]] std::size_t bandwidth() const noexcept { return kd_; }
 
-    /// L(j + d, j) in banded coordinates (the bit-identity tests read it).
-    [[nodiscard]] double band(std::size_t d, std::size_t j) const noexcept {
-        return band_[j * (kd_ + 1) + d];
-    }
+    /// L(j + d, j) in banded coordinates, +0 outside the envelope (the
+    /// bit-identity tests read it).
+    [[nodiscard]] double band(std::size_t d, std::size_t j) const noexcept;
 
-    /// Flop count of one solve (forward + back substitution); used by the
-    /// per-machine performance predictors.
+    /// Flop count of one solve (forward + back substitution) on the full
+    /// band; used by the per-machine performance predictors.
     [[nodiscard]] std::size_t solve_flops() const noexcept {
         return 2 * (2 * n_ * (kd_ + 1));
     }
@@ -96,7 +107,14 @@ public:
 private:
     std::size_t n_ = 0;
     std::size_t kd_ = 0;
-    std::vector<double> band_; // L in the same lower-band layout
+    std::vector<std::uint32_t> first_; ///< first(r), after the signed-zero widening
+    std::vector<double> diag_;         ///< L(j, j)
+    /// Column j of L below the diagonal: runs t in [col_[j], col_[j + 1]),
+    /// run t being rows run_row_[t] .. run_row_[t] + run_len_[t] - 1, with
+    /// their values from val_[vcol_[j]] on, run after run.
+    std::vector<std::size_t> col_, vcol_;
+    std::vector<std::uint32_t> run_row_, run_len_;
+    std::vector<double> val_;
 };
 
 } // namespace la

@@ -77,25 +77,30 @@ void DirichletReduction::impose(std::span<double> rhs, std::span<const double> v
     for (int d : dofs_) rhs[static_cast<std::size_t>(d)] = values[static_cast<std::size_t>(d)];
 }
 
-HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
-                                 HelmholtzBC bc)
-    : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
-    const DofMap& dm = disc_->dofmap();
+la::SymBandedMatrix assemble_helmholtz(const Discretization& disc, double lambda) {
+    const DofMap& dm = disc.dofmap();
     la::SymBandedMatrix h(dm.num_global(), dm.bandwidth());
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
+    for (std::size_t e = 0; e < disc.num_elements(); ++e) {
+        const ElementOps& ops = disc.ops(e);
         const auto& map = dm.element_map(e);
         const std::size_t nm = ops.num_modes();
         for (std::size_t i = 0; i < nm; ++i) {
             for (std::size_t j = 0; j <= i; ++j) {
                 const double v = map[i].sign * map[j].sign *
-                                 (ops.laplacian()(i, j) + lambda_ * ops.mass()(i, j));
+                                 (ops.laplacian()(i, j) + lambda * ops.mass()(i, j));
                 h.add(static_cast<std::size_t>(map[i].global),
                       static_cast<std::size_t>(map[j].global),
                       (map[i].global == map[j].global && i != j) ? 2.0 * v : v);
             }
         }
     }
+    return h;
+}
+
+HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
+                                 HelmholtzBC bc)
+    : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
+    la::SymBandedMatrix h = assemble_helmholtz(*disc_, lambda_);
     dirichlet_ = DirichletReduction(h, constrained_dofs(*disc_, bc_));
     if (!chol_.factor(std::move(h)))
         throw std::runtime_error("HelmholtzDirect: matrix not positive definite "

@@ -48,6 +48,11 @@ struct HelmholtzBC {
 [[nodiscard]] std::vector<double> weak_rhs(const Discretization& disc,
                                            std::span<const double> f_quad);
 
+/// H = L + lambda M assembled over disc.dofmap()'s global dofs, in its
+/// banded numbering: HelmholtzDirect's matrix before the Dirichlet
+/// reduction.
+[[nodiscard]] la::SymBandedMatrix assemble_helmholtz(const Discretization& disc, double lambda);
+
 /// The global dofs `bc` constrains: those of its Dirichlet-tagged boundary
 /// edges or, when there are none and pin_first_dof is set, the first vertex
 /// dof of element 0.

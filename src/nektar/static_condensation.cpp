@@ -115,19 +115,13 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
         bidx_[g] = b;
         bglobal_[static_cast<std::size_t>(b)] = static_cast<int>(g);
     }
-    const auto row = [&](const LocalDof& ld) {
-        return static_cast<std::size_t>(bidx_[static_cast<std::size_t>(ld.global)]);
-    };
-
-    std::size_t kd = 0;
     for (const auto& bd : elem_bdofs)
         for (int a : bd)
             for (int b : bd)
-                kd = std::max(kd, static_cast<std::size_t>(
-                                      std::abs(bperm[static_cast<std::size_t>(a)] -
-                                               bperm[static_cast<std::size_t>(b)])));
+                kd_ = std::max(kd_, static_cast<std::size_t>(
+                                        std::abs(bperm[static_cast<std::size_t>(a)] -
+                                                 bperm[static_cast<std::size_t>(b)])));
 
-    la::SymBandedMatrix schur(nb, kd);
     elems_.resize(disc_->num_elements());
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const ElemMatrices* mats = disc_->ops(e).matrix_identity();
@@ -135,22 +129,43 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
         if (it == blocks_.end())
             it = blocks_.emplace(mats, condense(*mats, lambda_, elem_bdofs[e].size())).first;
         elems_[e] = &it->second;
+    }
+    la::SymBandedMatrix schur = assemble_schur();
+    dirichlet_ = DirichletReduction(schur, dirichlet_rows());
+    if (!chol_.factor(std::move(schur)))
+        throw std::runtime_error("CondensedHelmholtz: Schur complement not SPD");
+}
+
+la::SymBandedMatrix CondensedHelmholtz::assemble_schur() const {
+    const DofMap& dm = disc_->dofmap();
+    la::SymBandedMatrix schur(bglobal_.size(), kd_);
+    const auto row = [&](const LocalDof& ld) {
+        return static_cast<std::size_t>(bidx_[static_cast<std::size_t>(ld.global)]);
+    };
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         // Assemble in the global orientation: S_glob = D S D with D the
         // element's boundary-mode signs.
-        const la::DenseMatrix& s = it->second.schur;
+        const la::DenseMatrix& s = elems_[e]->schur;
         const auto& map = dm.element_map(e);
         for (std::size_t i = 0; i < s.rows(); ++i)
             for (std::size_t j = 0; j <= i; ++j)
                 schur.add(row(map[i]), row(map[j]), map[i].sign * map[j].sign * s(i, j));
     }
+    return schur;
+}
 
+std::vector<int> CondensedHelmholtz::dirichlet_rows() const {
     // Every constrained dof is a vertex or edge dof, so a Schur row.
-    std::vector<int> dofs;
-    for (int d : constrained_dofs(*disc_, bc_)) dofs.push_back(bidx_[static_cast<std::size_t>(d)]);
-    std::sort(dofs.begin(), dofs.end());
-    dirichlet_ = DirichletReduction(schur, std::move(dofs));
-    if (!chol_.factor(std::move(schur)))
-        throw std::runtime_error("CondensedHelmholtz: Schur complement not SPD");
+    std::vector<int> rows;
+    for (int d : constrained_dofs(*disc_, bc_)) rows.push_back(bidx_[static_cast<std::size_t>(d)]);
+    std::sort(rows.begin(), rows.end());
+    return rows;
+}
+
+la::SymBandedMatrix CondensedHelmholtz::schur_matrix() const {
+    la::SymBandedMatrix schur = assemble_schur();
+    (void)DirichletReduction(schur, dirichlet_rows());
+    return schur;
 }
 
 void CondensedHelmholtz::condense_rhs(std::span<const double> rhs,

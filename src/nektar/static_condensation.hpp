@@ -68,9 +68,18 @@ public:
     /// Size and half-bandwidth of the condensed boundary system (compare
     /// with HelmholtzDirect::bandwidth() on the full system).
     [[nodiscard]] std::size_t boundary_dofs() const noexcept { return bglobal_.size(); }
-    [[nodiscard]] std::size_t bandwidth() const noexcept { return chol_.bandwidth(); }
+    [[nodiscard]] std::size_t bandwidth() const noexcept { return kd_; }
+
+    /// The Schur band the constructor factors: assembled again from the
+    /// condensed blocks, its Dirichlet rows and columns reduced.
+    [[nodiscard]] la::SymBandedMatrix schur_matrix() const;
 
 private:
+    /// The assembled Schur band, before the Dirichlet reduction.
+    [[nodiscard]] la::SymBandedMatrix assemble_schur() const;
+    /// The constrained dofs, in Schur rows, ascending.
+    [[nodiscard]] std::vector<int> dirichlet_rows() const;
+
     /// r_b = f_b - sum_e D K^T f_i and the Dirichlet reduction, in Schur rows.
     void condense_rhs(std::span<const double> rhs, std::span<const double> dirichlet,
                       std::span<double> rb) const;
@@ -85,6 +94,7 @@ private:
     /// Global dof -> Schur row (-1 on interior dofs), and its inverse.
     std::vector<int> bidx_;
     std::vector<int> bglobal_;
+    std::size_t kd_ = 0; ///< Schur half-bandwidth
     /// Condensed blocks per matrix class, and each element's.
     std::map<const ElemMatrices*, SchurBlocks> blocks_;
     std::vector<const SchurBlocks*> elems_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -114,6 +116,18 @@ TEST(BlasLite, GemvNormalAndTranspose) {
         for (std::size_t i = 0; i < m; ++i) s += a[i * n + j] * xt[i];
         EXPECT_NEAR(yt[j], 2.0 * s + 0.5, 1e-12);
     }
+}
+
+TEST(BlasLite, GemvWithZeroBetaNeverReadsY) {
+    // y may hold anything when beta = 0 (a scratch buffer's last contents):
+    // NaN there must give the same bits as a zeroed y.
+    const std::size_t m = 17, n = 23;
+    const auto a = random_vec(m * n, 18);
+    const auto x = random_vec(n, 19);
+    std::vector<double> zeroed(m, 0.0), poisoned(m, std::numeric_limits<double>::quiet_NaN());
+    blaslite::dgemv(1.0, a.data(), n, m, n, x.data(), 0.0, zeroed.data());
+    blaslite::dgemv(1.0, a.data(), n, m, n, x.data(), 0.0, poisoned.data());
+    EXPECT_EQ(std::memcmp(zeroed.data(), poisoned.data(), m * sizeof(double)), 0);
 }
 
 TEST(BlasLiteCounters, DgemmChargesExpectedFlops) {

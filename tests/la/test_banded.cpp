@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <random>
 #include <stdexcept>
@@ -12,6 +13,12 @@
 #include <vector>
 
 #include "blaslite/counters.hpp"
+#include "mesh/mesh.hpp"
+#include "nektar/discretization.hpp"
+#include "nektar/helmholtz.hpp"
+#include "nektar/solver_options.hpp"
+#include "nektar/static_condensation.hpp"
+#include "nektar/workloads.hpp"
 
 namespace {
 
@@ -381,6 +388,183 @@ TEST(BandedBitIdentity, FactorOfAMovedMatrixMatchesACopy) {
     ASSERT_TRUE(copied.factor(a));
     ASSERT_TRUE(moved.factor(std::move(a)));
     EXPECT_TRUE(same_bits(factor_entries(moved), factor_entries(copied)));
+}
+
+// ---------------------------------------------------------------------------
+// Envelope matrices: row r stored from first(r) to its diagonal, +0 to the
+// left.  The factor and the sweeps leave the out-of-envelope terms out; L,
+// every solution bit and every count must still be the column sweep's on
+// the full band.
+// ---------------------------------------------------------------------------
+
+/// A random non-monotone profile: first(r) anywhere in row r's band, a
+/// share of long rows reaching far back and of rows holding only their
+/// diagonal (as Dirichlet-reduced rows do).
+std::vector<std::size_t> random_profile(std::size_t n, std::size_t kd, unsigned seed) {
+    std::mt19937 gen(seed);
+    std::vector<std::size_t> first(n);
+    for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t lo = r > kd ? r - kd : 0;
+        const unsigned kind = gen() % 8;
+        if (kind == 0)
+            first[r] = r; // diagonal only
+        else if (kind == 1)
+            first[r] = lo + gen() % 3; // a long row
+        else
+            first[r] = r - std::min<std::size_t>(r - lo, gen() % 12); // a short row
+    }
+    return first;
+}
+
+/// An SPD matrix with row envelopes `first`: random entries from first(r)
+/// (nonzero there) to the diagonal, diagonally dominant.
+la::SymBandedMatrix envelope_matrix(const std::vector<std::size_t>& first, std::size_t kd,
+                                    unsigned seed) {
+    const std::size_t n = first.size();
+    std::mt19937 gen(seed);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    la::SymBandedMatrix a(n, kd);
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = first[r]; c < r; ++c) a.band(r - c, c) = dist(gen);
+        double& head = a.band(r - first[r], first[r]);
+        if (first[r] < r && head == 0.0) head = 0.5;
+        a.band(0, r) = 2.0 * static_cast<double>(kd) + 1.0;
+    }
+    return a;
+}
+
+/// Right-hand sides: random values, with exact +0 and -0 where `zeros` says
+/// (0: none, 1: every third entry -0, 2: all -0, 3: -0 and +0 alternating
+/// with a value every fifth entry).
+std::vector<double> rhs_vector(std::size_t n, unsigned seed, int zeros) {
+    std::vector<double> b = random_vector(n, seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (zeros == 1 && i % 3 == 0) b[i] = -0.0;
+        if (zeros == 2) b[i] = -0.0;
+        if (zeros == 3 && i % 5 != 0) b[i] = i % 2 == 0 ? -0.0 : 0.0;
+    }
+    return b;
+}
+
+const std::size_t kRhsCounts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16};
+
+/// Factors `a` both ways and checks L and the counts bitwise, then every
+/// multi-RHS solve against the column sweep's single solves, with the
+/// right-hand-side zero patterns of rhs_vector.
+void expect_envelope_bit_identical(const la::SymBandedMatrix& a) {
+    ReferenceCholesky ref;
+    la::BandedCholesky chol;
+    blaslite::OpCounts ref_counts, counts;
+    {
+        blaslite::CountScope scope;
+        ASSERT_EQ(ref.factor(a), a.size());
+        ref_counts = scope.delta();
+    }
+    {
+        blaslite::CountScope scope;
+        ASSERT_TRUE(chol.factor(a));
+        counts = scope.delta();
+    }
+    EXPECT_TRUE(same_counts(counts, ref_counts)) << "factor";
+    EXPECT_TRUE(same_bits(factor_entries(chol), factor_entries(ref))) << "L";
+    for (int zeros : {0, 1, 2, 3})
+        for (std::size_t k : kRhsCounts) {
+            std::vector<std::vector<double>> multi, single;
+            for (std::size_t q = 0; q < k; ++q)
+                multi.push_back(rhs_vector(a.size(), static_cast<unsigned>(200 + q), zeros));
+            single = multi;
+            {
+                blaslite::CountScope scope;
+                for (auto& b : single) ref.solve(b);
+                ref_counts = scope.delta();
+            }
+            std::vector<std::span<double>> views(multi.begin(), multi.end());
+            {
+                blaslite::CountScope scope;
+                chol.solve(std::span<const std::span<double>>(views));
+                counts = scope.delta();
+            }
+            EXPECT_TRUE(same_counts(counts, ref_counts)) << k << " right-hand sides";
+            for (std::size_t q = 0; q < k; ++q)
+                EXPECT_TRUE(same_bits(multi[q], single[q]))
+                    << "rhs " << q << " of " << k << ", zero pattern " << zeros;
+        }
+}
+
+TEST(BandedBitIdentity, RandomEnvelopes) {
+    // Below one panel, the tile paths' band widths, and a wide band.
+    for (const auto [n, kd] : {Shape{20, 7}, Shape{100, 13}, Shape{150, 37}, Shape{333, 45},
+                               Shape{260, 64}, Shape{226, 73}, Shape{600, 150}}) {
+        SCOPED_TRACE(::testing::Message() << "n " << n << ", kd " << kd);
+        expect_envelope_bit_identical(envelope_matrix(random_profile(n, kd, 3), kd, 4));
+    }
+}
+
+TEST(BandedBitIdentity, DiagonalOnlyRows) {
+    // Every other row, and then every row but a few, holds only its
+    // diagonal; the rest reach back to the band's start.
+    for (std::size_t stride : {2, 7}) {
+        const std::size_t n = 300, kd = 40;
+        std::vector<std::size_t> first(n);
+        for (std::size_t r = 0; r < n; ++r)
+            first[r] = r % stride == 0 ? (r > kd ? r - kd : 0) : r;
+        SCOPED_TRACE(::testing::Message() << "stride " << stride);
+        expect_envelope_bit_identical(envelope_matrix(first, kd, 5));
+    }
+}
+
+TEST(BandedBitIdentity, ZerosInsideTheEnvelope) {
+    // Exact +0 and -0 inside row envelopes, including -0 as an envelope's
+    // first stored entry and on rows that otherwise hold only the diagonal.
+    const std::size_t n = 300, kd = 40;
+    const std::vector<std::size_t> first = random_profile(n, kd, 6);
+    la::SymBandedMatrix a = envelope_matrix(first, kd, 7);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = first[r]; c < r; ++c) {
+            if ((r + 3 * c) % 7 == 0) a.band(r - c, c) = 0.0;
+            if ((r + c) % 11 == 0) a.band(r - c, c) = -0.0;
+        }
+    a.band(5, 120) = -0.0;  // first stored entry of row 125 if it had none
+    a.band(40, 200) = -0.0; // at the band's edge
+    expect_envelope_bit_identical(a);
+}
+
+/// A FourierNS mode's matrices on Table 2's mesh and order: the pressure
+/// operator (lambda = beta_1^2 = 1) and the velocity one, with the
+/// solvers' default boundary conditions, Dirichlet-reduced.
+TEST(BandedBitIdentity, FourierModeMatrices) {
+    const nektar::Discretization disc(
+        std::make_shared<mesh::Mesh>(nektar::workloads::table2_mesh()),
+        nektar::workloads::kTable2Order);
+    const nektar::SolverOptions opts;
+    for (const auto& [lambda, bc] :
+         {std::pair{1.0, opts.pressure_bc},
+          std::pair{1.5 / (opts.viscosity * 2e-3) + 1.0, opts.velocity_bc}}) {
+        SCOPED_TRACE(::testing::Message() << "lambda " << lambda);
+        la::SymBandedMatrix h = nektar::assemble_helmholtz(disc, lambda);
+        (void)nektar::DirichletReduction(h, nektar::constrained_dofs(disc, bc));
+        ASSERT_EQ(h.size(), 1568u);
+        ASSERT_EQ(h.bandwidth(), 267u);
+        expect_envelope_bit_identical(h);
+    }
+}
+
+/// SerialNS2d's Schur complements on Table 1's mesh and order: pressure
+/// (lambda = 0) and velocity.
+TEST(BandedBitIdentity, SerialSchurMatrices) {
+    const auto disc = std::make_shared<nektar::Discretization>(
+        std::make_shared<mesh::Mesh>(nektar::workloads::table1_mesh()),
+        nektar::workloads::kTable1Order);
+    const nektar::SolverOptions opts;
+    for (const auto& [lambda, bc] :
+         {std::pair{0.0, opts.pressure_bc},
+          std::pair{1.5 / (opts.viscosity * 2e-3), opts.velocity_bc}}) {
+        SCOPED_TRACE(::testing::Message() << "lambda " << lambda);
+        const nektar::CondensedHelmholtz cond(disc, lambda, bc);
+        const la::SymBandedMatrix s = cond.schur_matrix();
+        ASSERT_EQ(s.size(), cond.boundary_dofs());
+        expect_envelope_bit_identical(s);
+    }
 }
 
 } // namespace

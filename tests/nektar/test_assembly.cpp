@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "blaslite/counters.hpp"
@@ -104,6 +105,30 @@ TEST(ElementOps, CollocationGradientExactForPolynomials) {
     for (std::size_t q = 0; q < dx.size(); ++q) {
         EXPECT_NEAR(dx[q], ex[q], 1e-9);
         EXPECT_NEAR(dy[q], ey[q], 1e-9);
+    }
+}
+
+TEST(ElementOps, GradientsAfterANanFieldStayFinite) {
+    // Both gradients stage their dgemv products in thread scratch buffers; a
+    // NaN field must not leave those poisoned for the next call.
+    const auto disc = make_disc(mesh::rectangle_quads(2, 2, 0.0, 2.0, -1.0, 1.0), 4);
+    const nektar::ElementOps& ops = disc->ops(0);
+    const std::size_t nq = ops.num_quad();
+    std::vector<double> dx(nq), dy(nq);
+    const std::vector<double> nan_quad(nq, std::numeric_limits<double>::quiet_NaN());
+    const std::vector<double> nan_modal(ops.num_modes(), std::numeric_limits<double>::quiet_NaN());
+    ops.grad_collocation(nan_quad, dx, dy);
+    ops.grad_from_modal(nan_modal, dx, dy);
+    const std::vector<double> constant(nq, 3.0), zero_modal(ops.num_modes(), 0.0);
+    ops.grad_collocation(constant, dx, dy);
+    for (std::size_t q = 0; q < nq; ++q) {
+        EXPECT_NEAR(dx[q], 0.0, 1e-10);
+        EXPECT_NEAR(dy[q], 0.0, 1e-10);
+    }
+    ops.grad_from_modal(zero_modal, dx, dy);
+    for (std::size_t q = 0; q < nq; ++q) {
+        EXPECT_EQ(dx[q], 0.0);
+        EXPECT_EQ(dy[q], 0.0);
     }
 }
 
