@@ -17,6 +17,7 @@
 /// results to BENCH_hotpath.json (CI uploads it as an artifact and gates the
 /// engines, the direct solver and the apply against committed baselines;
 /// --smoke shrinks the sweep for the per-commit job).
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -256,7 +257,15 @@ perf::Case to_case(const BandedResult& r) {
 struct FftResult {
     std::size_t n = 0;
     double inverse_ms = 0.0, forward_ms = 0.0;
+    /// One slice of kSliceLines z-lines through the lane path, 4 lanes per
+    /// batch on every host (FourierNS takes fft::batch_lanes(), 8 with
+    /// AVX-512): 8 lanes are 7-9x slower than 4 in a kernel built for
+    /// AVX2, so a width that follows the host would gate another kernel.
+    double lines_ms = 0.0;
 };
+
+/// z-lines per overlap slice of a fourier_wake_p8 rank (414 lines, 4 slices).
+constexpr std::size_t kSliceLines = 104;
 
 /// One z-line of FourierNS's nonlinear term over n planes, into caller
 /// buffers as the solver runs it: three irfft of the velocity spectra
@@ -283,6 +292,33 @@ FftResult run_fft(std::size_t n, double min_seconds) {
             }
         },
         min_seconds);
+
+    // The same work for one slice of lines, w at a time through the lane
+    // transforms, as FourierNS's nonlinear stage runs it.
+    constexpr std::size_t w = 4;
+    std::vector<double> lane_spec(2 * n * w, 0.0), buf(2 * n * w), lane_prod(n * w);
+    for (std::size_t k = 0; k < n / 2; ++k)
+        for (std::size_t q = 0; q < w; ++q) {
+            lane_spec[2 * k * w + q] = spec[k].real() / static_cast<double>(q + 1);
+            lane_spec[(2 * k + 1) * w + q] = spec[k].imag();
+        }
+    std::vector<std::vector<double>> lane_phys(3, std::vector<double>(n * w));
+    r.lines_ms = 1e3 * benchutil::time_per_call(
+        [&] {
+            for (std::size_t i0 = 0; i0 < kSliceLines; i0 += w) {
+                const std::size_t count = std::min(w, kSliceLines - i0);
+                for (std::vector<double>& u : lane_phys) {
+                    std::copy(lane_spec.begin(), lane_spec.end(), buf.begin());
+                    fft::irfft_lanes(plan, w, count, buf, u);
+                }
+                for (const auto& [a, b] : prod_of) {
+                    for (std::size_t j = 0; j < n * w; ++j)
+                        lane_prod[j] = lane_phys[a][j] * lane_phys[b][j];
+                    fft::rfft_lanes(plan, w, count, lane_prod, buf);
+                }
+            }
+        },
+        min_seconds);
     return r;
 }
 
@@ -291,6 +327,7 @@ perf::Case to_case(const FftResult& r) {
     c.values["n"] = static_cast<double>(r.n);
     c.values["fft_ms.inverse"] = r.inverse_ms;
     c.values["fft_ms.forward"] = r.forward_ms;
+    c.values["fft_ms.lines"] = r.lines_ms;
     return c;
 }
 
@@ -514,17 +551,21 @@ int main(int argc, char** argv) {
                               benchutil::fmt(r.solve2_ms, "%.3f"),
                               benchutil::fmt(r.solve6_ms, "%.3f")});
 
-    // FourierNS's z-line transforms at Table 2's plane count (16) and two
-    // larger ones, the same in both sweeps.
-    std::printf("\nz-line FFTs (three irfft; six products and rfft)\n");
-    benchutil::Table fft_table({"n", "inverse ms", "forward ms"});
+    // FourierNS's z-line transforms at Table 2's plane count (16), two
+    // larger powers of two and one Bluestein length (96, whose lane path
+    // goes line by line), the same in both sweeps.
+    std::printf("\nz-line FFTs (three irfft; six products and rfft; a %zu-line slice"
+                " through the lane path, 4 lanes)\n",
+                kSliceLines);
+    benchutil::Table fft_table({"n", "inverse ms", "forward ms", "lines ms"});
     fft_table.print_header();
     std::vector<FftResult> ffts;
-    for (std::size_t n : {16, 64, 128}) {
+    for (std::size_t n : {16, 64, 96, 128}) {
         const FftResult r = run_fft(n, min_seconds);
         ffts.push_back(r);
         fft_table.print_row({std::to_string(r.n), benchutil::fmt(r.inverse_ms, "%.5f"),
-                             benchutil::fmt(r.forward_ms, "%.5f")});
+                             benchutil::fmt(r.forward_ms, "%.5f"),
+                             benchutil::fmt(r.lines_ms, "%.4f")});
     }
 
     // Matrix-free PCG apply: the same orders and mesh in both sweeps (the

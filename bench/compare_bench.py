@@ -11,7 +11,8 @@ baselines and fails when any gated kernel of any case got more than
                                        "sumfact_ms" metric group)
   bench/BENCH_banded_baseline.json   — the banded direct solver (gate its
                                        "banded_ms" metric group)
-  bench/BENCH_fft_baseline.json      — FourierNS's z-line transforms (gate
+  bench/BENCH_fft_baseline.json      — FourierNS's z-line transforms, per
+                                       line and through the lane batch (gate
                                        its "fft_ms" metric group)
   bench/BENCH_pcg_baseline.json      — the matrix-free PCG Helmholtz apply
                                        (gate its "pcg_apply_ms" metric group)
@@ -84,7 +85,7 @@ GROUP_KERNELS = {
     "batched_ms": ENGINE_KERNELS,
     "sumfact_ms": ENGINE_KERNELS,
     "banded_ms": ("factor", "solve", "solve2", "solve6"),
-    "fft_ms": ("inverse", "forward"),
+    "fft_ms": ("inverse", "forward", "lines"),
     "pcg_apply_ms": ("lap", "helm"),
     "condensed_ms": ("setup", "solve2", "solve"),
     "setup_ms": ("disc", "dofmap"),

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "blaslite/counters.hpp"
+#include "blaslite/multiversion.hpp"
 
 namespace fft {
 
@@ -48,8 +49,8 @@ std::vector<cplx> make_twiddles(std::size_t n) {
 /// the inline std::complex multiply, (a + bi)(c + di) = (ac - bd) + (ad + bc)i,
 /// so for finite data it is bitwise the complex loop; the inverse multiplies
 /// by conj(w), whose (ac + bd) + (bc - ad)i equals it bit for bit too
-/// (b(-d) = -(bd) exactly).  No FMA can fuse them: this file is built for
-/// the baseline ISA and is not multiversioned.
+/// (b(-d) = -(bd) exactly).  No FMA can fuse them: this file is built with
+/// -ffp-contract=off, which its multiversioned lane kernels need too.
 template <bool Inv>
 void radix2_core(std::span<cplx> x, std::span<const cplx> tw, std::span<const std::size_t> rev) {
     const std::size_t n = x.size();
@@ -76,6 +77,77 @@ void radix2_core(std::span<cplx> x, std::span<const cplx> tw, std::span<const st
             }
         }
     }
+}
+
+#if defined(__GNUC__) || defined(__clang__)
+template <std::size_t W>
+struct LaneVec {
+    /// One value of W lines.  Element-aligned (the batch buffers come from
+    /// callers) and may_alias (it is loaded straight from double arrays).
+    typedef double type
+        __attribute__((vector_size(W * sizeof(double)), aligned(alignof(double)), may_alias));
+};
+
+/// radix2_core on W lines at once, lane-interleaved (complex element k of
+/// line q: real part x[2kW + q], imaginary part x[(2k + 1)W + q]).  Lane q
+/// takes exactly radix2_core's operations on line q in its order: the same
+/// swaps, and per butterfly the same products, sums and differences, each
+/// rounded (no FMA: -ffp-contract=off).
+template <bool Inv, std::size_t W>
+[[gnu::always_inline]] inline void radix2_lanes(double* x, const double* twd,
+                                                const std::size_t* rev, std::size_t n) noexcept {
+    using V = typename LaneVec<W>::type;
+    V* const xv = reinterpret_cast<V*>(x);
+    for (std::size_t i = 0; i < n; ++i)
+        if (i < rev[i]) {
+            // Not std::swap: a template argument drops V's alignment.
+            const V re = xv[2 * i], im = xv[2 * i + 1];
+            xv[2 * i] = xv[2 * rev[i]];
+            xv[2 * i + 1] = xv[2 * rev[i] + 1];
+            xv[2 * rev[i]] = re;
+            xv[2 * rev[i] + 1] = im;
+        }
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+        const std::size_t half = len / 2;
+        for (std::size_t base = 0; base < n; base += len) {
+            V* const u = xv + 2 * base;
+            V* const v = u + 2 * half;
+            for (std::size_t k = 0; k < half; ++k) {
+                const double c = twd[2 * (half + k)], d = twd[2 * (half + k) + 1];
+                const V a = v[2 * k], b = v[2 * k + 1];
+                const V vr = Inv ? a * c + b * d : a * c - b * d;
+                const V vi = Inv ? b * c - a * d : a * d + b * c;
+                const V ur = u[2 * k], ui = u[2 * k + 1];
+                u[2 * k] = ur + vr;
+                u[2 * k + 1] = ui + vi;
+                v[2 * k] = ur - vr;
+                v[2 * k + 1] = ui - vi;
+            }
+        }
+    }
+}
+
+REPRO_MULTIVERSION
+void radix2_four(bool inv, double* x, const double* twd, const std::size_t* rev,
+                 std::size_t n) noexcept {
+    inv ? radix2_lanes<true, 4>(x, twd, rev, n) : radix2_lanes<false, 4>(x, twd, rev, n);
+}
+
+REPRO_MULTIVERSION
+void radix2_eight(bool inv, double* x, const double* twd, const std::size_t* rev,
+                  std::size_t n) noexcept {
+    inv ? radix2_lanes<true, 8>(x, twd, rev, n) : radix2_lanes<false, 8>(x, twd, rev, n);
+}
+#endif
+
+/// Charges `count` transforms of length n, each as Plan::forward/inverse
+/// do: one call of fft_flops(n) flops, n complex values read and written.
+void charge_lines(std::size_t n, std::size_t count) noexcept {
+    blaslite::OpCounts& c = blaslite::thread_counts();
+    c.flops += count * fft_flops(n);
+    c.bytes_read += count * n * sizeof(cplx);
+    c.bytes_written += count * n * sizeof(cplx);
+    c.calls += count;
 }
 
 } // namespace
@@ -115,6 +187,24 @@ Plan::Plan(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
 
 void Plan::radix2(std::span<cplx> x, bool inv) const {
     inv ? radix2_core<true>(x, twiddle_, rev_) : radix2_core<false>(x, twiddle_, rev_);
+}
+
+bool Plan::has_lane_kernel() const noexcept {
+#if defined(__GNUC__) || defined(__clang__)
+    return pow2_;
+#else
+    return false;
+#endif
+}
+
+void Plan::radix2_lanes(double* x, std::size_t w, bool inv) const {
+    assert(has_lane_kernel());
+#if defined(__GNUC__) || defined(__clang__)
+    const double* const twd = reinterpret_cast<const double*>(twiddle_.data());
+    (w == 8 ? radix2_eight : radix2_four)(inv, x, twd, rev_.data(), n_);
+#else
+    (void)x, (void)w, (void)inv;
+#endif
 }
 
 void Plan::radix2_m(std::span<cplx> x, bool inv) const {
@@ -199,6 +289,92 @@ std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec) {
     std::vector<double> out(plan.size());
     irfft(plan, spec, out, work);
     return out;
+}
+
+std::size_t batch_lanes() noexcept {
+    return blaslite::isa_level() == blaslite::IsaLevel::v4 ? 8 : 4;
+}
+
+namespace {
+
+/// The per-line fallback's buffers, per thread and grown on first use (a
+/// transform never yields), so a batch allocates nothing once warm.
+struct LineScratch {
+    std::vector<double> line;
+    std::vector<cplx> spec, work;
+};
+
+LineScratch& line_scratch(std::size_t n) {
+    thread_local LineScratch s;
+    if (s.line.size() < n) {
+        s.line.resize(n);
+        s.spec.resize(n / 2 + 1);
+        s.work.resize(n);
+    }
+    return s;
+}
+
+} // namespace
+
+void rfft_lanes(const Plan& plan, std::size_t w, std::size_t count, std::span<const double> x,
+                std::span<double> buf) {
+    const std::size_t n = plan.size();
+    assert((w == 4 || w == 8) && count <= w && n % 2 == 0);
+    assert(x.size() == n * w && buf.size() == 2 * n * w);
+    if (!plan.has_lane_kernel()) {
+        // Line by line.
+        LineScratch& s = line_scratch(n);
+        const std::span<double> line(s.line.data(), n);
+        const std::span<cplx> spec(s.work.data(), n);
+        for (std::size_t q = 0; q < count; ++q) {
+            for (std::size_t j = 0; j < n; ++j) line[j] = x[j * w + q];
+            rfft(plan, line, spec);
+            for (std::size_t k = 0; k <= n / 2; ++k) {
+                buf[2 * k * w + q] = spec[k].real();
+                buf[(2 * k + 1) * w + q] = spec[k].imag();
+            }
+        }
+        return;
+    }
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t q = 0; q < w; ++q) {
+            buf[2 * j * w + q] = x[j * w + q];
+            buf[(2 * j + 1) * w + q] = 0.0;
+        }
+    plan.radix2_lanes(buf.data(), w, false);
+    charge_lines(n, count);
+}
+
+void irfft_lanes(const Plan& plan, std::size_t w, std::size_t count, std::span<double> buf,
+                 std::span<double> out) {
+    const std::size_t n = plan.size();
+    assert((w == 4 || w == 8) && count <= w && n % 2 == 0);
+    assert(buf.size() == 2 * n * w && out.size() == n * w);
+    if (!plan.has_lane_kernel()) {
+        // Line by line.
+        LineScratch& s = line_scratch(n);
+        const std::span<double> line(s.line.data(), n);
+        const std::span<cplx> spec(s.spec.data(), n / 2 + 1), work(s.work.data(), n);
+        for (std::size_t q = 0; q < count; ++q) {
+            for (std::size_t k = 0; k <= n / 2; ++k)
+                spec[k] = cplx{buf[2 * k * w + q], buf[(2 * k + 1) * w + q]};
+            irfft(plan, spec, line, work);
+            for (std::size_t j = 0; j < n; ++j) out[j * w + q] = line[j];
+        }
+        return;
+    }
+    // The Hermitian half irfft fills in: coefficient k > n/2 is the
+    // conjugate of coefficient n - k.
+    for (std::size_t k = n / 2 + 1; k < n; ++k)
+        for (std::size_t q = 0; q < w; ++q) {
+            buf[2 * k * w + q] = buf[2 * (n - k) * w + q];
+            buf[(2 * k + 1) * w + q] = -buf[(2 * (n - k) + 1) * w + q];
+        }
+    plan.radix2_lanes(buf.data(), w, true);
+    const double inv = 1.0 / static_cast<double>(n);
+    for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t q = 0; q < w; ++q) out[j * w + q] = buf[2 * j * w + q] * inv;
+    charge_lines(n, count);
 }
 
 } // namespace fft

@@ -10,6 +10,11 @@
 /// NekTar-F solver.  Power-of-two sizes use an iterative radix-2
 /// Cooley-Tukey; every other size falls back to Bluestein's chirp-z
 /// algorithm, so any plane count works.
+///
+/// The batch path (rfft_lanes / irfft_lanes) transforms W = 4 or 8 real
+/// lines at once, held lane-interleaved, through one vector kernel whose
+/// lane q does exactly the per-line path's operations on line q, so every
+/// line's result is bitwise the per-line transform's (DESIGN.md §5.10a).
 namespace fft {
 
 using cplx = std::complex<double>;
@@ -29,7 +34,17 @@ public:
     void inverse(std::span<cplx> x) const;
 
 private:
+    friend void rfft_lanes(const Plan&, std::size_t, std::size_t, std::span<const double>,
+                           std::span<double>);
+    friend void irfft_lanes(const Plan&, std::size_t, std::size_t, std::span<double>,
+                            std::span<double>);
     void radix2(std::span<cplx> x, bool inv) const;
+    /// Whether radix2_lanes exists for this length: not for Bluestein
+    /// lengths, nor on compilers without vector extensions.
+    bool has_lane_kernel() const noexcept;
+    /// radix2 on w lines held lane-interleaved (see rfft_lanes), without
+    /// the inverse's 1/n.
+    void radix2_lanes(double* x, std::size_t w, bool inv) const;
     void bluestein(std::span<cplx> x, bool inv) const;
 
     std::size_t n_ = 0;
@@ -65,6 +80,28 @@ std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec);
 /// entries) is scratch.  Bitwise the returning form, without allocations.
 void irfft(const Plan& plan, std::span<const cplx> spec, std::span<double> out,
            std::span<cplx> work);
+
+/// Lines per batch of rfft_lanes/irfft_lanes on this host: 8 where the
+/// vector kernel runs with AVX-512, else 4.  Only speed depends on it.
+[[nodiscard]] std::size_t batch_lanes() noexcept;
+
+/// Lane-interleaved layout of a batch of w lines (w = 4 or 8): real value j
+/// of line q at x[j * w + q]; complex coefficient k of line q with its real
+/// part at c[2 * k * w + q] and its imaginary part at c[(2 * k + 1) * w + q].
+///
+/// rfft of lines 0 .. count-1 (count <= w): `x` holds n values per lane and
+/// `buf` (2 n w doubles) gets each line's n/2+1 spectrum coefficients
+/// (the rest is scratch).  Lane q is bitwise rfft(plan, line q), and each
+/// line is charged as one rfft; lanes from `count` on are unspecified.
+void rfft_lanes(const Plan& plan, std::size_t w, std::size_t count, std::span<const double> x,
+                std::span<double> buf);
+
+/// irfft of lines 0 .. count-1: `buf` (2 n w doubles) holds each line's
+/// n/2+1 coefficients on entry and is scratch after; `out` gets n real
+/// samples per lane.  Lane q is bitwise irfft(plan, its spectrum), charged
+/// as one irfft; lanes from `count` on are unspecified.
+void irfft_lanes(const Plan& plan, std::size_t w, std::size_t count, std::span<double> buf,
+                 std::span<double> out);
 
 /// Number of real flops charged for a length-n complex FFT (5 n log2 n).
 [[nodiscard]] std::size_t fft_flops(std::size_t n) noexcept;

@@ -878,6 +878,7 @@ bool BandedCholesky::factor(SymBandedMatrix a) {
         return false;
     }
     if (in_place) val_ = std::move(band); // else the band goes with this frame
+    compact_ = !in_place;
     blaslite::detail::charge(flops, band_bytes, band_bytes);
     return true;
 }
@@ -902,11 +903,14 @@ void BandedCholesky::solve(std::span<const std::span<double>> rhs) const {
                   vcol_.data(), run_row_.data(), run_len_.data(), val_.data()};
     std::size_t q = 0;
 #if defined(__GNUC__) || defined(__clang__)
-    // Three or more: W = 4 or 8 lanes per sweep, unused lanes zero.  One or
-    // two left over take the pair and single sweeps, which are faster there.
-    if (rhs.size() >= 3) {
+    // Three or more (two on a compact L, whose short runs leave the pair
+    // sweep in its scalar tail): W = 4 or 8 lanes per sweep, unused lanes
+    // zero.  What is left over takes the pair and single sweeps, which are
+    // faster there.
+    const std::size_t min_lanes = compact_ ? 2 : 3;
+    if (rhs.size() >= min_lanes) {
         parallel::Scratch x(n_ * 8);
-        while (rhs.size() - q >= 3) {
+        while (rhs.size() - q >= min_lanes) {
             const std::size_t w = rhs.size() - q <= 4 ? 4 : 8;
             const std::size_t k = std::min(w, rhs.size() - q);
             for (std::size_t r = 0; r < n_; ++r)

@@ -115,6 +115,9 @@ private:
     std::vector<std::size_t> col_, vcol_;
     std::vector<std::uint32_t> run_row_, run_len_;
     std::vector<double> val_;
+    /// L is stored compactly (not in place of a full band): two right-hand
+    /// sides then sweep faster as lanes of the 4-lane kernel than as a pair.
+    bool compact_ = false;
 };
 
 } // namespace la

@@ -1,5 +1,6 @@
 #include "nektar/element_ops.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -363,6 +364,46 @@ void ElementOps::grad_from_modal(std::span<const double> modal, std::span<double
     }
 }
 
+namespace {
+
+/// d2 = D Q for the N x N row-major D and Q: each entry the sum from +0 of
+/// its N products in ascending k, each rounded (this file does not
+/// contract), with a whole row of d2 held in registers through the k loop.
+template <std::size_t N>
+[[gnu::always_inline]] inline void xi2_rows(const double* d, const double* quad, double* d2) {
+    for (std::size_t j = 0; j < N; ++j) {
+        double row[N] = {};
+        for (std::size_t k = 0; k < N; ++k) {
+            const double djk = d[j * N + k];
+            for (std::size_t i = 0; i < N; ++i) row[i] += djk * quad[k * N + i];
+        }
+        std::copy(row, row + N, d2 + j * N);
+    }
+}
+
+/// The d/dxi2 collocation derivative, d2 = D Q: unrolled for the point
+/// counts of orders 4 to 8 (n = 6 to 10), the paper runs' orders; the
+/// same operations in a plain loop otherwise.
+REPRO_MULTIVERSION
+void xi2_derivative(std::size_t n, const double* d, const double* quad, double* d2) {
+    switch (n) {
+        case 6: return xi2_rows<6>(d, quad, d2);
+        case 7: return xi2_rows<7>(d, quad, d2);
+        case 8: return xi2_rows<8>(d, quad, d2);
+        case 9: return xi2_rows<9>(d, quad, d2);
+        case 10: return xi2_rows<10>(d, quad, d2);
+        default: break;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+        double* const row = d2 + j * n;
+        std::fill(row, row + n, 0.0);
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t i = 0; i < n; ++i) row[i] += d[j * n + k] * quad[k * n + i];
+    }
+}
+
+} // namespace
+
 void ElementOps::grad_collocation(std::span<const double> quad, std::span<double> dudx,
                                   std::span<double> dudy) const {
     const std::size_t n = colloc_nq1d();
@@ -374,13 +415,7 @@ void ElementOps::grad_collocation(std::span<const double> quad, std::span<double
     for (std::size_t j = 0; j < n; ++j)
         blaslite::dgemv(1.0, d1d.data(), n, n, n, quad.data() + j * n, 0.0, d1.data() + j * n);
     // d/dxi2: differentiate along columns.
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < n; ++k) s += d1d(j, k) * quad[k * n + i];
-            d2[j * n + i] = s;
-        }
-    }
+    xi2_derivative(n, d1d.data(), quad.data(), d2.data());
     blaslite::detail::charge(2 * n * n * n, 2 * n * n * sizeof(double), n * n * sizeof(double));
     for (std::size_t q = 0; q < n * n; ++q) {
         dudx[q] = geom_.rx[q] * d1[q] + geom_.sx[q] * d2[q];

@@ -1,5 +1,6 @@
 #include "nektar/ns_fourier.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <iterator>
@@ -7,6 +8,7 @@
 #include <stdexcept>
 
 #include "blaslite/blas.hpp"
+#include "blaslite/counters.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace nektar {
@@ -68,6 +70,15 @@ FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOption
         quad_[c].assign(nq, 0.0);
     }
     p_modal_.assign(nm, 0.0);
+    const std::size_t nz = 2 * opts_.num_modes;
+    nls_.lanes = fft::batch_lanes();
+    for (auto& v : nls_.lines) v.resize(transpose_.lines_buffer_size());
+    for (auto& v : nls_.plines) v.resize(transpose_.lines_buffer_size());
+    assert(transpose_.lines_buffer_size() >= 2 * disc_->quad_size()); // gradients, see nonlinear
+    for (auto& v : nls_.pplanes) v.resize(transpose_.planes_buffer_size());
+    nls_.spec.resize(2 * nz * nls_.lanes);
+    for (auto& v : nls_.phys) v.resize(nz * nls_.lanes);
+    nls_.prod.resize(nz * nls_.lanes);
     reset_state(nq);
     set_checkpoint_cadence(opts_.checkpoint_every);
 }
@@ -195,9 +206,12 @@ void FourierNS::transform_all_to_quad() {
 
 void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
     const std::size_t nq = disc_->quad_size();
-    const std::size_t nz = 2 * opts_.num_modes;
+    const std::size_t nmodes = opts_.num_modes;
+    const std::size_t nz = 2 * nmodes;
     const std::size_t tp = transpose_.total_planes(); // 2 * M
     const std::size_t chunk = transpose_.chunk();
+    const std::size_t w = nls_.lanes;
+    const double scale = static_cast<double>(nz);
 
     // 1./2./3. Transpose the three velocity components to z-line layout,
     // inverse FFT each point's spectrum, form the six quadratic products in
@@ -205,38 +219,36 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
     // layout.  Divergence form:
     //    N_i = -(d/dx (u u_i) + d/dy (v u_i) + d/dz (w u_i)).
     static constexpr int prod_of[6][2] = {{0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2}};
-    std::vector<std::vector<double>> lines(3, std::vector<double>(transpose_.lines_buffer_size()));
-    std::vector<std::vector<double>> plines(
-        6, std::vector<double>(transpose_.lines_buffer_size(), 0.0));
-    std::vector<std::vector<double>> pplanes(
-        6, std::vector<double>(transpose_.planes_buffer_size()));
-    // Per-call z-line buffers: the transforms write into them, so the line
-    // loop allocates nothing.
-    std::vector<std::vector<double>> phys(3, std::vector<double>(nz));
-    std::vector<fft::cplx> spec(opts_.num_modes + 1), work(nz);
-    std::vector<double> prod(nz);
-    // The z-line work for points [b, e); in overlapped mode it runs slice by
-    // slice between the pipelined exchanges' waits.
+    // The z-line work for points [b, e), w lines at a time through the lane
+    // transforms (each lane bitwise the per-line irfft/rfft); in overlapped
+    // mode it runs slice by slice between the pipelined exchanges' waits.
     const auto compute_lines = [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-            for (int c = 0; c < 3; ++c) {
-                for (std::size_t k = 0; k < opts_.num_modes; ++k)
-                    spec[k] = fft::cplx{lines[c][i * tp + 2 * k], lines[c][i * tp + 2 * k + 1]} *
-                              static_cast<double>(nz);
-                spec[opts_.num_modes] = fft::cplx{0.0, 0.0}; // Nyquist
-                fft::irfft(zplan_, spec, phys[static_cast<std::size_t>(c)], work);
+        for (std::size_t i0 = b; i0 < e; i0 += w) {
+            const std::size_t count = std::min(w, e - i0);
+            for (std::size_t c = 0; c < 3; ++c) {
+                // Spectrum k of line i0 + q, times Nz; the Nyquist
+                // coefficient and the unused lanes are zero.
+                const double* const line = nls_.lines[c].data() + i0 * tp;
+                for (std::size_t k = 0; k <= nmodes; ++k)
+                    for (std::size_t q = 0; q < w; ++q) {
+                        const bool live = k < nmodes && q < count;
+                        nls_.spec[2 * k * w + q] = live ? line[q * tp + 2 * k] * scale : 0.0;
+                        nls_.spec[(2 * k + 1) * w + q] =
+                            live ? line[q * tp + 2 * k + 1] * scale : 0.0;
+                    }
+                fft::irfft_lanes(zplan_, w, count, nls_.spec, nls_.phys[c]);
             }
-            for (int pr = 0; pr < 6; ++pr) {
-                const auto& a = phys[static_cast<std::size_t>(prod_of[pr][0])];
-                const auto& b2 = phys[static_cast<std::size_t>(prod_of[pr][1])];
-                for (std::size_t j = 0; j < nz; ++j) prod[j] = a[j] * b2[j];
-                fft::rfft(zplan_, prod, work);
-                for (std::size_t k = 0; k < opts_.num_modes; ++k) {
-                    plines[static_cast<std::size_t>(pr)][i * tp + 2 * k] =
-                        work[k].real() / static_cast<double>(nz);
-                    plines[static_cast<std::size_t>(pr)][i * tp + 2 * k + 1] =
-                        work[k].imag() / static_cast<double>(nz);
-                }
+            for (std::size_t pr = 0; pr < 6; ++pr) {
+                const double* const a = nls_.phys[prod_of[pr][0]].data();
+                const double* const b2 = nls_.phys[prod_of[pr][1]].data();
+                for (std::size_t j = 0; j < nz * w; ++j) nls_.prod[j] = a[j] * b2[j];
+                fft::rfft_lanes(zplan_, w, count, nls_.prod, nls_.spec);
+                double* const out = nls_.plines[pr].data() + i0 * tp;
+                for (std::size_t q = 0; q < count; ++q)
+                    for (std::size_t k = 0; k < nmodes; ++k) {
+                        out[q * tp + 2 * k] = nls_.spec[2 * k * w + q] / scale;
+                        out[q * tp + 2 * k + 1] = nls_.spec[(2 * k + 1) * w + q] / scale;
+                    }
             }
         }
         if (comm_ && e > b) {
@@ -251,49 +263,57 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
 
     if (opts_.overlap_transpose && comm_ && comm_->size() > 1) {
         const std::vector<std::span<const double>> pin = {quad_[0], quad_[1], quad_[2]};
-        const std::vector<std::span<double>> lin = {lines[0], lines[1], lines[2]};
+        const std::vector<std::span<double>> lin = {nls_.lines[0], nls_.lines[1], nls_.lines[2]};
         std::vector<std::span<const double>> lout;
         std::vector<std::span<double>> pout;
-        for (int pr = 0; pr < 6; ++pr) {
-            lout.emplace_back(plines[static_cast<std::size_t>(pr)]);
-            pout.emplace_back(pplanes[static_cast<std::size_t>(pr)]);
+        for (std::size_t pr = 0; pr < 6; ++pr) {
+            lout.emplace_back(nls_.plines[pr]);
+            pout.emplace_back(nls_.pplanes[pr]);
         }
         transpose_.roundtrip_overlapped(comm_, pin, lin, lout, pout, kOverlapSlices,
                                        compute_lines);
     } else {
-        for (int c = 0; c < 3; ++c) transpose_.to_lines(comm_, quad_[c], lines[c]);
+        for (int c = 0; c < 3; ++c) transpose_.to_lines(comm_, quad_[c], nls_.lines[c]);
         compute_lines(0, chunk);
-        for (int pr = 0; pr < 6; ++pr)
-            transpose_.to_planes(comm_, plines[static_cast<std::size_t>(pr)],
-                                pplanes[static_cast<std::size_t>(pr)]);
+        for (std::size_t pr = 0; pr < 6; ++pr)
+            transpose_.to_planes(comm_, nls_.plines[pr], nls_.pplanes[pr]);
     }
 
     // 4. Differentiate in plane space: N_c = -(dx P_xc + dy P_yc + i beta P_zc).
     //    Component products: u -> (uu, uv, uw), v -> (uv, vv, vw), w -> (uw, vw, ww).
+    //    Each plane takes one gradient of each product the x and y terms
+    //    read (uu, uv, uw, vv, vw); uv serves both u and v, and is charged
+    //    twice, as the per-component formulation differentiates it.  The
+    //    products' z-line buffers are dead once the transposes are done and
+    //    hold at least 2 nq values each (chunk * P >= nq points, >= 2
+    //    planes per rank), so product pr's gradient goes in its own: d/dx
+    //    then d/dy.
     static constexpr int comp_prods[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
-    std::vector<double> dx(nq), dy(nq);
-    for (int c = 0; c < 3; ++c) {
-        auto& out = nl[static_cast<std::size_t>(c)];
-        std::fill(out.begin(), out.end(), 0.0);
-        for (std::size_t m = 0; m < mloc_; ++m) {
-            const double bk = beta(global_mode(m));
-            for (int reim = 0; reim < 2; ++reim) {
-                const std::size_t p = 2 * m + static_cast<std::size_t>(reim);
-                auto outp = std::span<double>(out).subspan(p * nq, nq);
+    const auto grad_of = [&](std::size_t pr, int d) {
+        return std::span<double>(nls_.plines[pr]).subspan(static_cast<std::size_t>(d) * nq, nq);
+    };
+    for (auto& out : nl) std::fill(out.begin(), out.end(), 0.0);
+    for (std::size_t m = 0; m < mloc_; ++m) {
+        const double bk = beta(global_mode(m));
+        for (int reim = 0; reim < 2; ++reim) {
+            const std::size_t p = 2 * m + static_cast<std::size_t>(reim);
+            for (std::size_t pr = 0; pr < 5; ++pr) {
+                const blaslite::CountScope counts;
+                const auto pp = std::span<const double>(nls_.pplanes[pr]).subspan(p * nq, nq);
+                for (std::size_t e = 0; e < disc_->num_elements(); ++e)
+                    disc_->ops(e).grad_collocation(disc_->quad_block(pp, e),
+                                                   disc_->quad_block(grad_of(pr, 0), e),
+                                                   disc_->quad_block(grad_of(pr, 1), e));
+                if (pr == 1) blaslite::thread_counts() += counts.delta();
+            }
+            for (int c = 0; c < 3; ++c) {
+                auto outp = std::span<double>(nl[static_cast<std::size_t>(c)]).subspan(p * nq, nq);
                 // x and y derivative terms.
-                for (int d = 0; d < 2; ++d) {
-                    const auto& pp = pplanes[static_cast<std::size_t>(comp_prods[c][d])];
-                    auto ppp = std::span<const double>(pp).subspan(p * nq, nq);
-                    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-                        disc_->ops(e).grad_collocation(
-                            disc_->quad_block(ppp, e),
-                            disc_->quad_block(std::span<double>(dx), e),
-                            disc_->quad_block(std::span<double>(dy), e));
-                    }
-                    blaslite::daxpy(-1.0, d == 0 ? dx : dy, outp);
-                }
+                for (int d = 0; d < 2; ++d)
+                    blaslite::daxpy(-1.0, grad_of(static_cast<std::size_t>(comp_prods[c][d]), d),
+                                    outp);
                 // z derivative: i*beta couples the re/im partner plane.
-                const auto& pz = pplanes[static_cast<std::size_t>(comp_prods[c][2])];
+                const auto& pz = nls_.pplanes[static_cast<std::size_t>(comp_prods[c][2])];
                 const std::size_t partner = 2 * m + static_cast<std::size_t>(1 - reim);
                 auto pzp = std::span<const double>(pz).subspan(partner * nq, nq);
                 // d/dz (re) = -beta * im; d/dz (im) = +beta * re.

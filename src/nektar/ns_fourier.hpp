@@ -129,6 +129,15 @@ private:
     std::vector<double> p_modal_;            ///< pressure planes
     // Inter-stage scratch: per-plane pressure and velocity RHS vectors.
     std::vector<std::vector<double>> prhs_, vrhs_;
+    /// Stage-2 scratch, sized once: the velocity components' and the six
+    /// products' z-lines (the latter later hold one plane's product
+    /// gradients), the products' planes and one batch of lane-interleaved
+    /// z-lines (fft::rfft_lanes layout).
+    struct NonlinearScratch {
+        std::size_t lanes = 0;
+        std::vector<double> lines[3], plines[6], pplanes[6];
+        std::vector<double> spec, phys[3], prod;
+    } nls_;
 };
 
 } // namespace nektar

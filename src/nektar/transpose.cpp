@@ -91,9 +91,12 @@ void Transpose::unpack_local(std::span<const double> m, std::span<double> planes
     for (std::size_t rp = 0; rp < rows_; ++rp) {
         const std::size_t i0 = rp * chunk_;
         const std::size_t end = i0 < nq_ ? std::min(pe, nq_ - i0) : 0;
-        for (std::size_t ck = pb; ck < end; ++ck)
-            for (std::size_t lp = 0; lp < nplanes_; ++lp)
-                planes[lp * nq_ + i0 + ck] = m[rp * b2_ + ck * nplanes_ + lp];
+        if (end <= pb) continue;
+        for (std::size_t lp = 0; lp < nplanes_; ++lp) {
+            double* const dst = &planes[lp * nq_ + i0];
+            const double* const src = &m[rp * b2_ + lp];
+            for (std::size_t ck = pb; ck < end; ++ck) dst[ck] = src[ck * nplanes_];
+        }
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "blaslite/counters.hpp"
+
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -273,6 +275,84 @@ TEST(Rfft, IntoBuffersMatchesTheReturningForm) {
         fft::irfft(plan, spec, out, work);
         const std::vector<double> back = fft::irfft(plan, spec);
         EXPECT_EQ(std::memcmp(out.data(), back.data(), n * sizeof(double)), 0) << "irfft " << n;
+    }
+}
+
+TEST(Rfft, LanesAreBitwiseThePerLineTransforms) {
+    // 1 to 17 lines through batches of 4 and of 8 lanes, against rfft and
+    // irfft line by line: every power of two from 2 to 256, plus 24, a
+    // Bluestein length that takes the per-line fallback.  Each line gets its
+    // own data, so a lane shifted by one shows; random values make a fused
+    // multiply-add in a butterfly show.  The charges are one transform per
+    // line, as the per-line path's.
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<std::size_t> sizes = {24};
+    for (std::size_t n = 2; n <= 256; n *= 2) sizes.push_back(n);
+    for (std::size_t n : sizes) {
+        const fft::Plan plan(n);
+        for (std::size_t w : {4u, 8u})
+            for (std::size_t lines = 1; lines <= 17; ++lines) {
+                std::mt19937 gen(static_cast<unsigned>(1000 * n + 100 * w + lines));
+                std::uniform_real_distribution<double> dist(-1.0, 1.0);
+                std::vector<std::vector<double>> x(lines, std::vector<double>(n));
+                std::vector<std::vector<cplx>> spec(lines, std::vector<cplx>(n / 2 + 1));
+                for (std::size_t l = 0; l < lines; ++l) {
+                    for (double& v : x[l]) v = dist(gen);
+                    for (cplx& c : spec[l]) c = cplx{dist(gen), dist(gen)};
+                }
+                blaslite::OpCounts lane_counts, line_counts;
+                for (std::size_t l0 = 0; l0 < lines; l0 += w) {
+                    const std::size_t count = std::min(w, lines - l0);
+                    std::vector<double> xl(n * w, 0.0), buf(2 * n * w, nan), out(n * w, nan);
+                    for (std::size_t q = 0; q < count; ++q)
+                        for (std::size_t j = 0; j < n; ++j) xl[j * w + q] = x[l0 + q][j];
+                    {
+                        const blaslite::CountScope scope;
+                        fft::rfft_lanes(plan, w, count, xl, buf);
+                        lane_counts += scope.delta();
+                    }
+                    for (std::size_t q = 0; q < count; ++q) {
+                        std::vector<cplx> ref(n);
+                        {
+                            const blaslite::CountScope scope;
+                            fft::rfft(plan, x[l0 + q], ref);
+                            line_counts += scope.delta();
+                        }
+                        std::vector<cplx> got(n / 2 + 1);
+                        for (std::size_t k = 0; k <= n / 2; ++k)
+                            got[k] = cplx{buf[2 * k * w + q], buf[(2 * k + 1) * w + q]};
+                        EXPECT_TRUE(same_bits(got, std::span<const cplx>(ref).first(n / 2 + 1)))
+                            << "rfft n " << n << ", w " << w << ", line " << l0 + q;
+                    }
+
+                    std::fill(buf.begin(), buf.end(), 0.0);
+                    for (std::size_t q = 0; q < count; ++q)
+                        for (std::size_t k = 0; k <= n / 2; ++k) {
+                            buf[2 * k * w + q] = spec[l0 + q][k].real();
+                            buf[(2 * k + 1) * w + q] = spec[l0 + q][k].imag();
+                        }
+                    {
+                        const blaslite::CountScope scope;
+                        fft::irfft_lanes(plan, w, count, buf, out);
+                        lane_counts += scope.delta();
+                    }
+                    for (std::size_t q = 0; q < count; ++q) {
+                        std::vector<double> ref(n), got(n);
+                        std::vector<cplx> work(n);
+                        {
+                            const blaslite::CountScope scope;
+                            fft::irfft(plan, spec[l0 + q], ref, work);
+                            line_counts += scope.delta();
+                        }
+                        for (std::size_t j = 0; j < n; ++j) got[j] = out[j * w + q];
+                        EXPECT_EQ(std::memcmp(got.data(), ref.data(), n * sizeof(double)), 0)
+                            << "irfft n " << n << ", w " << w << ", line " << l0 + q;
+                    }
+                }
+                EXPECT_EQ(lane_counts.flops, line_counts.flops) << n;
+                EXPECT_EQ(lane_counts.bytes(), line_counts.bytes()) << n;
+                EXPECT_EQ(lane_counts.calls, line_counts.calls) << n;
+            }
     }
 }
 

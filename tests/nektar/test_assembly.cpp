@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <vector>
 
+#include "blaslite/blas.hpp"
 #include "blaslite/counters.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
@@ -105,6 +108,45 @@ TEST(ElementOps, CollocationGradientExactForPolynomials) {
     for (std::size_t q = 0; q < dx.size(); ++q) {
         EXPECT_NEAR(dx[q], ex[q], 1e-9);
         EXPECT_NEAR(dy[q], ey[q], 1e-9);
+    }
+}
+
+TEST(ElementOps, CollocationGradientIsBitwiseTheScalarLoop) {
+    // grad_collocation against the plain loop it replaced: d/dxi1 by one
+    // blaslite::dgemv per row, d/dxi2 as s = +0, s += D(j, k) q(k, i) for
+    // k ascending, then the chain rule.  Orders 1 to 12 (n = 3 to 14
+    // points per direction) reach the unrolled widths and the plain loop.
+    // This file does not contract either.  One
+    // skewed quad (the 2 x 2 mesh's centre vertex moved), so the chain
+    // rule has all four geometric factors.
+    auto m = mesh::rectangle_quads(2, 2, 0.0, 2.0, -1.0, 1.0);
+    m.set_vertex(4, {1.2, 0.15});
+    for (std::size_t order = 1; order <= 12; ++order) {
+        const nektar::ElementOps ops(m, 0, order);
+        const nektar::ElemGeometry& g = ops.geometry();
+        const std::size_t n = ops.colloc_nq1d(), nq = n * n;
+        std::vector<double> q(nq);
+        for (std::size_t p = 0; p < nq; ++p)
+            q[p] = std::sin(g.x[p] + 0.3 * g.y[p]) * (1.0 + g.x[p] * g.y[p]);
+        std::vector<double> dx(nq), dy(nq), d1(nq), d2(nq);
+        ops.grad_collocation(q, dx, dy);
+        const la::DenseMatrix& d = ops.colloc_diff_1d();
+        for (std::size_t j = 0; j < n; ++j)
+            blaslite::dgemv(1.0, d.data(), n, n, n, q.data() + j * n, 0.0, d1.data() + j * n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) {
+                double s = 0.0;
+                for (std::size_t k = 0; k < n; ++k) s += d(j, k) * q[k * n + i];
+                d2[j * n + i] = s;
+            }
+        for (std::size_t p = 0; p < nq; ++p) {
+            const double rx = g.rx[p] * d1[p] + g.sx[p] * d2[p];
+            const double ry = g.ry[p] * d1[p] + g.sy[p] * d2[p];
+            ASSERT_EQ(std::memcmp(&rx, &dx[p], sizeof(double)), 0) << order << " " << p;
+            ASSERT_EQ(std::memcmp(&ry, &dy[p], sizeof(double)), 0) << order << " " << p;
+        }
+        EXPECT_TRUE(std::any_of(g.sx.begin(), g.sx.end(), [](double v) { return v != 0.0; }))
+            << order;
     }
 }
 

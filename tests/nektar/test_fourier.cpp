@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <string_view>
+#include <vector>
 
+#include "blaslite/multiversion.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
+#include "nektar/workloads.hpp"
 #include "transpose_oracle.hpp"
 
 namespace {
@@ -249,6 +256,70 @@ TEST(FourierNS, StageBreakdownAndCommLog) {
     // (set_initial no longer evaluates the nonlinear term; the first step
     // runs at order 1 and never reads a seeded history level).
     EXPECT_EQ(alltoalls, 18u);
+}
+
+/// FNV-1a of a solver's checkpoint bytes: the modal and quadrature fields,
+/// the pressure, both history rings, every stage's blaslite counts and, on a
+/// comm, the rank's virtual clocks and comm logs.
+std::uint64_t checkpoint_fingerprint(const nektar::SolverCore& ns) {
+    const std::vector<std::uint8_t> bytes = ns.checkpoint().serialize();
+    return ckpt::Fingerprint{}
+        .add(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()))
+        .value();
+}
+
+TEST(FourierNS, FieldsArePinned) {
+    // perfbench's fourier_wake_p8 set-up (Table 2's mesh and order, 16
+    // planes) for four steps, two of them ramp, serially and on 2 and 4
+    // ranks with the overlapped transpose on and off.  Any change to the
+    // nonlinear stage, the per-mode solves or the charges that moves a bit,
+    // an operation count or a virtual clock shows.  As for
+    // AleNS.SolvesArePinned, the bits are the host's: the blaslite clones
+    // fuse multiply-adds on an x86-64-v3/v4 host, and the FMA bits were
+    // recorded with GCC.
+    const bool fma = blaslite::isa_level() != blaslite::IsaLevel::base;
+#if defined(__clang__) || !defined(__GNUC__)
+    if (fma) GTEST_SKIP() << "FMA-host bits are recorded for GCC's contraction";
+#endif
+    // serial, then (P, overlap) = (2, on), (2, off), (4, on), (4, off).
+    const std::array<std::uint64_t, 5> pins =
+        fma ? std::array<std::uint64_t, 5>{0xf53bd509e7a41bc1ull, 0xa91b11990fdacc42ull,
+                                           0x23c36a93f54e4d43ull, 0x5d2bf8df491b1757ull,
+                                           0x38dd2af1a538cc17ull}
+            : std::array<std::uint64_t, 5>{0x03421c84239265dfull, 0xb3394a1b1de689a5ull,
+                                           0xcbc6fd0c2fd87f90ull, 0x7f08082504037b04ull,
+                                           0x65bcb5f74530b025ull};
+    const auto base_mesh = std::make_shared<mesh::Mesh>(nektar::workloads::table2_mesh());
+    const auto run = [&](simmpi::Comm* c, bool overlap) {
+        const auto disc =
+            std::make_shared<Discretization>(base_mesh, nektar::workloads::kTable2Order);
+        FourierNsOptions o;
+        o.dt = 2e-3;
+        o.viscosity = 0.01;
+        o.num_modes = 8;
+        o.overlap_transpose = overlap;
+        o.u_bc = nektar::workloads::inflow_u;
+        FourierNS ns(disc, o, c);
+        nektar::workloads::start_perturbed(ns);
+        for (int s = 0; s < 4; ++s) ns.step();
+        return checkpoint_fingerprint(ns);
+    };
+    std::array<std::uint64_t, 5> got{};
+    got[0] = run(nullptr, false);
+    std::size_t at = 1;
+    for (int p : {2, 4})
+        for (bool overlap : {true, false}) {
+            std::vector<std::uint64_t> ranks(static_cast<std::size_t>(p));
+            simmpi::World world(p, nektar::workloads::probe_net());
+            world.run([&](simmpi::Comm& c) {
+                ranks[static_cast<std::size_t>(c.rank())] = run(&c, overlap);
+            });
+            ckpt::Fingerprint all;
+            for (std::uint64_t r : ranks) all.add(r);
+            got[at++] = all.value();
+        }
+    for (std::size_t i = 0; i < pins.size(); ++i)
+        EXPECT_EQ(got[i], pins[i]) << "run " << i << std::hex << ": 0x" << got[i];
 }
 
 TEST(FourierNS, RejectsIndivisibleModeCount) {

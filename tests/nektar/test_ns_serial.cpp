@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <string_view>
+#include <vector>
 
+#include "blaslite/multiversion.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/workloads.hpp"
 
@@ -195,6 +200,41 @@ TEST(SerialNS, BluffBodyShortRunStaysFinite) {
     for (double v : ns.u_quad()) ASSERT_TRUE(std::isfinite(v));
     const double maxu = *std::max_element(ns.u_quad().begin(), ns.u_quad().end());
     EXPECT_LT(maxu, 10.0); // no blow-up
+}
+
+TEST(SerialNS, FieldsArePinned) {
+    // perfbench's serial_bluff set-up (Table 1's mesh at order 6) for four
+    // steps, two of them ramp.  The checkpoint bytes hold the modal and
+    // quadrature fields, the pressure, both history rings and every stage's
+    // blaslite counts, so any change to the condensed solves, the pressure
+    // RHS or the charges that moves a bit or an operation count shows.  The
+    // bits are the host's, as for AleNS.SolvesArePinned, and on an FMA host
+    // also the optimisation level's (tests/CMakeLists.txt).
+    const bool fma = blaslite::isa_level() != blaslite::IsaLevel::base;
+#if defined(__clang__) || !defined(__GNUC__)
+    if (fma) GTEST_SKIP() << "FMA-host bits are recorded for GCC's contraction";
+#endif
+#if defined(REPRO_TEST_BUILD_O3)
+    const std::uint64_t fma_pin = 0xeb578ebceaeb3fb0ull;
+#else
+    const std::uint64_t fma_pin = 0xf9f7d33ba8306bffull;
+#endif
+    const std::uint64_t pin = fma ? fma_pin : 0xec518a189c64b4cdull;
+    const auto disc = std::make_shared<Discretization>(
+        std::make_shared<mesh::Mesh>(workloads::table1_mesh()), workloads::kTable1Order);
+    SerialNsOptions opts;
+    opts.dt = 2e-3;
+    opts.viscosity = 0.01;
+    opts.u_bc = workloads::inflow_u;
+    SerialNS2d ns(disc, opts);
+    workloads::start_free_stream(ns);
+    for (int s = 0; s < 4; ++s) ns.step();
+    const std::vector<std::uint8_t> bytes = ns.checkpoint().serialize();
+    const std::uint64_t got =
+        ckpt::Fingerprint{}
+            .add(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()))
+            .value();
+    EXPECT_EQ(got, pin) << std::hex << "0x" << got;
 }
 
 } // namespace

@@ -54,6 +54,49 @@ TEST(SimMpi, TagMatchingIsSelective) {
     });
 }
 
+TEST(SimMpi, MatchingHoldsAcrossManyKeysAndReturningKeys) {
+    // Ranks 0 and 2 each queue three messages on each of 64 tags at rank 1
+    // before it receives any; rank 1 takes them tag by tag in reverse and
+    // source by source, so every key drains while most others are queued.
+    // Then, after an acknowledgement, new keys and drained ones come back,
+    // and must still match exactly and in order.
+    constexpr int kTags = 64, kSeq = 3;
+    const auto value = [](int src, int tag, int seq) {
+        return static_cast<double>(10000 * src + 10 * tag + seq);
+    };
+    simmpi::World world(3, test_net());
+    world.run([&](simmpi::Comm& c) {
+        std::vector<double> x(1);
+        if (c.rank() != 1) {
+            for (int s = 0; s < kSeq; ++s)
+                for (int t = 0; t < kTags; ++t) {
+                    x[0] = value(c.rank(), t, s);
+                    c.send(1, t, x);
+                }
+            c.recv(1, 999, x);
+            for (int s = 0; s < kSeq; ++s)
+                for (int t : {5, 1000, 63}) {
+                    x[0] = value(c.rank(), t, s);
+                    c.send(1, t, x);
+                }
+            return;
+        }
+        for (int t = kTags - 1; t >= 0; --t)
+            for (int src : {2, 0})
+                for (int s = 0; s < kSeq; ++s) {
+                    c.recv(src, t, x);
+                    EXPECT_EQ(x[0], value(src, t, s)) << "src " << src << ", tag " << t;
+                }
+        for (int dest : {0, 2}) c.send(dest, 999, x);
+        for (int t : {1000, 63, 5})
+            for (int src : {0, 2})
+                for (int s = 0; s < kSeq; ++s) {
+                    c.recv(src, t, x);
+                    EXPECT_EQ(x[0], value(src, t, s)) << "src " << src << ", tag " << t;
+                }
+    });
+}
+
 TEST(SimMpi, RecvSizeMismatchThrows) {
     simmpi::World world(2, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
