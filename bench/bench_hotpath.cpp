@@ -14,9 +14,9 @@
 /// two-RHS velocity solve, a single solve), and a fifth the setup kernels
 /// (the Discretization and DofMap builds).
 /// Writes machine-readable
-/// results to BENCH_hotpath.json (CI uploads it as an artifact and gates the
-/// engines, the direct solver and the apply against committed baselines;
-/// --smoke shrinks the sweep for the per-commit job).
+/// results to BENCH_hotpath.json (CI's paired kernel gate, `bench/ab.py
+/// --kernels`, runs it in the parent's and the change's builds and compares
+/// every kernel; --smoke shrinks the sweep for the per-commit job).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -117,8 +117,8 @@ CaseResult run_case(std::size_t order, std::size_t nside, std::size_t planes,
         },
         min_seconds);
 
-    // Both batched engines, pinned explicitly so the committed baselines stay
-    // comparable whatever $REPRO_BACKEND the job exports.
+    // Both batched engines, pinned explicitly so the timings stay comparable
+    // whatever $REPRO_BACKEND the job exports.
     struct EngineTimes {
         compute::BackendKind kind;
         double* ms;
@@ -257,10 +257,8 @@ perf::Case to_case(const BandedResult& r) {
 struct FftResult {
     std::size_t n = 0;
     double inverse_ms = 0.0, forward_ms = 0.0;
-    /// One slice of kSliceLines z-lines through the lane path, 4 lanes per
-    /// batch on every host (FourierNS takes fft::batch_lanes(), 8 with
-    /// AVX-512): 8 lanes are 7-9x slower than 4 in a kernel built for
-    /// AVX2, so a width that follows the host would gate another kernel.
+    /// One slice of kSliceLines z-lines through the lane path, at
+    /// FourierNS's width (fft::batch_lanes(): 8 with AVX-512, else 4).
     double lines_ms = 0.0;
 };
 
@@ -295,7 +293,7 @@ FftResult run_fft(std::size_t n, double min_seconds) {
 
     // The same work for one slice of lines, w at a time through the lane
     // transforms, as FourierNS's nonlinear stage runs it.
-    constexpr std::size_t w = 4;
+    const std::size_t w = fft::batch_lanes();
     std::vector<double> lane_spec(2 * n * w, 0.0), buf(2 * n * w), lane_prod(n * w);
     for (std::size_t k = 0; k < n / 2; ++k)
         for (std::size_t q = 0; q < w; ++q) {
@@ -555,8 +553,8 @@ int main(int argc, char** argv) {
     // larger powers of two and one Bluestein length (96, whose lane path
     // goes line by line), the same in both sweeps.
     std::printf("\nz-line FFTs (three irfft; six products and rfft; a %zu-line slice"
-                " through the lane path, 4 lanes)\n",
-                kSliceLines);
+                " through the lane path, %zu lanes)\n",
+                kSliceLines, fft::batch_lanes());
     benchutil::Table fft_table({"n", "inverse ms", "forward ms", "lines ms"});
     fft_table.print_header();
     std::vector<FftResult> ffts;

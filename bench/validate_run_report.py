@@ -109,8 +109,8 @@ def case_identity(case: dict) -> tuple:
 
 def check_duplicate_cases(doc, warnings: list[str]) -> None:
     """Two cases with the same identity silently shadow each other in every
-    consumer that keys cases by labels (compare_bench.py's dict comprehension
-    is last-wins) — warn, and fail under --strict."""
+    consumer that keys cases by labels (ab.py --kernels refuses such a
+    report) — warn, and fail under --strict."""
     cases = doc.get("cases") if isinstance(doc, dict) else None
     if not isinstance(cases, list):
         return

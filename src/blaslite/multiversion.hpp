@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+
 /// \file multiversion.hpp
 /// REPRO_MULTIVERSION: compile a hot kernel once per x86-64 microarchitecture
 /// level and dispatch at load time (GCC/Clang function multi-versioning).
@@ -64,5 +66,11 @@ inline IsaLevel isa_level() noexcept {
     return IsaLevel::base;
 #endif
 }
+
+/// Lanes a generic-vector kernel that packs independent columns should
+/// take: 8 where it runs with AVX-512, else 4 (8-wide vectors built for
+/// AVX2 run several times slower than 4-wide ones).  Only speed may depend
+/// on it.
+inline std::size_t vector_lanes() noexcept { return isa_level() == IsaLevel::v4 ? 8 : 4; }
 
 } // namespace blaslite

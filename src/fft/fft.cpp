@@ -291,9 +291,7 @@ std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec) {
     return out;
 }
 
-std::size_t batch_lanes() noexcept {
-    return blaslite::isa_level() == blaslite::IsaLevel::v4 ? 8 : 4;
-}
+std::size_t batch_lanes() noexcept { return blaslite::vector_lanes(); }
 
 namespace {
 

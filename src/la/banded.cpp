@@ -904,14 +904,15 @@ void BandedCholesky::solve(std::span<const std::span<double>> rhs) const {
     std::size_t q = 0;
 #if defined(__GNUC__) || defined(__clang__)
     // Three or more (two on a compact L, whose short runs leave the pair
-    // sweep in its scalar tail): W = 4 or 8 lanes per sweep, unused lanes
-    // zero.  What is left over takes the pair and single sweeps, which are
-    // faster there.
+    // sweep in its scalar tail): W = 4 lanes per sweep, or
+    // blaslite::vector_lanes() for five or more, unused lanes zero.  What is
+    // left over takes the pair and single sweeps, which are faster there.
     const std::size_t min_lanes = compact_ ? 2 : 3;
     if (rhs.size() >= min_lanes) {
-        parallel::Scratch x(n_ * 8);
+        const std::size_t max_w = blaslite::vector_lanes();
+        parallel::Scratch x(n_ * max_w);
         while (rhs.size() - q >= min_lanes) {
-            const std::size_t w = rhs.size() - q <= 4 ? 4 : 8;
+            const std::size_t w = rhs.size() - q <= 4 ? 4 : max_w;
             const std::size_t k = std::min(w, rhs.size() - q);
             for (std::size_t r = 0; r < n_; ++r)
                 for (std::size_t i = 0; i < w; ++i) x[r * w + i] = i < k ? rhs[q + i][r] : 0.0;

@@ -208,18 +208,12 @@ TEST(SerialNS, FieldsArePinned) {
     // quadrature fields, the pressure, both history rings and every stage's
     // blaslite counts, so any change to the condensed solves, the pressure
     // RHS or the charges that moves a bit or an operation count shows.  The
-    // bits are the host's, as for AleNS.SolvesArePinned, and on an FMA host
-    // also the optimisation level's (tests/CMakeLists.txt).
+    // bits are the host's, as for AleNS.SolvesArePinned.
     const bool fma = blaslite::isa_level() != blaslite::IsaLevel::base;
 #if defined(__clang__) || !defined(__GNUC__)
     if (fma) GTEST_SKIP() << "FMA-host bits are recorded for GCC's contraction";
 #endif
-#if defined(REPRO_TEST_BUILD_O3)
-    const std::uint64_t fma_pin = 0xeb578ebceaeb3fb0ull;
-#else
-    const std::uint64_t fma_pin = 0xf9f7d33ba8306bffull;
-#endif
-    const std::uint64_t pin = fma ? fma_pin : 0xec518a189c64b4cdull;
+    const std::uint64_t pin = fma ? 0xf9f7d33ba8306bffull : 0xec518a189c64b4cdull;
     const auto disc = std::make_shared<Discretization>(
         std::make_shared<mesh::Mesh>(workloads::table1_mesh()), workloads::kTable1Order);
     SerialNsOptions opts;
