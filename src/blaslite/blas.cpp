@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "blaslite/multiversion.hpp"
 #include "parallel/scratch.hpp"
@@ -13,18 +14,47 @@ namespace blaslite {
 namespace {
 
 constexpr std::size_t kDouble = sizeof(double);
-constexpr std::size_t kNR = 8; ///< register tile columns: one PanelVec
+constexpr std::size_t kNR = 8; ///< packed-panel columns
+
+/// The ISA level the REPRO_MULTIVERSION kernels here run with, resolved
+/// once: it picks their register tiles, which only speed depends on.
+IsaLevel kernel_isa() noexcept {
+    static const IsaLevel isa = isa_level();
+    return isa;
+}
 
 #if defined(__GNUC__) || defined(__clang__)
-/// One packed-panel row: a kNR-wide vector.  Element-aligned (packed panels
-/// come from generic scratch buffers) and may_alias (it is loaded straight
-/// from double arrays).  The compiler lowers it to whatever the active clone
-/// has — one zmm, two ymm, or four xmm.
-typedef double PanelVec
-    __attribute__((vector_size(kNR * sizeof(double)), aligned(alignof(double)), may_alias));
+/// Generic vectors of 8, 4 and 2 doubles.  Each kernel holds its register
+/// tile in the vector its clone has registers for (zmm on v4, ymm on v3,
+/// xmm below): a wider one lives in memory.
+typedef double Vec8 __attribute__((vector_size(8 * sizeof(double))));
+typedef double Vec4 __attribute__((vector_size(4 * sizeof(double))));
+typedef double Vec2 __attribute__((vector_size(2 * sizeof(double))));
+
+template <class V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+/// Copies the V at p, which need only be double-aligned (panels and C rows
+/// come from generic buffers), in or out; memcpy keeps the access
+/// alias-safe and compiles to one unaligned vector move.
+template <class V>
+[[gnu::always_inline]] inline void load(V& v, const double* p) noexcept {
+    std::memcpy(&v, p, sizeof v);
+}
+template <class V>
+[[gnu::always_inline]] inline void store(double* p, const V& v) noexcept {
+    std::memcpy(p, &v, sizeof v);
+}
+/// acc += a * (the V at p).
+template <class V>
+[[gnu::always_inline]] inline void add_scaled(V& acc, double a, const double* p) noexcept {
+    V b;
+    load(b, p);
+    acc += a * b;
+}
 
 /// Rows narrower than this keep their whole C row in registers through the
-/// k loop: up to three PanelVecs plus up to kNR - 1 scalar tail columns.
+/// k loop; wider rows go through in column blocks of kRegisterRow - kNR.
 constexpr std::size_t kRegisterRow = 4 * kNR;
 
 /// Operands of one unblocked product, C (m x n) <- beta C + alpha A B.
@@ -40,91 +70,100 @@ struct SmallGemm {
     std::size_t m, k;
 };
 
-/// The unblocked ikj product for rows of n = NV*kNR + NT columns, with each
-/// C row held in NV named vectors and NT named scalars for the whole k loop.
-/// (Named, not an array: GCC spills an indexed array of vectors at -O2.)
-/// Every element takes the plain loop's operation sequence — beta applied in
-/// memory, then c += (alpha*a_ip)*b_pj for p ascending — so the result is
-/// bitwise the plain loop's under the same contraction rules.
-template <std::size_t NV, std::size_t NT>
+/// The unblocked ikj product for rows of N columns, with each C row held
+/// in registers for the whole k loop: N / W vectors of V (W lanes each),
+/// then the other N % W columns as a 4-, a 2- and a 1-wide part (each
+/// present when N % W has that bit).  The vector loops are force-unrolled,
+/// so every vector gets its own register (at -O2 GCC keeps an indexed
+/// array of vectors in memory).  Every element takes the plain loop's
+/// operation sequence — beta applied in memory, then c += (alpha*a_ip)*b_pj
+/// for p ascending — so the result is bitwise the plain loop's under the
+/// same contraction rules, whatever V.
+template <class V, std::size_t N>
 [[gnu::always_inline]] inline void register_rows(const SmallGemm& g) noexcept {
-    constexpr std::size_t t = NV * kNR; // first tail column
+    constexpr std::size_t W = kLanes<V>, NV = N / W, R = N % W;
+    constexpr std::size_t t4 = NV * W;       // the 4-wide part
+    constexpr std::size_t t2 = t4 + (R & 4); // the 2-wide part
+    constexpr std::size_t t1 = t2 + (R & 2); // the last column
     for (std::size_t i = 0; i < g.m; ++i) {
         double* crow = g.c + i * g.ldc;
         const double* arow = g.a + i * g.lda;
-        PanelVec v0 = {}, v1 = {}, v2 = {};
-        double t0 = 0.0, t1 = 0.0, t2 = 0.0, t3 = 0.0, t4 = 0.0, t5 = 0.0, t6 = 0.0;
+        V v[NV + 1] = {};
+        Vec4 q = {};
+        Vec2 d = {};
+        double s = 0.0;
         if (g.beta != 0.0) {
             if (g.beta != 1.0)
-                for (std::size_t j = 0; j < t + NT; ++j) crow[j] *= g.beta;
-            if constexpr (NV > 0) v0 = *reinterpret_cast<const PanelVec*>(crow);
-            if constexpr (NV > 1) v1 = *reinterpret_cast<const PanelVec*>(crow + kNR);
-            if constexpr (NV > 2) v2 = *reinterpret_cast<const PanelVec*>(crow + 2 * kNR);
-            if constexpr (NT > 0) t0 = crow[t];
-            if constexpr (NT > 1) t1 = crow[t + 1];
-            if constexpr (NT > 2) t2 = crow[t + 2];
-            if constexpr (NT > 3) t3 = crow[t + 3];
-            if constexpr (NT > 4) t4 = crow[t + 4];
-            if constexpr (NT > 5) t5 = crow[t + 5];
-            if constexpr (NT > 6) t6 = crow[t + 6];
+                for (std::size_t j = 0; j < N; ++j) crow[j] *= g.beta;
+#pragma GCC unroll 16
+            for (std::size_t u = 0; u != NV; ++u) load(v[u], crow + u * W);
+            if constexpr ((R & 4) != 0) load(q, crow + t4);
+            if constexpr ((R & 2) != 0) load(d, crow + t2);
+            if constexpr ((R & 1) != 0) s = crow[t1];
         }
         for (std::size_t p = 0; p < g.k; ++p) {
             const double aip = g.alpha * arow[p];
             const double* brow = g.b + p * g.ldb;
-            if constexpr (NV > 0) v0 += aip * *reinterpret_cast<const PanelVec*>(brow);
-            if constexpr (NV > 1) v1 += aip * *reinterpret_cast<const PanelVec*>(brow + kNR);
-            if constexpr (NV > 2) v2 += aip * *reinterpret_cast<const PanelVec*>(brow + 2 * kNR);
-            if constexpr (NT > 0) t0 += aip * brow[t];
-            if constexpr (NT > 1) t1 += aip * brow[t + 1];
-            if constexpr (NT > 2) t2 += aip * brow[t + 2];
-            if constexpr (NT > 3) t3 += aip * brow[t + 3];
-            if constexpr (NT > 4) t4 += aip * brow[t + 4];
-            if constexpr (NT > 5) t5 += aip * brow[t + 5];
-            if constexpr (NT > 6) t6 += aip * brow[t + 6];
+#pragma GCC unroll 16
+            for (std::size_t u = 0; u != NV; ++u) add_scaled(v[u], aip, brow + u * W);
+            if constexpr ((R & 4) != 0) add_scaled(q, aip, brow + t4);
+            if constexpr ((R & 2) != 0) add_scaled(d, aip, brow + t2);
+            if constexpr ((R & 1) != 0) s += aip * brow[t1];
         }
-        if constexpr (NV > 0) *reinterpret_cast<PanelVec*>(crow) = v0;
-        if constexpr (NV > 1) *reinterpret_cast<PanelVec*>(crow + kNR) = v1;
-        if constexpr (NV > 2) *reinterpret_cast<PanelVec*>(crow + 2 * kNR) = v2;
-        if constexpr (NT > 0) crow[t] = t0;
-        if constexpr (NT > 1) crow[t + 1] = t1;
-        if constexpr (NT > 2) crow[t + 2] = t2;
-        if constexpr (NT > 3) crow[t + 3] = t3;
-        if constexpr (NT > 4) crow[t + 4] = t4;
-        if constexpr (NT > 5) crow[t + 5] = t5;
-        if constexpr (NT > 6) crow[t + 6] = t6;
+#pragma GCC unroll 16
+        for (std::size_t u = 0; u != NV; ++u) store(crow + u * W, v[u]);
+        if constexpr ((R & 4) != 0) store(crow + t4, q);
+        if constexpr ((R & 2) != 0) store(crow + t2, d);
+        if constexpr ((R & 1) != 0) crow[t1] = s;
     }
 }
 
-/// register_rows for the runtime tail width nt (NT counts up to it).
-template <std::size_t NV, std::size_t NT = 0>
-[[gnu::always_inline]] inline void dispatch_tail(std::size_t nt, const SmallGemm& g) noexcept {
-    if constexpr (NT + 1 < kNR) {
-        if (nt != NT) return dispatch_tail<NV, NT + 1>(nt, g);
+/// register_rows for the runtime column count n < kRegisterRow (N counts
+/// up to it).
+template <class V, std::size_t N = 0>
+[[gnu::always_inline]] inline void register_cols(std::size_t n, const SmallGemm& g) noexcept {
+    if constexpr (N + 1 < kRegisterRow) {
+        if (n != N) return register_cols<V, N + 1>(n, g);
     }
-    register_rows<NV, NT>(g);
+    register_rows<V, N>(g);
+}
+
+/// The unblocked product with V's register rows.
+template <class V>
+[[gnu::always_inline]] inline void small_rows(const SmallGemm& g, std::size_t n) noexcept {
+    // Column blocks while kRegisterRow or more columns remain, then the
+    // rest; each element's sequence does not depend on its block.
+    constexpr std::size_t kBlock = kRegisterRow - kNR;
+    std::size_t j0 = 0;
+    for (; n - j0 >= kRegisterRow; j0 += kBlock) {
+        SmallGemm blk = g;
+        blk.b += j0;
+        blk.c += j0;
+        register_rows<V, kBlock>(blk);
+    }
+    SmallGemm rest = g;
+    rest.b += j0;
+    rest.c += j0;
+    register_cols<V>(n - j0, rest);
 }
 #endif
 
-/// Unblocked triple loop in ikj order: keeps a[i][p] in a register and, for
-/// rows narrower than kRegisterRow, the whole C row too.  Optimal for the
-/// tiny matrices (n <= 25) that dominate spectral/hp elemental operations
-/// (paper, Figure 6).
+/// Unblocked triple loop in ikj order: keeps a[i][p] in a register and the
+/// C row, or a block of it, too.  Optimal for the tiny matrices (n <= 25)
+/// that dominate spectral/hp elemental operations (paper, Figure 6).
 REPRO_MULTIVERSION
 void dgemm_small(double alpha, const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double beta, double* c, std::size_t ldc, std::size_t m,
-                 std::size_t n, std::size_t k) noexcept {
+                 std::size_t n, std::size_t k, IsaLevel isa) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
-    if (n < kRegisterRow) {
-        const SmallGemm g{alpha, a, lda, b, ldb, beta, c, ldc, m, k};
-        switch (n / kNR) {
-            case 0: dispatch_tail<0>(n % kNR, g); break;
-            case 1: dispatch_tail<1>(n % kNR, g); break;
-            case 2: dispatch_tail<2>(n % kNR, g); break;
-            default: dispatch_tail<3>(n % kNR, g); break;
-        }
-        return;
+    const SmallGemm g{alpha, a, lda, b, ldb, beta, c, ldc, m, k};
+    switch (isa) {
+        case IsaLevel::v4: small_rows<Vec8>(g, n); break;
+        case IsaLevel::v3: small_rows<Vec4>(g, n); break;
+        default: small_rows<Vec2>(g, n); break;
     }
-#endif
+#else
+    (void)isa;
     for (std::size_t i = 0; i < m; ++i) {
         double* crow = c + i * ldc;
         if (beta == 0.0) {
@@ -139,6 +178,7 @@ void dgemm_small(double alpha, const double* a, std::size_t lda, const double* b
             for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
         }
     }
+#endif
 }
 
 } // namespace
@@ -220,7 +260,7 @@ REPRO_MULTIVERSION
 void dgemv_t(double alpha, const double* a, std::size_t lda, std::size_t m, std::size_t n,
              const double* x, double beta, double* y) noexcept {
     // y' (1 x n) = beta y' + alpha x' (1 x m) A: the small product's row loop.
-    dgemm_small(alpha, x, m, a, lda, beta, y, n, 1, n, m);
+    dgemm_small(alpha, x, m, a, lda, beta, y, n, 1, n, m, kernel_isa());
     detail::charge(2 * m * n + m, (m * n + m + n) * kDouble, n * kDouble);
 }
 
@@ -229,15 +269,14 @@ namespace {
 // --------------------------------------------------------------------------
 // Register-blocked micro-kernel engine.
 //
-// C rows are processed kMR at a time against kNR-column panels of B that were
+// C rows are processed MR at a time against kNR-column panels of B that were
 // packed (zero-padded) into contiguous micro-panels, so the inner loop is a
-// rank-1 update of a kMR x kNR accumulator tile held entirely in registers.
-// Every C element accumulates its k products in ascending-p order regardless
-// of tiling, row blocking, or the thread count — the basis of the engine's
-// bitwise-determinism guarantee.
+// rank-1 update of an MR x kNR accumulator tile held entirely in registers
+// (MR per ISA level: see kernel_rows).  Every C element accumulates its k
+// products in ascending-p order regardless of tiling, row blocking, or the
+// thread count — the basis of the engine's bitwise-determinism guarantee.
 // --------------------------------------------------------------------------
 
-constexpr std::size_t kMR = 8;        ///< register tile rows
 constexpr std::size_t kRowBlock = 128; ///< C rows per thread-pool work item
 /// Below this flop count the unblocked ikj loop wins (no packing overhead);
 /// this keeps the paper's small-n regime (Figure 6) on its dedicated path.
@@ -255,6 +294,12 @@ void pack_b_panels(const double* b, std::size_t ldb, std::size_t k, std::size_t 
         const std::size_t j0 = j * kNR;
         const std::size_t nr = std::min(kNR, n - j0);
         double* panel = bp + j * k * kNR;
+        if (nr == kNR) {
+            // A constant-size copy: one vector move per row at -O2.
+            for (std::size_t p = 0; p < k; ++p)
+                std::memcpy(panel + p * kNR, b + p * ldb + j0, kNR * kDouble);
+            continue;
+        }
         for (std::size_t p = 0; p < k; ++p) {
             const double* brow = b + p * ldb + j0;
             double* prow = panel + p * kNR;
@@ -264,49 +309,98 @@ void pack_b_panels(const double* b, std::size_t ldb, std::size_t k, std::size_t 
     }
 }
 
+#if defined(__GNUC__) || defined(__clang__)
 /// C tile (MR x nr) += alpha * A rows (MR x k, ld = lda) * packed panel.
 /// Force-inlined so each multi-versioned caller compiles the tile with its
-/// own ISA.  The accumulator block is MR named kNR-wide vectors — one
-/// AVX-512 register per tile row — and the rank-1 update body is MR
-/// broadcast-FMAs per packed panel row: MR independent dependence chains,
-/// enough to hide FMA latency.  (Written with vector extensions rather than
-/// a scalar array because the auto-vectorizer spills the scalar tile.)
-template <std::size_t MR>
+/// own ISA.  The accumulator tile is MR rows of kNR / W vectors of V (W
+/// lanes each), and the rank-1 update body is MR broadcast-FMAs per vector
+/// of the packed panel row: independent dependence chains enough to hide
+/// FMA latency.  Its loops are force-unrolled so every accumulator gets
+/// its own register (at -O2 GCC keeps an indexed array of vectors in
+/// memory).  Each element sums a_ip*b_pj for p ascending from zero, then
+/// takes c += alpha*acc.
+template <class V, std::size_t MR>
 [[gnu::always_inline]] inline void micro_kernel(std::size_t k, double alpha, const double* a,
                                                 std::size_t lda, const double* bp, double* c,
                                                 std::size_t ldc, std::size_t nr) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    PanelVec acc[MR] = {};
+    constexpr std::size_t W = kLanes<V>, NV = kNR / W;
+    V acc[MR][NV] = {};
     for (std::size_t p = 0; p < k; ++p) {
-        const PanelVec brow = *reinterpret_cast<const PanelVec*>(bp + p * kNR);
-        for (std::size_t ii = 0; ii < MR; ++ii) acc[ii] += a[ii * lda + p] * brow;
-    }
-    for (std::size_t ii = 0; ii < MR; ++ii) {
-        double* crow = c + ii * ldc;
-        for (std::size_t jj = 0; jj < nr; ++jj) crow[jj] += alpha * acc[ii][jj];
-    }
-#else
-    double acc[MR][kNR] = {};
-    for (std::size_t p = 0; p < k; ++p) {
-        const double* brow = bp + p * kNR;
+        V brow[NV];
+#pragma GCC unroll 16
+        for (std::size_t u = 0; u < NV; ++u) load(brow[u], bp + p * kNR + u * W);
+#pragma GCC unroll 16
         for (std::size_t ii = 0; ii < MR; ++ii) {
             const double aip = a[ii * lda + p];
-            for (std::size_t jj = 0; jj < kNR; ++jj) acc[ii][jj] += aip * brow[jj];
+#pragma GCC unroll 16
+            for (std::size_t u = 0; u < NV; ++u) acc[ii][u] += aip * brow[u];
         }
     }
+#pragma GCC unroll 16
     for (std::size_t ii = 0; ii < MR; ++ii) {
         double* crow = c + ii * ldc;
-        for (std::size_t jj = 0; jj < nr; ++jj) crow[jj] += alpha * acc[ii][jj];
+        if (nr == kNR) {
+#pragma GCC unroll 16
+            for (std::size_t u = 0; u < NV; ++u) {
+                V cv;
+                load(cv, crow + u * W);
+                store(crow + u * W, cv + alpha * acc[ii][u]);
+            }
+        } else {
+            double row[kNR];
+#pragma GCC unroll 16
+            for (std::size_t u = 0; u < NV; ++u) store(row + u * W, acc[ii][u]);
+            for (std::size_t jj = 0; jj < nr; ++jj) crow[jj] += alpha * row[jj];
+        }
     }
-#endif
 }
 
+/// micro_kernel<V, R> for the runtime row count r < MR (R counts down
+/// from MR - 1 to it).
+template <class V, std::size_t MR, std::size_t R = MR - 1>
+[[gnu::always_inline]] inline void remainder_kernel(std::size_t r, std::size_t k, double alpha,
+                                                    const double* a, std::size_t lda,
+                                                    const double* bp, double* c,
+                                                    std::size_t ldc, std::size_t nr) noexcept {
+    if constexpr (R > 1) {
+        if (r != R) return remainder_kernel<V, MR, R - 1>(r, k, alpha, a, lda, bp, c, ldc, nr);
+    }
+    if constexpr (R > 0) micro_kernel<V, R>(k, alpha, a, lda, bp, c, ldc, nr);
+}
+
+/// Accumulates alpha * A * B into rows [0, mb) of C in MR x kNR tiles of
+/// V, the last tile row taking the mb % MR rows left.
+template <class V, std::size_t MR>
+[[gnu::always_inline]] inline void tile_rows(double alpha, const double* a, std::size_t lda,
+                                             const double* bp, double* c, std::size_t ldc,
+                                             std::size_t mb, std::size_t n,
+                                             std::size_t k) noexcept {
+    const std::size_t npanels = (n + kNR - 1) / kNR;
+    std::size_t i = 0;
+    for (; i + MR <= mb; i += MR) {
+        for (std::size_t j = 0; j < npanels; ++j) {
+            const std::size_t nr = std::min(kNR, n - j * kNR);
+            micro_kernel<V, MR>(k, alpha, a + i * lda, lda, bp + j * k * kNR,
+                                c + i * ldc + j * kNR, ldc, nr);
+        }
+    }
+    if (i == mb) return;
+    for (std::size_t j = 0; j < npanels; ++j) {
+        const std::size_t nr = std::min(kNR, n - j * kNR);
+        remainder_kernel<V, MR>(mb - i, k, alpha, a + i * lda, lda, bp + j * k * kNR,
+                                c + i * ldc + j * kNR, ldc, nr);
+    }
+}
+#endif
+
 /// Applies beta to rows [0, mb) of C, then accumulates alpha * A * B using
-/// the packed panels of B.
+/// the packed panels of B, in the register tile of ISA level `isa`: an
+/// MR x kNR accumulator tile plus one packed panel row must fit the
+/// clone's 32 zmm (v4), 16 ymm (v3) or 16 xmm registers.
 REPRO_MULTIVERSION
 void kernel_rows(double alpha, const double* a, std::size_t lda, const double* bp,
                  double beta, double* c, std::size_t ldc, std::size_t mb, std::size_t n,
-                 std::size_t k) noexcept {
+                 std::size_t k, IsaLevel isa) noexcept {
     for (std::size_t i = 0; i < mb; ++i) {
         double* crow = c + i * ldc;
         if (beta == 0.0) {
@@ -315,32 +409,22 @@ void kernel_rows(double alpha, const double* a, std::size_t lda, const double* b
             for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
         }
     }
-    const std::size_t npanels = (n + kNR - 1) / kNR;
-    std::size_t i = 0;
-    for (; i + kMR <= mb; i += kMR) {
-        for (std::size_t j = 0; j < npanels; ++j) {
-            const std::size_t nr = std::min(kNR, n - j * kNR);
-            micro_kernel<kMR>(k, alpha, a + i * lda, lda, bp + j * k * kNR,
-                              c + i * ldc + j * kNR, ldc, nr);
-        }
+#if defined(__GNUC__) || defined(__clang__)
+    switch (isa) {
+        case IsaLevel::v4: tile_rows<Vec8, 8>(alpha, a, lda, bp, c, ldc, mb, n, k); break;
+        case IsaLevel::v3: tile_rows<Vec4, 4>(alpha, a, lda, bp, c, ldc, mb, n, k); break;
+        default: tile_rows<Vec2, 2>(alpha, a, lda, bp, c, ldc, mb, n, k); break;
     }
-    const std::size_t mr = mb - i;
-    if (mr == 0) return;
-    for (std::size_t j = 0; j < npanels; ++j) {
-        const std::size_t nr = std::min(kNR, n - j * kNR);
-        const double* arow = a + i * lda;
-        double* crow = c + i * ldc + j * kNR;
-        const double* panel = bp + j * k * kNR;
-        switch (mr) {
-            case 1: micro_kernel<1>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
-            case 2: micro_kernel<2>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
-            case 3: micro_kernel<3>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
-            case 4: micro_kernel<4>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
-            case 5: micro_kernel<5>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
-            case 6: micro_kernel<6>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
-            default: micro_kernel<7>(k, alpha, arow, lda, panel, crow, ldc, nr); break;
+#else
+    (void)isa;
+    for (std::size_t i = 0; i < mb; ++i)
+        for (std::size_t j = 0; j < n; ++j) {
+            const double* panel = bp + (j / kNR) * k * kNR + j % kNR;
+            double acc = 0.0;
+            for (std::size_t p = 0; p < k; ++p) acc += a[i * lda + p] * panel[p * kNR];
+            c[i * ldc + j] += alpha * acc;
         }
-    }
+#endif
 }
 
 /// Packed-panel dgemm body shared by dgemm and the batched entry point:
@@ -355,12 +439,12 @@ void dgemm_packed(double alpha, const double* a, std::size_t lda, const double* 
         parallel::pool().parallel_for(nblocks, [&](std::size_t b0, std::size_t b1) {
             const std::size_t i0 = b0 * kRowBlock;
             const std::size_t i1 = std::min(m, b1 * kRowBlock);
-            kernel_rows(alpha, a + i0 * lda, lda, bp, beta, c + i0 * ldc, ldc, i1 - i0, n,
-                        k);
+            kernel_rows(alpha, a + i0 * lda, lda, bp, beta, c + i0 * ldc, ldc, i1 - i0, n, k,
+                        kernel_isa());
         });
         return;
     }
-    kernel_rows(alpha, a, lda, bp, beta, c, ldc, m, n, k);
+    kernel_rows(alpha, a, lda, bp, beta, c, ldc, m, n, k, kernel_isa());
 }
 
 } // namespace
@@ -371,7 +455,7 @@ void dgemm(double alpha, const double* a, std::size_t lda, const double* b, std:
     detail::charge(2 * m * n * k + m * n, (m * k + k * n + m * n) * kDouble, m * n * kDouble);
     if (m == 0 || n == 0) return;
     if (k == 0 || n < kNR || 2 * m * n * k <= kSmallFlops) {
-        dgemm_small(alpha, a, lda, b, ldb, beta, c, ldc, m, n, k);
+        dgemm_small(alpha, a, lda, b, ldb, beta, c, ldc, m, n, k, kernel_isa());
         return;
     }
     const std::size_t npanels = (n + kNR - 1) / kNR;
@@ -404,7 +488,7 @@ void dgemm_batch_same_a(double alpha, const double* a, std::size_t lda, std::siz
         // Degenerate or narrow-output batches take the same unblocked path the
         // per-item column-major call would (row-major views swap operands).
         for (const GemmBatchItem& it : items)
-            dgemm_small(alpha, it.b, ldb, a, lda, beta, it.c, ldc, n, m, k);
+            dgemm_small(alpha, it.b, ldb, a, lda, beta, it.c, ldc, n, m, k, kernel_isa());
         return;
     }
     // Row-major view of the shared operator: A_cm(m x k, lda) is A'(k x m)
@@ -415,7 +499,7 @@ void dgemm_batch_same_a(double alpha, const double* a, std::size_t lda, std::siz
     pack_b_panels(a, lda, k, m, ap.data());
 
     const auto run_item = [&](const GemmBatchItem& it) {
-        kernel_rows(alpha, it.b, ldb, ap.data(), beta, it.c, ldc, n, m, k);
+        kernel_rows(alpha, it.b, ldb, ap.data(), beta, it.c, ldc, n, m, k, kernel_isa());
     };
     const std::size_t total_flops = 2 * m * n * k * items.size();
     if (items.size() > 1 && parallel::num_threads() > 1 && total_flops >= kParallelFlops) {
@@ -443,14 +527,14 @@ void dgemm_batch_same_b(double alpha, std::span<const GemmBatchItem> items, std:
     // dgemm call would.
     if (k == 0 || m < kNR) {
         for (const GemmBatchItem& it : items)
-            dgemm_small(alpha, b, ldb, it.b, lda, beta, it.c, ldc, n, m, k);
+            dgemm_small(alpha, b, ldb, it.b, lda, beta, it.c, ldc, n, m, k, kernel_isa());
         return;
     }
     const std::size_t npanels = (m + kNR - 1) / kNR;
     const auto run_item = [&](const GemmBatchItem& it) {
         parallel::Scratch ap(npanels * kNR * k);
         pack_b_panels(it.b, lda, k, m, ap.data());
-        kernel_rows(alpha, b, ldb, ap.data(), beta, it.c, ldc, n, m, k);
+        kernel_rows(alpha, b, ldb, ap.data(), beta, it.c, ldc, n, m, k, kernel_isa());
     };
     const std::size_t total_flops = 2 * m * n * k * items.size();
     if (items.size() > 1 && parallel::num_threads() > 1 && total_flops >= kParallelFlops) {

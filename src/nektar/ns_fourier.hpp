@@ -2,8 +2,10 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
+#include "blaslite/counters.hpp"
 #include "fft/fft.hpp"
 #include "nektar/helmholtz.hpp"
 #include "nektar/transpose.hpp"
@@ -127,6 +129,9 @@ private:
     std::vector<double> modal_[3];
     std::vector<double> quad_[3];
     std::vector<double> p_modal_;            ///< pressure planes
+    /// The counts transform_all_to_quad charged, while quad_ still holds
+    /// its transform of modal_; empty once either is written otherwise.
+    std::optional<blaslite::OpCounts> quad_counts_;
     // Inter-stage scratch: per-plane pressure and velocity RHS vectors.
     std::vector<std::vector<double>> prhs_, vrhs_;
     /// Stage-2 scratch, sized once: the velocity components' and the six
