@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "blaslite/multiversion.hpp"
 #include "compute/backend.hpp"
 #include "fft/fft.hpp"
 #include "la/banded.hpp"
@@ -258,7 +259,7 @@ struct FftResult {
     std::size_t n = 0;
     double inverse_ms = 0.0, forward_ms = 0.0;
     /// One slice of kSliceLines z-lines through the lane path, at
-    /// FourierNS's width (fft::batch_lanes(): 8 with AVX-512, else 4).
+    /// FourierNS's width (blaslite::vector_lanes(): 8 with AVX-512, else 4).
     double lines_ms = 0.0;
 };
 
@@ -293,7 +294,7 @@ FftResult run_fft(std::size_t n, double min_seconds) {
 
     // The same work for one slice of lines, w at a time through the lane
     // transforms, as FourierNS's nonlinear stage runs it.
-    const std::size_t w = fft::batch_lanes();
+    const std::size_t w = blaslite::vector_lanes();
     std::vector<double> lane_spec(2 * n * w, 0.0), buf(2 * n * w), lane_prod(n * w);
     for (std::size_t k = 0; k < n / 2; ++k)
         for (std::size_t q = 0; q < w; ++q) {
@@ -554,7 +555,7 @@ int main(int argc, char** argv) {
     // goes line by line), the same in both sweeps.
     std::printf("\nz-line FFTs (three irfft; six products and rfft; a %zu-line slice"
                 " through the lane path, %zu lanes)\n",
-                kSliceLines, fft::batch_lanes());
+                kSliceLines, blaslite::vector_lanes());
     benchutil::Table fft_table({"n", "inverse ms", "forward ms", "lines ms"});
     fft_table.print_header();
     std::vector<FftResult> ffts;

@@ -16,14 +16,6 @@ namespace {
 constexpr std::size_t kDouble = sizeof(double);
 constexpr std::size_t kNR = 8; ///< packed-panel columns
 
-/// The ISA level the REPRO_MULTIVERSION kernels here run with, resolved
-/// once: it picks their register tiles, which only speed depends on.
-IsaLevel kernel_isa() noexcept {
-    static const IsaLevel isa = isa_level();
-    return isa;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
 /// Generic vectors of 8, 4 and 2 doubles.  Each kernel holds its register
 /// tile in the vector its clone has registers for (zmm on v4, ymm on v3,
 /// xmm below): a wider one lives in memory.
@@ -146,7 +138,6 @@ template <class V>
     rest.c += j0;
     register_cols<V>(n - j0, rest);
 }
-#endif
 
 /// Unblocked triple loop in ikj order: keeps a[i][p] in a register and the
 /// C row, or a block of it, too.  Optimal for the tiny matrices (n <= 25)
@@ -155,30 +146,12 @@ REPRO_MULTIVERSION
 void dgemm_small(double alpha, const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double beta, double* c, std::size_t ldc, std::size_t m,
                  std::size_t n, std::size_t k, IsaLevel isa) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
     const SmallGemm g{alpha, a, lda, b, ldb, beta, c, ldc, m, k};
     switch (isa) {
         case IsaLevel::v4: small_rows<Vec8>(g, n); break;
         case IsaLevel::v3: small_rows<Vec4>(g, n); break;
         default: small_rows<Vec2>(g, n); break;
     }
-#else
-    (void)isa;
-    for (std::size_t i = 0; i < m; ++i) {
-        double* crow = c + i * ldc;
-        if (beta == 0.0) {
-            std::fill(crow, crow + n, 0.0);
-        } else if (beta != 1.0) {
-            for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-        }
-        const double* arow = a + i * lda;
-        for (std::size_t p = 0; p < k; ++p) {
-            const double aip = alpha * arow[p];
-            const double* brow = b + p * ldb;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += aip * brow[j];
-        }
-    }
-#endif
 }
 
 } // namespace
@@ -231,14 +204,6 @@ void dvmul(std::span<const double> x, std::span<const double> y, std::span<doubl
 }
 
 REPRO_MULTIVERSION
-void dvvtvp(std::span<const double> x, std::span<const double> y, std::span<double> z) noexcept {
-    assert(x.size() == y.size() && x.size() == z.size());
-    const std::size_t n = x.size();
-    for (std::size_t i = 0; i < n; ++i) z[i] += x[i] * y[i];
-    detail::charge(2 * n, 3 * n * kDouble, n * kDouble);
-}
-
-REPRO_MULTIVERSION
 void dgemv(double alpha, const double* a, std::size_t lda, std::size_t m, std::size_t n,
            const double* x, double beta, double* y) noexcept {
     for (std::size_t i = 0; i < m; ++i) {
@@ -260,7 +225,7 @@ REPRO_MULTIVERSION
 void dgemv_t(double alpha, const double* a, std::size_t lda, std::size_t m, std::size_t n,
              const double* x, double beta, double* y) noexcept {
     // y' (1 x n) = beta y' + alpha x' (1 x m) A: the small product's row loop.
-    dgemm_small(alpha, x, m, a, lda, beta, y, n, 1, n, m, kernel_isa());
+    dgemm_small(alpha, x, m, a, lda, beta, y, n, 1, n, m, isa_level());
     detail::charge(2 * m * n + m, (m * n + m + n) * kDouble, n * kDouble);
 }
 
@@ -309,7 +274,6 @@ void pack_b_panels(const double* b, std::size_t ldb, std::size_t k, std::size_t 
     }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 /// C tile (MR x nr) += alpha * A rows (MR x k, ld = lda) * packed panel.
 /// Force-inlined so each multi-versioned caller compiles the tile with its
 /// own ISA.  The accumulator tile is MR rows of kNR / W vectors of V (W
@@ -391,7 +355,6 @@ template <class V, std::size_t MR>
                                 c + i * ldc + j * kNR, ldc, nr);
     }
 }
-#endif
 
 /// Applies beta to rows [0, mb) of C, then accumulates alpha * A * B using
 /// the packed panels of B, in the register tile of ISA level `isa`: an
@@ -409,22 +372,11 @@ void kernel_rows(double alpha, const double* a, std::size_t lda, const double* b
             for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
         }
     }
-#if defined(__GNUC__) || defined(__clang__)
     switch (isa) {
         case IsaLevel::v4: tile_rows<Vec8, 8>(alpha, a, lda, bp, c, ldc, mb, n, k); break;
         case IsaLevel::v3: tile_rows<Vec4, 4>(alpha, a, lda, bp, c, ldc, mb, n, k); break;
         default: tile_rows<Vec2, 2>(alpha, a, lda, bp, c, ldc, mb, n, k); break;
     }
-#else
-    (void)isa;
-    for (std::size_t i = 0; i < mb; ++i)
-        for (std::size_t j = 0; j < n; ++j) {
-            const double* panel = bp + (j / kNR) * k * kNR + j % kNR;
-            double acc = 0.0;
-            for (std::size_t p = 0; p < k; ++p) acc += a[i * lda + p] * panel[p * kNR];
-            c[i * ldc + j] += alpha * acc;
-        }
-#endif
 }
 
 /// Packed-panel dgemm body shared by dgemm and the batched entry point:
@@ -440,11 +392,11 @@ void dgemm_packed(double alpha, const double* a, std::size_t lda, const double* 
             const std::size_t i0 = b0 * kRowBlock;
             const std::size_t i1 = std::min(m, b1 * kRowBlock);
             kernel_rows(alpha, a + i0 * lda, lda, bp, beta, c + i0 * ldc, ldc, i1 - i0, n, k,
-                        kernel_isa());
+                        isa_level());
         });
         return;
     }
-    kernel_rows(alpha, a, lda, bp, beta, c, ldc, m, n, k, kernel_isa());
+    kernel_rows(alpha, a, lda, bp, beta, c, ldc, m, n, k, isa_level());
 }
 
 } // namespace
@@ -455,7 +407,7 @@ void dgemm(double alpha, const double* a, std::size_t lda, const double* b, std:
     detail::charge(2 * m * n * k + m * n, (m * k + k * n + m * n) * kDouble, m * n * kDouble);
     if (m == 0 || n == 0) return;
     if (k == 0 || n < kNR || 2 * m * n * k <= kSmallFlops) {
-        dgemm_small(alpha, a, lda, b, ldb, beta, c, ldc, m, n, k, kernel_isa());
+        dgemm_small(alpha, a, lda, b, ldb, beta, c, ldc, m, n, k, isa_level());
         return;
     }
     const std::size_t npanels = (n + kNR - 1) / kNR;
@@ -488,7 +440,7 @@ void dgemm_batch_same_a(double alpha, const double* a, std::size_t lda, std::siz
         // Degenerate or narrow-output batches take the same unblocked path the
         // per-item column-major call would (row-major views swap operands).
         for (const GemmBatchItem& it : items)
-            dgemm_small(alpha, it.b, ldb, a, lda, beta, it.c, ldc, n, m, k, kernel_isa());
+            dgemm_small(alpha, it.b, ldb, a, lda, beta, it.c, ldc, n, m, k, isa_level());
         return;
     }
     // Row-major view of the shared operator: A_cm(m x k, lda) is A'(k x m)
@@ -499,7 +451,7 @@ void dgemm_batch_same_a(double alpha, const double* a, std::size_t lda, std::siz
     pack_b_panels(a, lda, k, m, ap.data());
 
     const auto run_item = [&](const GemmBatchItem& it) {
-        kernel_rows(alpha, it.b, ldb, ap.data(), beta, it.c, ldc, n, m, k, kernel_isa());
+        kernel_rows(alpha, it.b, ldb, ap.data(), beta, it.c, ldc, n, m, k, isa_level());
     };
     const std::size_t total_flops = 2 * m * n * k * items.size();
     if (items.size() > 1 && parallel::num_threads() > 1 && total_flops >= kParallelFlops) {
@@ -527,14 +479,14 @@ void dgemm_batch_same_b(double alpha, std::span<const GemmBatchItem> items, std:
     // dgemm call would.
     if (k == 0 || m < kNR) {
         for (const GemmBatchItem& it : items)
-            dgemm_small(alpha, b, ldb, it.b, lda, beta, it.c, ldc, n, m, k, kernel_isa());
+            dgemm_small(alpha, b, ldb, it.b, lda, beta, it.c, ldc, n, m, k, isa_level());
         return;
     }
     const std::size_t npanels = (m + kNR - 1) / kNR;
     const auto run_item = [&](const GemmBatchItem& it) {
         parallel::Scratch ap(npanels * kNR * k);
         pack_b_panels(it.b, lda, k, m, ap.data());
-        kernel_rows(alpha, b, ldb, ap.data(), beta, it.c, ldc, n, m, k, kernel_isa());
+        kernel_rows(alpha, b, ldb, ap.data(), beta, it.c, ldc, n, m, k, isa_level());
     };
     const std::size_t total_flops = 2 * m * n * k * items.size();
     if (items.size() > 1 && parallel::num_threads() > 1 && total_flops >= kParallelFlops) {

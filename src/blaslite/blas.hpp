@@ -34,9 +34,6 @@ void dscal(double alpha, std::span<double> x) noexcept;
 /// z <- x*y elementwise (NekTar's vmul; dominates the nonlinear step).
 void dvmul(std::span<const double> x, std::span<const double> y, std::span<double> z) noexcept;
 
-/// z <- x*y + z elementwise (vvtvp).
-void dvvtvp(std::span<const double> x, std::span<const double> y, std::span<double> z) noexcept;
-
 /// y <- alpha*A*x + beta*y with A m-by-n row-major (BLAS dgemv, no transpose).
 void dgemv(double alpha, const double* a, std::size_t lda, std::size_t m, std::size_t n,
            const double* x, double beta, double* y) noexcept;

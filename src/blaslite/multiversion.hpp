@@ -46,25 +46,29 @@ namespace blaslite {
 /// the host's when clones are made (checked like their resolver, by CPU
 /// feature), else the compile target's.  Kernels that size their register
 /// tiles per level pass it to their cloned entry point; only speed may
-/// depend on it.
+/// depend on it.  Resolved once; out of line, so a caller pays one call
+/// rather than carrying the detection.
 enum class IsaLevel { base, v3, v4 };
 
-inline IsaLevel isa_level() noexcept {
+[[gnu::noinline]] inline IsaLevel isa_level() noexcept {
+    static const IsaLevel level = [] {
 #if REPRO_MULTIVERSION_CLONES
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
-        __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("avx512cd"))
-        return IsaLevel::v4;
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return IsaLevel::v3;
-    return IsaLevel::base;
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
+            __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq") &&
+            __builtin_cpu_supports("avx512cd"))
+            return IsaLevel::v4;
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return IsaLevel::v3;
+        return IsaLevel::base;
 #elif defined(__AVX512F__)
-    return IsaLevel::v4;
+        return IsaLevel::v4;
 #elif defined(__AVX2__)
-    return IsaLevel::v3;
+        return IsaLevel::v3;
 #else
-    return IsaLevel::base;
+        return IsaLevel::base;
 #endif
+    }();
+    return level;
 }
 
 /// Lanes a generic-vector kernel that packs independent columns should
@@ -72,5 +76,39 @@ inline IsaLevel isa_level() noexcept {
 /// AVX2 run several times slower than 4-wide ones).  Only speed may depend
 /// on it.
 inline std::size_t vector_lanes() noexcept { return isa_level() == IsaLevel::v4 ? 8 : 4; }
+
+/// W doubles in one GNU vector, the register type of the hand-vectorised
+/// kernels in banded.cpp, fft.cpp and element_ops.cpp: one xmm, ymm or zmm
+/// for W = 2, 4 or 8.  Element-aligned and may_alias, so a kernel loads it
+/// straight from any double array through reinterpret_cast; name it inside
+/// the kernel (`using V = ...`), because GCC drops both attributes from a
+/// typedef passed as a template argument.  A W wider than the clone's
+/// registers is split into halves that GCC keeps in memory across a loop,
+/// so each kernel takes its clone's width.  blas.cpp keeps its own
+/// naturally aligned vectors (DESIGN.md section 5.2).
+template <std::size_t W>
+struct Lanes {
+    typedef double type
+        __attribute__((vector_size(W * sizeof(double)), aligned(alignof(double)), may_alias));
+};
+
+/// Lane q holds q: the lane indices as doubles (SSE2 has no 64-bit integer
+/// compare), for masks by lane position; W = 2, 4 or 8.
+template <std::size_t W>
+extern const typename Lanes<W>::type lane_index;
+template <>
+inline constexpr Lanes<2>::type lane_index<2>{0, 1};
+template <>
+inline constexpr Lanes<4>::type lane_index<4>{0, 1, 2, 3};
+template <>
+inline constexpr Lanes<8>::type lane_index<8>{0, 1, 2, 3, 4, 5, 6, 7};
+
+static_assert(sizeof(Lanes<2>::type) == 2 * sizeof(double) &&
+              sizeof(Lanes<4>::type) == 4 * sizeof(double) &&
+              sizeof(Lanes<8>::type) == 8 * sizeof(double));
+static_assert(alignof(Lanes<2>::type) == alignof(double) &&
+              alignof(Lanes<4>::type) == alignof(double) &&
+              alignof(Lanes<8>::type) == alignof(double),
+              "the kernels load Lanes from double* at any double boundary");
 
 } // namespace blaslite

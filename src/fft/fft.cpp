@@ -79,24 +79,17 @@ void radix2_core(std::span<cplx> x, std::span<const cplx> tw, std::span<const st
     }
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-template <std::size_t W>
-struct LaneVec {
-    /// One value of W lines.  Element-aligned (the batch buffers come from
-    /// callers) and may_alias (it is loaded straight from double arrays).
-    typedef double type
-        __attribute__((vector_size(W * sizeof(double)), aligned(alignof(double)), may_alias));
-};
-
 /// radix2_core on W lines at once, lane-interleaved (complex element k of
 /// line q: real part x[2kW + q], imaginary part x[(2k + 1)W + q]).  Lane q
 /// takes exactly radix2_core's operations on line q in its order: the same
 /// swaps, and per butterfly the same products, sums and differences, each
-/// rounded (no FMA: -ffp-contract=off).
+/// rounded (no FMA: -ffp-contract=off).  One blaslite::Lanes<W> holds one
+/// value of the W lines; the batch buffers come from callers, so only
+/// their element alignment is known.
 template <bool Inv, std::size_t W>
 [[gnu::always_inline]] inline void radix2_lanes(double* x, const double* twd,
                                                 const std::size_t* rev, std::size_t n) noexcept {
-    using V = typename LaneVec<W>::type;
+    using V = typename blaslite::Lanes<W>::type;
     V* const xv = reinterpret_cast<V*>(x);
     for (std::size_t i = 0; i < n; ++i)
         if (i < rev[i]) {
@@ -138,7 +131,6 @@ void radix2_eight(bool inv, double* x, const double* twd, const std::size_t* rev
                   std::size_t n) noexcept {
     inv ? radix2_lanes<true, 8>(x, twd, rev, n) : radix2_lanes<false, 8>(x, twd, rev, n);
 }
-#endif
 
 /// Charges `count` transforms of length n, each as Plan::forward/inverse
 /// do: one call of fft_flops(n) flops, n complex values read and written.
@@ -189,22 +181,10 @@ void Plan::radix2(std::span<cplx> x, bool inv) const {
     inv ? radix2_core<true>(x, twiddle_, rev_) : radix2_core<false>(x, twiddle_, rev_);
 }
 
-bool Plan::has_lane_kernel() const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    return pow2_;
-#else
-    return false;
-#endif
-}
-
 void Plan::radix2_lanes(double* x, std::size_t w, bool inv) const {
-    assert(has_lane_kernel());
-#if defined(__GNUC__) || defined(__clang__)
+    assert(pow2_);
     const double* const twd = reinterpret_cast<const double*>(twiddle_.data());
     (w == 8 ? radix2_eight : radix2_four)(inv, x, twd, rev_.data(), n_);
-#else
-    (void)x, (void)w, (void)inv;
-#endif
 }
 
 void Plan::radix2_m(std::span<cplx> x, bool inv) const {
@@ -291,8 +271,6 @@ std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec) {
     return out;
 }
 
-std::size_t batch_lanes() noexcept { return blaslite::vector_lanes(); }
-
 namespace {
 
 /// The per-line fallback's buffers, per thread and grown on first use (a
@@ -319,8 +297,8 @@ void rfft_lanes(const Plan& plan, std::size_t w, std::size_t count, std::span<co
     const std::size_t n = plan.size();
     assert((w == 4 || w == 8) && count <= w && n % 2 == 0);
     assert(x.size() == n * w && buf.size() == 2 * n * w);
-    if (!plan.has_lane_kernel()) {
-        // Line by line.
+    if (!plan.pow2_) {
+        // Bluestein lengths: line by line.
         LineScratch& s = line_scratch(n);
         const std::span<double> line(s.line.data(), n);
         const std::span<cplx> spec(s.work.data(), n);
@@ -348,8 +326,8 @@ void irfft_lanes(const Plan& plan, std::size_t w, std::size_t count, std::span<d
     const std::size_t n = plan.size();
     assert((w == 4 || w == 8) && count <= w && n % 2 == 0);
     assert(buf.size() == 2 * n * w && out.size() == n * w);
-    if (!plan.has_lane_kernel()) {
-        // Line by line.
+    if (!plan.pow2_) {
+        // Bluestein lengths: line by line.
         LineScratch& s = line_scratch(n);
         const std::span<double> line(s.line.data(), n);
         const std::span<cplx> spec(s.spec.data(), n / 2 + 1), work(s.work.data(), n);

@@ -39,11 +39,8 @@ private:
     friend void irfft_lanes(const Plan&, std::size_t, std::size_t, std::span<double>,
                             std::span<double>);
     void radix2(std::span<cplx> x, bool inv) const;
-    /// Whether radix2_lanes exists for this length: not for Bluestein
-    /// lengths, nor on compilers without vector extensions.
-    bool has_lane_kernel() const noexcept;
     /// radix2 on w lines held lane-interleaved (see rfft_lanes), without
-    /// the inverse's 1/n.
+    /// the inverse's 1/n; power-of-two lengths only.
     void radix2_lanes(double* x, std::size_t w, bool inv) const;
     void bluestein(std::span<cplx> x, bool inv) const;
 
@@ -81,11 +78,8 @@ std::vector<double> irfft(const Plan& plan, std::span<const cplx> spec);
 void irfft(const Plan& plan, std::span<const cplx> spec, std::span<double> out,
            std::span<cplx> work);
 
-/// Lines per batch of rfft_lanes/irfft_lanes on this host: 8 where the
-/// vector kernel runs with AVX-512, else 4.  Only speed depends on it.
-[[nodiscard]] std::size_t batch_lanes() noexcept;
-
-/// Lane-interleaved layout of a batch of w lines (w = 4 or 8): real value j
+/// Lane-interleaved layout of a batch of w lines (w = 4 or 8; FourierNS
+/// takes blaslite::vector_lanes(), the width its clone runs): real value j
 /// of line q at x[j * w + q]; complex coefficient k of line q with its real
 /// part at c[2 * k * w + q] and its imaginary part at c[(2 * k + 1) * w + q].
 ///

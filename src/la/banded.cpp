@@ -90,7 +90,7 @@ DenseMatrix SymBandedMatrix::to_dense() const {
 namespace {
 
 constexpr std::size_t kNB = 32; ///< panel width (columns per panel)
-constexpr std::size_t kMR = 8;  ///< rows of one ColVec
+constexpr std::size_t kMR = 8;  ///< rows of one vector of sub_scaled and the scans
 /// Rows outside the envelope a run of L bridges (stored as their +0 and
 /// swept, which is exact) rather than start a new run.
 constexpr std::size_t kGap = 3;
@@ -105,26 +105,21 @@ constexpr std::uint64_t kNegZeroBits = 0x8000000000000000ull;
     return r > kd ? r - kd : 0;
 }
 
-#if defined(__GNUC__) || defined(__clang__)
-/// kMR consecutive rows of one column: one zmm, two ymm or four xmm,
-/// whichever the active clone has.  Element-aligned and may_alias: it is
-/// loaded straight from the band buffer.
-typedef double ColVec
-    __attribute__((vector_size(kMR * sizeof(double)), aligned(alignof(double)), may_alias));
+using blaslite::Lanes;
+/// The bits of one Lanes<kMR>, to find -0s: loaded like it, straight from
+/// the band buffer and the right-hand sides.
 typedef std::uint64_t BitVec
     __attribute__((vector_size(kMR * sizeof(double)), aligned(alignof(double)), may_alias));
-#endif
 
 /// y[i] -= x[i] * s for i in [0, len), x and y disjoint: one rounded
 /// product and one subtraction per entry, kMR entries per vector step.
 /// (Spelled out because GCC's -O2 cost model leaves this loop scalar.)
 [[gnu::always_inline]] inline void sub_scaled(double* y, const double* x, double s,
                                               std::size_t len) noexcept {
+    using V = Lanes<kMR>::type;
     std::size_t i = 0;
-#if defined(__GNUC__) || defined(__clang__)
     for (; i + kMR <= len; i += kMR)
-        *reinterpret_cast<ColVec*>(y + i) -= *reinterpret_cast<const ColVec*>(x + i) * s;
-#endif
+        *reinterpret_cast<V*>(y + i) -= *reinterpret_cast<const V*>(x + i) * s;
     for (; i < len; ++i) y[i] -= x[i] * s;
 }
 
@@ -134,40 +129,13 @@ REPRO_MULTIVERSION
 bool any_negative_zero(const double* x, std::size_t len) noexcept {
     std::size_t i = 0;
     bool hit = false;
-#if defined(__GNUC__) || defined(__clang__)
     BitVec acc{};
     for (; i + kMR <= len; i += kMR)
         acc |= *reinterpret_cast<const BitVec*>(x + i) == kNegZeroBits;
     for (std::size_t l = 0; l < kMR; ++l) hit |= acc[l] != 0;
-#endif
     for (; i < len; ++i) hit |= is_negative_zero(x[i]);
     return hit;
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-/// W consecutive rows of one column, for W in {2, 4, 8}: the native vector
-/// of each clone (xmm, ymm, zmm).  A wider vector than the clone has is
-/// split into halves that GCC shuffles through memory when kept across a
-/// loop, so each tile shape uses its clone's width.  `lanes` holds the
-/// lane indices (as doubles: SSE2 has no 64-bit integer compare).
-template <std::size_t W>
-struct RowVec;
-template <>
-struct RowVec<2> {
-    typedef double type __attribute__((vector_size(16), aligned(alignof(double)), may_alias));
-    static constexpr type lanes = {0, 1};
-};
-template <>
-struct RowVec<4> {
-    typedef double type __attribute__((vector_size(32), aligned(alignof(double)), may_alias));
-    static constexpr type lanes = {0, 1, 2, 3};
-};
-template <>
-struct RowVec<8> {
-    typedef ColVec type;
-    static constexpr type lanes = {0, 1, 2, 3, 4, 5, 6, 7};
-};
-#endif
 
 /// Register tile shape: MV vectors of W rows (W * MV rows) by NR columns.
 template <std::size_t W, std::size_t MV, std::size_t NR>
@@ -177,24 +145,24 @@ struct TileShape {
 };
 
 /// The shapes, one per ISA level: MV * NR accumulators, MV vectors of an L
-/// column and a broadcast fit the register file.  x86-64-v4 has 32 zmm:
+/// column and a broadcast fit the register file, each vector Lanes<W> in
+/// its clone's native width (xmm, ymm, zmm).  x86-64-v4 has 32 zmm:
 /// 16 x 8 takes 16 accumulators.  x86-64-v3 and baseline x86-64 have 16 ymm
 /// or xmm: 12 accumulators, 8 x 6 or 4 x 6 rows by columns.
 using TallTile = TileShape<8, 2, 8>;
 using Avx2Tile = TileShape<4, 2, 6>;
 using BaseTile = TileShape<2, 2, 6>;
 
-#if defined(__GNUC__) || defined(__clang__)
 /// One tile column: MV vectors of W rows.
 template <std::size_t W, std::size_t MV>
 struct TileCol {
-    using V = typename RowVec<W>::type;
+    using V = typename Lanes<W>::type;
     V v0, v1;
 };
 
 template <std::size_t W, std::size_t MV>
 [[gnu::always_inline]] inline TileCol<W, MV> load_col(const double* p) noexcept {
-    using V = typename RowVec<W>::type;
+    using V = typename Lanes<W>::type;
     TileCol<W, MV> t{};
     t.v0 = *reinterpret_cast<const V*>(p);
     if constexpr (MV > 1) t.v1 = *reinterpret_cast<const V*>(p + W);
@@ -206,10 +174,10 @@ template <std::size_t W, std::size_t MV>
 template <bool Diag, std::size_t W, std::size_t MV>
 [[gnu::always_inline]] inline void store_col(double* p, const TileCol<W, MV>& t,
                                              double first) noexcept {
-    using V = typename RowVec<W>::type;
+    using V = typename Lanes<W>::type;
     const auto put = [&](V* q, const V& v, double off) {
         if constexpr (Diag)
-            *q = RowVec<W>::lanes + off >= first ? v : *q;
+            *q = blaslite::lane_index<W> + off >= first ? v : *q;
         else
             *q = v;
     };
@@ -223,7 +191,7 @@ template <bool Diag, std::size_t W, std::size_t MV>
 template <bool Edge, std::size_t W, std::size_t MV>
 [[gnu::always_inline]] inline void sub_col(TileCol<W, MV>& t, const TileCol<W, MV>& l, double s,
                                            double k, const TileCol<W, MV>& fv) noexcept {
-    using V = typename RowVec<W>::type;
+    using V = typename Lanes<W>::type;
     const auto sub = [&](V& acc, const V& x, const V& f) {
         if constexpr (Edge)
             acc = f <= k ? acc - x * s : acc;
@@ -233,7 +201,6 @@ template <bool Edge, std::size_t W, std::size_t MV>
     sub(t.v0, l.v0, fv.v0);
     if constexpr (MV > 1) sub(t.v1, l.v1, fv.v1);
 }
-#endif
 
 /// The Shape::rows x Shape::cols tile at rows [r0, r0 + rows) of columns
 /// cols[0], cols[1], ... minus L(rows, k) L(cols, k) for k in [k0, k0 + nk):
@@ -252,7 +219,6 @@ template <typename Shape, bool Diag, bool Edge>
                                                std::size_t ld, std::size_t k0, std::size_t nk,
                                                const double* firstd) noexcept {
     constexpr std::size_t W = Shape::width, MV = Shape::mv, NR = Shape::cols;
-#if defined(__GNUC__) || defined(__clang__)
     using Col = TileCol<W, MV>;
     double* const t = a + r0; // column c of the tile starts at t + c * kd
     Col t0 = load_col<W, MV>(t + cols[0] * kd), t1{}, t2{}, t3{}, t4{}, t5{}, t6{}, t7{};
@@ -286,16 +252,6 @@ template <typename Shape, bool Diag, bool Edge>
     if constexpr (NR > 5) store_col<Diag>(t + cols[5] * kd, t5, 5);
     if constexpr (NR > 6) store_col<Diag>(t + cols[6] * kd, t6, 6);
     if constexpr (NR > 7) store_col<Diag>(t + cols[7] * kd, t7, 7);
-#else
-    for (std::size_t j = 0; j < NR; ++j)
-        for (std::size_t r = r0; r < r0 + Shape::rows; ++r) {
-            if (Diag && r < cols[j]) continue;
-            double& x = a[r + cols[j] * kd];
-            for (std::size_t p = 0; p < nk; ++p)
-                if (!Edge || firstd[r] <= static_cast<double>(k0 + p))
-                    x -= a[r + (k0 + p) * kd] * s[p * ld + j];
-        }
-#endif
 }
 
 /// A(r, c) -= L(r, k) L(c, k) for k in [k0, k1) ascending, s pointing at
@@ -521,9 +477,7 @@ REPRO_MULTIVERSION
 bool scan_envelope(const double* a, std::size_t n, std::size_t kd, double* first) noexcept {
     for (std::size_t r = 0; r < n; ++r) first[r] = static_cast<double>(r);
     bool negative_zero = false;
-#if defined(__GNUC__) || defined(__clang__)
     BitVec neg{};
-#endif
     for (std::size_t c = 0; c < n; ++c) {
         const double* col = a + c * kd;
         const double cd = static_cast<double>(c);
@@ -534,26 +488,23 @@ bool scan_envelope(const double* a, std::size_t n, std::size_t kd, double* first
             negative_zero |= bits == kNegZeroBits;
         };
         std::size_t r = c + 1;
-#if defined(__GNUC__) || defined(__clang__)
         // Vectors at the same rows in every column, so each load of first
         // meets the previous column's store whole.
         for (; r < end && r % kMR != 0; ++r) scalar(r);
-        const ColVec cv = ColVec{} + cd;
+        using V = Lanes<kMR>::type;
+        const V cv = V{} + cd;
         for (; r + kMR <= end; r += kMR) {
-            const ColVec v = *reinterpret_cast<const ColVec*>(col + r);
-            ColVec& f = *reinterpret_cast<ColVec*>(first + r);
+            const V v = *reinterpret_cast<const V*>(col + r);
+            V& f = *reinterpret_cast<V*>(first + r);
             // Two selects: GCC scalarizes a select on a combined mask.  A
             // -0 (!= 0.0 is false) is caught by `neg` and widened later.
-            const ColVec g = v != 0.0 ? cv : f;
+            const V g = v != 0.0 ? cv : f;
             f = g < f ? g : f;
             neg |= *reinterpret_cast<const BitVec*>(col + r) == kNegZeroBits;
         }
-#endif
         for (; r < end; ++r) scalar(r);
     }
-#if defined(__GNUC__) || defined(__clang__)
     for (std::size_t l = 0; l < kMR; ++l) negative_zero |= neg[l] != 0;
-#endif
     return negative_zero;
 }
 
@@ -617,7 +568,6 @@ void sweep_two(const LView& L, std::size_t jb, std::size_t je, bool forward,
     sweep_columns<2>(L, jb, je, forward, b);
 }
 
-#if defined(__GNUC__) || defined(__clang__)
 /// sweep_columns for W right-hand sides packed row by row: x[r * W + q] is
 /// row r of right-hand side q.  Lane q applies exactly sweep_columns<1>'s
 /// operations to right-hand side q, in its order; the W lanes share one
@@ -626,7 +576,7 @@ void sweep_two(const LView& L, std::size_t jb, std::size_t je, bool forward,
 template <std::size_t W>
 [[gnu::always_inline]] inline void sweep_lanes(const LView& L, std::size_t jb, std::size_t je,
                                                bool forward, double* x) noexcept {
-    using V = typename RowVec<W>::type;
+    using V = typename Lanes<W>::type;
     V* const row = reinterpret_cast<V*>(x); // element-aligned, like the tiles'
     const double *const diag = L.diag, *const val = L.val;
     const std::size_t *const col = L.col, *const vcol = L.vcol;
@@ -665,7 +615,6 @@ void sweep_eight(const LView& L, std::size_t jb, std::size_t je, bool forward,
                  double* const* x) noexcept {
     sweep_lanes<8>(L, jb, je, forward, x[0]);
 }
-#endif
 
 /// The right-hand sides of one sweep and its kernel: k of them, entry
 /// (r, q) at at[q][r * stride], stored as `blocks` contiguous blocks of
@@ -902,7 +851,6 @@ void BandedCholesky::solve(std::span<const std::span<double>> rhs) const {
     const LView L{n_,           kd_,          first_.data(),    diag_.data(), col_.data(),
                   vcol_.data(), run_row_.data(), run_len_.data(), val_.data()};
     std::size_t q = 0;
-#if defined(__GNUC__) || defined(__clang__)
     // Three or more (two on a compact L, whose short runs leave the pair
     // sweep in its scalar tail): W = 4 lanes per sweep, or
     // blaslite::vector_lanes() for five or more, unused lanes zero.  What is
@@ -924,7 +872,6 @@ void BandedCholesky::solve(std::span<const std::span<double>> rhs) const {
             q += k;
         }
     }
-#endif
     for (; q < rhs.size(); q += 2) {
         const std::size_t k = std::min<std::size_t>(2, rhs.size() - q);
         Sweep sweep{k == 2 ? sweep_two : sweep_one, {rhs[q].data()}, k, 1, k, n_};

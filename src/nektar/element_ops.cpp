@@ -17,23 +17,8 @@ namespace {
 /// the widest vector any clone uses.
 constexpr std::size_t kPad = 8;
 
-#if defined(__GNUC__) || defined(__clang__)
-/// W consecutive columns of one row, for W in {2, 4, 8}: the native vector
-/// of each clone (xmm, ymm, zmm).  A wider vector than the clone has is
-/// split into halves that GCC keeps in memory across a loop.
-template <std::size_t W>
-struct Cols {
-    typedef double type
-        __attribute__((vector_size(W * sizeof(double)), aligned(alignof(double)), may_alias));
-};
-#else
-template <std::size_t W>
-struct Cols {
-    using type = double;
-};
-#endif
-
-/// Register tile: IR rows i by R vectors of W columns j.
+/// Register tile: IR rows i by R vectors of W columns j, each a
+/// blaslite::Lanes<W> in its clone's native width (xmm, ymm, zmm).
 template <std::size_t W, std::size_t IR, std::size_t R>
 struct ProductTile {
     static_assert(IR >= 1 && IR <= 4 && R >= 1 && R <= 2);
@@ -43,15 +28,9 @@ struct ProductTile {
 /// One shape per ISA level: 2 * IR * R accumulators, R vectors of each of
 /// b, dx and dy and three broadcasts fit the register file (32 zmm on
 /// x86-64-v4, 16 ymm or xmm below it).
-#if defined(__GNUC__) || defined(__clang__)
 using V4Tile = ProductTile<8, 4, 2>;
 using V3Tile = ProductTile<4, 2, 2>;
 using BaseTile = ProductTile<2, 2, 2>;
-#else
-using V4Tile = ProductTile<1, 1, 1>;
-using V3Tile = V4Tile;
-using BaseTile = V4Tile;
-#endif
 
 /// The staged inputs and outputs of the products: b, dx and dy are nq x ld
 /// (q-major), bw, dxw and dyw are nm x nq (mode-major), mass and lap are
@@ -66,7 +45,7 @@ struct Staged {
 /// GCC spills an array of vectors indexed in a loop.
 template <std::size_t W, std::size_t R>
 struct RowAcc {
-    using V = typename Cols<W>::type;
+    using V = typename blaslite::Lanes<W>::type;
     V m0{}, m1{}, l0{}, l1{};
 };
 
@@ -79,7 +58,7 @@ template <std::size_t W, std::size_t R>
 [[gnu::always_inline]] inline void accumulate(RowAcc<W, R>& a, const double* b, const double* dx,
                                               const double* dy, double sb, double sx,
                                               double sy) noexcept {
-    using V = typename Cols<W>::type;
+    using V = typename blaslite::Lanes<W>::type;
     const V* pb = reinterpret_cast<const V*>(b);
     const V* px = reinterpret_cast<const V*>(dx);
     const V* py = reinterpret_cast<const V*>(dy);
@@ -94,7 +73,7 @@ template <std::size_t W, std::size_t R>
 template <std::size_t W, std::size_t R>
 [[gnu::always_inline]] inline void store(const RowAcc<W, R>& a, double* mass,
                                          double* lap) noexcept {
-    using V = typename Cols<W>::type;
+    using V = typename blaslite::Lanes<W>::type;
     reinterpret_cast<V*>(mass)[0] = a.m0;
     reinterpret_cast<V*>(lap)[0] = a.l0;
     if constexpr (R > 1) {

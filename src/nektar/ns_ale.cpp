@@ -323,6 +323,7 @@ void AleNS2d::begin_step(const StepContext& ctx) {
             }
         }
         rebuild_discretization();
+        redo_stage_transform(); // end_step transformed on the old geometry
         // Mesh velocity at the (new) quadrature points for the ALE advection.
         std::vector<double> wmodal(disc_->modal_size());
         disc_->scatter(wglob, wmodal);

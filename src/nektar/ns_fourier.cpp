@@ -9,6 +9,7 @@
 
 #include "blaslite/blas.hpp"
 #include "blaslite/counters.hpp"
+#include "blaslite/multiversion.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace nektar {
@@ -71,7 +72,7 @@ FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOption
     }
     p_modal_.assign(nm, 0.0);
     const std::size_t nz = 2 * opts_.num_modes;
-    nls_.lanes = fft::batch_lanes();
+    nls_.lanes = blaslite::vector_lanes();
     for (auto& v : nls_.lines) v.resize(transpose_.lines_buffer_size());
     for (auto& v : nls_.plines) v.resize(transpose_.lines_buffer_size());
     assert(transpose_.lines_buffer_size() >= 2 * disc_->quad_size()); // gradients, see nonlinear
@@ -118,7 +119,6 @@ void FourierNS::restore_state(const ckpt::Checkpoint& c) {
     };
     for (int comp = 0; comp < 3; ++comp) take(modal_[comp]);
     for (int comp = 0; comp < 3; ++comp) take(quad_[comp]);
-    quad_counts_.reset();
     take(p_modal_);
     r.expect_end();
     if (comm_ != nullptr) {
@@ -147,7 +147,6 @@ void FourierNS::load_state(const Field3Fn& u0, const Field3Fn& v0, const Field3F
     const Field3Fn* fns[3] = {&u0, &v0, &w0};
     std::vector<double> zline(nz);
     std::vector<fft::cplx> spec(nz);
-    quad_counts_.reset();
     // Sample each quadrature point's z-line, transform, keep local modes.
     for (int c = 0; c < 3; ++c) {
         std::vector<double> plane_quads(nplanes_ * nq);
@@ -201,11 +200,9 @@ void FourierNS::set_initial_exact(const TimeField3Fn& u, const TimeField3Fn& v,
 }
 
 void FourierNS::transform_all_to_quad() {
-    const blaslite::CountScope counts;
     // All local planes of a component fuse into the batch dimension: on a
     // single-group mesh this is one dgemm per component.
     for (int c = 0; c < 3; ++c) disc_->to_quad_planes(modal_[c], quad_[c], nplanes_, backend_);
-    quad_counts_ = counts.delta();
 }
 
 void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
@@ -327,16 +324,8 @@ void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
     }
 }
 
-// Stage 1: modal -> quadrature for every plane of u, v, w.  After a step,
-// end_step has already transformed the same modal_, so the stage charges
-// that transform's counts again (keeping every stage's OpCounts and the
-// model where they were) instead of recomputing identical bits.
-void FourierNS::stage_transform(const StepContext&) {
-    if (quad_counts_)
-        blaslite::thread_counts() += *quad_counts_;
-    else
-        transform_all_to_quad();
-}
+// Stage 1: modal -> quadrature for every plane of u, v, w.
+void FourierNS::stage_transform(const StepContext&) { transform_all_to_quad(); }
 
 // Stage 2: nonlinear terms (transposes + z FFTs + products + derivatives).
 void FourierNS::stage_nonlinear(const StepContext&, std::vector<std::vector<double>>& nl) {
@@ -442,7 +431,6 @@ void FourierNS::stage_viscous_rhs(const StepContext& ctx,
 void FourierNS::stage_viscous_solve(const StepContext& ctx) {
     const std::size_t nm = disc_->modal_size();
     const double tn1 = ctx.t_new;
-    quad_counts_.reset(); // the solves overwrite modal_
     // Build (or fetch) the whole order's operator set up front, outside the
     // thread pool; the old code rebuilt a bootstrap solver per plane task.
     const std::vector<HelmholtzDirect>& solvers = velocity_solvers_.get(ctx.scheme.order);

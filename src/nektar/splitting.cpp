@@ -132,6 +132,7 @@ void SolverCore::reset_state(std::size_t field_size) {
     steps_taken_ = 0;
     last_step_order_ = 0;
     last_velocity_lambda_ = std::numeric_limits<double>::quiet_NaN();
+    end_step_counts_.reset();
     vel_hist_.configure(num_fields_, field_size, time_order_ - 1);
     nl_hist_.configure(num_fields_, field_size, time_order_ - 1);
     nl_scratch_.assign(num_fields_, std::vector<double>(field_size, 0.0));
@@ -211,6 +212,7 @@ void SolverCore::restore(const ckpt::Checkpoint& c) {
     steps_taken_ = static_cast<int>(steps);
     last_step_order_ = static_cast<int>(last_order);
     last_velocity_lambda_ = lambda;
+    end_step_counts_.reset();
 
     auto hist = c.open("history");
     vel_hist_.restore(hist);
@@ -240,8 +242,6 @@ void SolverCore::maybe_checkpoint() const {
 }
 
 void SolverCore::begin_step(const StepContext&) {}
-
-void SolverCore::end_step(const StepContext&) {}
 
 void SolverCore::extrapolate(const StepContext& ctx,
                              const std::vector<std::vector<double>>& nl_new,
@@ -301,7 +301,12 @@ void SolverCore::advance() {
     if (tracing) obs::tracer().begin(trace_lane_, trace_ids_[0], trace_now(), virtual_time);
     begin_step(ctx);
 
-    run_stage(1, [&] { stage_transform(ctx); });
+    run_stage(1, [&] {
+        if (const auto counts = std::exchange(end_step_counts_, std::nullopt))
+            blaslite::thread_counts() += *counts;
+        else
+            stage_transform(ctx);
+    });
     run_stage(2, [&] { stage_nonlinear(ctx, nl_scratch_); });
     run_stage(3, [&] { extrapolate(ctx, nl_scratch_, hat_scratch_); });
     run_stage(4, [&] { stage_pressure_rhs(ctx, hat_scratch_); });
@@ -320,7 +325,11 @@ void SolverCore::advance() {
         nl_hist_.push(std::move(nl));
     }
 
-    end_step(ctx);
+    {
+        const blaslite::CountScope counts;
+        end_step(ctx);
+        end_step_counts_ = counts.delta();
+    }
     if (tracing) obs::tracer().end(trace_lane_, trace_ids_[0], trace_now(), virtual_time);
     time_ = ctx.t_new;
     ++steps_taken_;

@@ -266,9 +266,17 @@ protected:
                                    std::vector<std::vector<double>>& hat) = 0;
     /// Stage 7: the velocity solves; must call record_velocity_lambda().
     virtual void stage_viscous_solve(const StepContext& ctx) = 0;
-    /// Work following stage 7 (transform the new solution back to
-    /// quadrature space).
-    virtual void end_step(const StepContext& ctx);
+    /// Work following stage 7: transform the new solution back to
+    /// quadrature space, exactly as stage_transform would.  advance()
+    /// records what it charges, and the next step's stage 1 charges that
+    /// again instead of calling stage_transform: one transform per step,
+    /// with every stage's counts (and so the model) where two would put
+    /// them.
+    virtual void end_step(const StepContext& ctx) = 0;
+    /// Makes the next stage 1 call stage_transform rather than re-charge
+    /// end_step's transform: for a begin_step that changes what the
+    /// transform computes (the ALE geometry rebuild).
+    void redo_stage_transform() noexcept { end_step_counts_.reset(); }
 
     /// Quadrature values of advected field `c` as of the last stage-1
     /// transform; feeds the extrapolation and the velocity history.
@@ -311,6 +319,10 @@ private:
     int steps_taken_ = 0;
     int last_step_order_ = 0;
     double last_velocity_lambda_ = std::numeric_limits<double>::quiet_NaN();
+
+    /// What end_step charged, while its transform still stands in for
+    /// stage 1's; empty after reset_state, restore and redo_stage_transform.
+    std::optional<blaslite::OpCounts> end_step_counts_;
 
     FieldHistory vel_hist_; ///< u^{n-1}, u^{n-2}, ...
     FieldHistory nl_hist_;  ///< N^{n-1}, N^{n-2}, ...
